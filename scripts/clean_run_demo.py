@@ -25,10 +25,9 @@ from stereomot import (
     simulate,
     tracks_to_pred,
 )
-from stereomot.cli import _bbox_cov
 from stereomot.config import PipelineConfig
+from stereomot.geometry import VIEWS
 from stereomot.formats import format_complexity_table, format_report_table
-from stereomot.track2d import MAHALANOBIS_CENTROID
 
 
 def parse_args():
@@ -67,17 +66,9 @@ def main():
     dets = timed("detections", lambda: perfect_detections(gt))
     params2d = Track2DParams()
 
-    def run_track2d():
-        out = []
-        for view in ("top", "front"):
-            frames = dets[view]
-            if params2d.mode(view) == MAHALANOBIS_CENTROID:
-                frames = {f: [_bbox_cov(d) for d in items]
-                          for f, items in frames.items()}
-            out.append(build_tracklets(frames, params2d, view=view))
-        return out
-
-    top, front = timed("track2d", run_track2d)
+    top, front = timed("track2d", lambda: [
+        build_tracklets(dets[view], params2d, view=view)
+        for view in VIEWS])
     graph = timed("associate", lambda: build_graph(
         top, front, seq.rig, cfg.tank(), AssocParams(), fps=cfg.get("fps")))
     tracks = timed("stitch", lambda: associate(

@@ -30,9 +30,7 @@ from stereomot import (
     simulate,
     tracks_to_pred,
 )
-from stereomot.cli import _bbox_cov
-from stereomot.geometry import TankBounds
-from stereomot.track2d import MAHALANOBIS_CENTROID
+from stereomot.geometry import VIEWS, TankBounds
 
 
 def parse_args():
@@ -51,13 +49,8 @@ def parse_args():
 
 def run_pipeline(gt, dets, rig, tank, n_fish, fps, gate):
     params = Track2DParams()
-    per_view = {}
-    for view in ("top", "front"):
-        frames = dets.get(view, {})
-        if params.mode(view) == MAHALANOBIS_CENTROID:
-            frames = {f: [_bbox_cov(d) for d in items]
-                      for f, items in frames.items()}
-        per_view[view] = build_tracklets(frames, params, view=view)
+    per_view = {view: build_tracklets(dets.get(view, {}), params, view=view)
+                for view in VIEWS}
     graph = build_graph(per_view["top"], per_view["front"], rig, tank,
                         AssocParams(), fps=fps)
     tracks = associate(extract_3d_tracklets(graph), n_fish, StitchParams())

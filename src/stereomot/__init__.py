@@ -14,8 +14,8 @@ from .geometry import (CameraModel, GeometryError, StereoRig, TankBounds,
 from .detect import (DetectError, Detection, DetectParams, detect_front,
                      detect_top, estimate_background,
                      ingest_external_detections)
-from .track2d import (Track2DParams, Tracklet2D, build_tracklets,
-                      head_detection_params, hungarian, mahalanobis)
+from .track2d import (Track2DParams, Tracklet2D, build_tracklets, hungarian,
+                      mahalanobis)
 from .crossview import (AssocParams, AssociationGraph, GraphNode,
                         NodeCandidate, Tracklet3D, build_graph, edge_weight,
                         extract_3d_tracklets, extract_paths,
@@ -38,8 +38,8 @@ __all__ = [
     "triangulate",
     "DetectError", "Detection", "DetectParams", "detect_front", "detect_top",
     "estimate_background", "ingest_external_detections",
-    "Track2DParams", "Tracklet2D", "build_tracklets",
-    "head_detection_params", "hungarian", "mahalanobis",
+    "Track2DParams", "Tracklet2D", "build_tracklets", "hungarian",
+    "mahalanobis",
     "AssocParams", "AssociationGraph", "GraphNode", "NodeCandidate",
     "Tracklet3D", "build_graph", "edge_weight", "extract_3d_tracklets",
     "extract_paths", "frame_intersection", "node_weight",

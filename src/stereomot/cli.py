@@ -26,13 +26,11 @@ from .formats import (FormatError, format_complexity_table,
                       write_detections_csv, write_pgm, write_report_json,
                       write_tracklets3d_csv, write_tracklets_csv,
                       write_tracks_csv)
-from .geometry import GeometryError, load_calibration, save_calibration
+from .geometry import VIEWS, GeometryError, load_calibration, save_calibration
 from .metrics import complexity_report, evaluate_tracks, tracks_to_pred
 from .simulator import annotate, degrade, perfect_detections, render, simulate
-from .track2d import MAHALANOBIS_CENTROID, build_tracklets
+from .track2d import build_tracklets
 from .track3d import associate
-
-_VIEWS = ("top", "front")
 
 
 def _meta(cfg: PipelineConfig) -> dict:
@@ -74,7 +72,7 @@ def stage_detect_frames(cfg: PipelineConfig, frames_dir: Path,
                         out: Path) -> None:
     params = cfg.detect_params()
     dets: dict[str, dict[int, list[Detection]]] = {}
-    for view in _VIEWS:
+    for view in VIEWS:
         paths = sorted(frames_dir.glob(f"{view}_*.pgm"))
         if not paths:
             raise DetectError(f"no {view}_*.pgm frames found in {frames_dir}")
@@ -92,23 +90,11 @@ def stage_detect_external(cfg: PipelineConfig, external: Path,
                           out: Path) -> None:
     per_frame = ingest_external_detections(
         external, min_confidence=cfg.get("detect.min_confidence"))
-    dets: dict[str, dict[int, list[Detection]]] = {v: {} for v in _VIEWS}
+    dets: dict[str, dict[int, list[Detection]]] = {v: {} for v in VIEWS}
     for f, items in per_frame.items():
         for det in items:
             dets[det.view].setdefault(f, []).append(det)
     write_detections_csv(out / "detections.csv", dets, _meta(cfg))
-
-
-def _bbox_cov(det: Detection) -> Detection:
-    """Uniform-box surrogate covariance for CSV detections without one."""
-    from dataclasses import replace
-
-    if det.cov is not None or det.bbox is None:
-        return det
-    w, h = det.bbox[2], det.bbox[3]
-    cov = np.diag([w * w / 12.0, h * h / 12.0])
-    return replace(det, cov=cov,
-                   centroid=det.centroid if det.centroid is not None else det.head)
 
 
 def stage_track2d(cfg: PipelineConfig, detections_path: Path,
@@ -116,12 +102,8 @@ def stage_track2d(cfg: PipelineConfig, detections_path: Path,
     grouped = group_detections(read_detections_csv(detections_path))
     params = cfg.track2d_params()
     tracklets = []
-    for view in _VIEWS:
-        frames = grouped[view]
-        if params.mode(view) == MAHALANOBIS_CENTROID:
-            frames = {f: [_bbox_cov(d) for d in items]
-                      for f, items in frames.items()}
-        tracklets.extend(build_tracklets(frames, params, view=view))
+    for view in VIEWS:
+        tracklets.extend(build_tracklets(grouped[view], params, view=view))
     write_tracklets_csv(out / "tracklets.csv", tracklets, _meta(cfg))
 
 
@@ -150,7 +132,7 @@ def stage_evaluate(cfg: PipelineConfig, annotations_path: Path, out: Path,
                    view: str | None = None) -> str:
     gt = read_annotations_csv(annotations_path)
     if tracklets_path is not None:
-        if view not in _VIEWS:
+        if view not in VIEWS:
             raise ConfigError("2D evaluation needs --view top|front")
         pred = {t.id: {f: np.asarray(t.detections[f].head, dtype=float)
                        for f in t.frames}
@@ -230,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--tracks", help="3D track CSV")
     src.add_argument("--tracklets", help="2D tracklet CSV (needs --view)")
-    p.add_argument("--view", choices=_VIEWS,
+    p.add_argument("--view", choices=VIEWS,
                    help="view for 2D tracklet evaluation")
 
     p = sub.add_parser("complexity", help="occlusion complexity of annotations")

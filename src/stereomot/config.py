@@ -1,8 +1,9 @@
 """Flat key=value pipeline configuration.
 
 Grammar: one `name = value` per line; blank lines and '#' comments ignored.
-Values are typed per the registry below (int, float, bool true/false, or a
-bare string). Unknown and duplicate keys are rejected by name, and every
+Each key's default, and so its type (int, float, bool true/false, or a
+bare string), comes from the parameter dataclass or function that owns
+it. Unknown and duplicate keys are rejected by name, and every
 derived parameter object is constructed once at load time so bad values
 fail early. `dump()` prints the complete canonical listing, so
 load -> dump -> load is the identity.
@@ -10,13 +11,15 @@ load -> dump -> load is the identity.
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 from dataclasses import dataclass
 
 from .crossview import AssocParams
-from .detect import DetectParams
+from .detect import DetectParams, ingest_external_detections
 from .geometry import StereoRig, TankBounds, default_rig
 from .simulator import DegradeModel, SimConfig
-from .track2d import EUCLIDEAN_HEAD, MAHALANOBIS_CENTROID, Track2DParams
+from .track2d import EUCLIDEAN_HEAD, Track2DParams
 from .track3d import StitchParams
 
 
@@ -26,79 +29,111 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class _Key:
+    """One parameter. Its default, and with it its type, is the default of
+    `owner`'s field or parameter `attr` (element `index` of it when that is
+    a tuple), or `literal` for a key no parameter object owns."""
+
     name: str
-    default: object
-    kind: type
     help: str
+    owner: object = None
+    attr: str = ""
+    index: int | None = None
+    literal: object = None
+
+
+def _owned(owner, prefix: str = "", **helps: str) -> list[_Key]:
+    """Keys `prefix + attr` for the fields or parameters `attr` of `owner`."""
+    return [_Key(prefix + attr, text, owner, attr)
+            for attr, text in helps.items()]
+
+
+def _default(key: _Key):
+    if key.owner is None:
+        return key.literal
+    if dataclasses.is_dataclass(key.owner):
+        value = {f.name: f.default
+                 for f in dataclasses.fields(key.owner)}[key.attr]
+    else:
+        value = inspect.signature(key.owner).parameters[key.attr].default
+    return value if key.index is None else value[key.index]
 
 
 _REGISTRY: list[_Key] = [
-    _Key("seed", 0, int, "master seed; every random draw derives from it"),
-    _Key("fps", 60.0, float, "frames per second of the sequence"),
-    _Key("n_fish", 2, int, "number of fish in the scene"),
-    _Key("duration_s", 15.0, float, "sequence length in seconds"),
-    _Key("tank.x_min", 0.0, float, "tank bounds, cm"),
-    _Key("tank.x_max", 30.0, float, "tank bounds, cm"),
-    _Key("tank.y_min", 0.0, float, "tank bounds, cm"),
-    _Key("tank.y_max", 30.0, float, "tank bounds, cm"),
-    _Key("tank.z_min", 0.0, float, "tank bounds, cm"),
-    _Key("tank.z_max", 15.0, float, "water depth bound, cm"),
-    _Key("image_width", 800, int, "synthetic camera image width, px"),
-    _Key("image_height", 800, int, "synthetic camera image height, px"),
-    _Key("focal", 1000.0, float, "synthetic camera focal length, px"),
-    _Key("sim.speed_mean", 2.13, float, "mean swim speed, cm/s"),
-    _Key("sim.reversion_rate", 2.0, float, "velocity mean-reversion rate, 1/s"),
-    _Key("sim.body_length", 4.0, float, "fish body length, cm"),
-    _Key("sim.body_radius", 0.5, float, "fish body radius at the head, cm"),
-    _Key("sim.taper", 0.5, float, "tail radius shrink fraction"),
-    _Key("sim.n_spheres", 6, int, "spheres along the body model"),
-    _Key("sim.confine_axis_slabs", False, bool,
-         "confine each fish to its own x slab (occlusion-free scenes)"),
-    _Key("sim.slab_margin", 6.0, float, "margin shaved off each slab, cm"),
-    _Key("degrade.drop_rate", 0.0, float, "detection dropout probability"),
-    _Key("degrade.jitter_px", 0.0, float, "head jitter std dev, px"),
-    _Key("degrade.ghost_rate", 0.0, float, "ghost detections per frame (Poisson)"),
-    _Key("detect.n_bg", 80, int, "frames sampled for the background model"),
-    _Key("detect.downsample", 2, int, "detector downsampling factor"),
-    _Key("detect.nms_thresh", 50.0, float, "keypoint suppression overlap, %"),
-    _Key("detect.junction_divisor", 2.5, float, "junction keypoint weight penalty"),
-    _Key("detect.min_keypoint_weight", 1.0, float, "discard keypoints below this"),
-    _Key("detect.min_blob_area", 20, int, "min blob area at working resolution, px"),
-    _Key("detect.min_confidence", 95.0, float,
-         "confidence gate for ingested external detections"),
-    _Key("track2d.delta_top", 15.0, float, "top-view assignment gate, px"),
-    _Key("track2d.delta_front", 0.5, float,
-         "front-view gate: std-devs (mahalanobis) or px (euclidean)"),
-    _Key("track2d.tau_k", 10, int, "frames a tracklet may idle before ending"),
-    _Key("track2d.top_mode", EUCLIDEAN_HEAD, str,
-         "top-view distance: euclidean-head or mahalanobis-centroid"),
-    _Key("track2d.front_mode", MAHALANOBIS_CENTROID, str,
-         "front-view distance: euclidean-head or mahalanobis-centroid"),
-    _Key("assoc.alpha", 10, int, "min detections per 2D tracklet"),
-    _Key("assoc.tau_p", 25.0, float, "edge temporal decay, frames"),
-    _Key("assoc.lambda_err", 1.0 / 8.03, float,
-         "reprojection-error decay rate, 1/px"),
-    _Key("assoc.lambda_s", 1.0 / 4.45, float, "speed decay rate, s/cm"),
-    _Key("stitch.beta", 0.02, float, "min margin between best two mains"),
-    _Key("stitch.top_fraction", 0.2, float, "fraction of tracklets used as seeds"),
-    _Key("stitch.overlap_scale", 0.2, float, "required pairwise seed overlap"),
-    _Key("eval.dist_3d", 0.5, float, "3D match gate, cm"),
-    _Key("eval.dist_2d", 20.0, float, "2D match gate, px"),
+    *_owned(SimConfig,
+            seed="master seed; every random draw derives from it",
+            fps="frames per second of the sequence",
+            n_fish="number of fish in the scene",
+            duration_s="sequence length in seconds"),
+    _Key("tank.x_min", "tank bounds, cm", TankBounds, "x", 0),
+    _Key("tank.x_max", "tank bounds, cm", TankBounds, "x", 1),
+    _Key("tank.y_min", "tank bounds, cm", TankBounds, "y", 0),
+    _Key("tank.y_max", "tank bounds, cm", TankBounds, "y", 1),
+    _Key("tank.z_min", "tank bounds, cm", TankBounds, "z", 0),
+    _Key("tank.z_max", "water depth bound, cm", TankBounds, "z", 1),
+    _Key("image_width", "synthetic camera image width, px", default_rig,
+         "image_size", 0),
+    _Key("image_height", "synthetic camera image height, px", default_rig,
+         "image_size", 1),
+    *_owned(default_rig, focal="synthetic camera focal length, px"),
+    *_owned(SimConfig, "sim.",
+            speed_mean="mean swim speed, cm/s",
+            reversion_rate="velocity mean-reversion rate, 1/s",
+            body_length="fish body length, cm",
+            body_radius="fish body radius at the head, cm",
+            taper="tail radius shrink fraction",
+            n_spheres="spheres along the body model",
+            confine_axis_slabs="confine each fish to its own x slab "
+                               "(occlusion-free scenes)",
+            slab_margin="margin shaved off each slab, cm"),
+    *_owned(DegradeModel, "degrade.",
+            drop_rate="detection dropout probability",
+            jitter_px="head jitter std dev, px",
+            ghost_rate="ghost detections per frame (Poisson)"),
+    *_owned(DetectParams, "detect.",
+            n_bg="frames sampled for the background model",
+            downsample="detector downsampling factor",
+            nms_thresh="keypoint suppression overlap, %",
+            junction_divisor="junction keypoint weight penalty",
+            min_keypoint_weight="discard keypoints below this",
+            min_blob_area="min blob area at working resolution, px"),
+    *_owned(ingest_external_detections, "detect.",
+            min_confidence="confidence gate for ingested external detections"),
+    *_owned(Track2DParams, "track2d.",
+            delta_top="top-view assignment gate, px",
+            delta_front="front-view gate: std-devs (mahalanobis) or px "
+                        "(euclidean)",
+            tau_k="frames a tracklet may idle before ending",
+            top_mode="top-view distance: euclidean-head or "
+                     "mahalanobis-centroid",
+            front_mode="front-view distance: euclidean-head or "
+                       "mahalanobis-centroid"),
+    *_owned(AssocParams, "assoc.",
+            alpha="min detections per 2D tracklet",
+            tau_p="edge temporal decay, frames",
+            lambda_err="reprojection-error decay rate, 1/px",
+            lambda_s="speed decay rate, s/cm"),
+    *_owned(StitchParams, "stitch.",
+            beta="min margin between best two mains",
+            top_fraction="fraction of tracklets used as seeds",
+            overlap_scale="required pairwise seed overlap"),
+    _Key("eval.dist_3d", "3D match gate, cm", literal=0.5),
+    _Key("eval.dist_2d", "2D match gate, px", literal=20.0),
 ]
-_BY_NAME = {k.name: k for k in _REGISTRY}
+_DEFAULTS = {k.name: _default(k) for k in _REGISTRY}
 
 
-def _parse_value(key: _Key, raw: str):
-    if key.kind is bool:
+def _parse_value(name: str, raw: str):
+    kind = type(_DEFAULTS[name])
+    if kind is bool:
         if raw in ("true", "false"):
             return raw == "true"
-        raise ConfigError(f"parameter {key.name!r} must be true or false, "
+        raise ConfigError(f"parameter {name!r} must be true or false, "
                           f"got {raw!r}")
     try:
-        return key.kind(raw)
+        return kind(raw)
     except ValueError:
-        raise ConfigError(f"parameter {key.name!r} must be "
-                          f"{key.kind.__name__}, got {raw!r}") from None
+        raise ConfigError(f"parameter {name!r} must be "
+                          f"{kind.__name__}, got {raw!r}") from None
 
 
 def _format_value(v) -> str:
@@ -115,13 +150,13 @@ class PipelineConfig:
 
     @classmethod
     def defaults(cls) -> "PipelineConfig":
-        cfg = cls(values={k.name: k.default for k in _REGISTRY})
+        cfg = cls(values=dict(_DEFAULTS))
         cfg.validate()
         return cfg
 
     @classmethod
     def from_text(cls, text: str, source: str = "<config>") -> "PipelineConfig":
-        values = {k.name: k.default for k in _REGISTRY}
+        values = dict(_DEFAULTS)
         seen = set()
         for line_no, line in enumerate(text.splitlines(), start=1):
             body = line.split("#", 1)[0].strip()
@@ -131,14 +166,14 @@ class PipelineConfig:
                 raise ConfigError(f"{source}:{line_no}: expected 'name = "
                                   f"value', got {body!r}")
             name, raw = (part.strip() for part in body.split("=", 1))
-            if name not in _BY_NAME:
+            if name not in _DEFAULTS:
                 raise ConfigError(f"{source}:{line_no}: unknown parameter "
                                   f"{name!r}")
             if name in seen:
                 raise ConfigError(f"{source}:{line_no}: duplicate parameter "
                                   f"{name!r}")
             seen.add(name)
-            values[name] = _parse_value(_BY_NAME[name], raw)
+            values[name] = _parse_value(name, raw)
         # Euclidean front gating is in pixels; materialize the matching
         # default so dump() round-trips the effective configuration.
         if (values["track2d.front_mode"] == EUCLIDEAN_HEAD
@@ -159,7 +194,7 @@ class PipelineConfig:
     def with_overrides(self, **overrides) -> "PipelineConfig":
         values = dict(self.values)
         for name, v in overrides.items():
-            if name not in _BY_NAME:
+            if name not in _DEFAULTS:
                 raise ConfigError(f"unknown parameter {name!r}")
             values[name] = v
         cfg = PipelineConfig(values=values)
@@ -172,63 +207,41 @@ class PipelineConfig:
 
     # -- derived parameter objects ------------------------------------
 
+    def _args(self, owner) -> dict:
+        """Keyword arguments for `owner` from the keys it owns."""
+        args = {}
+        for k in _REGISTRY:
+            if k.owner is owner:
+                v = self.values[k.name]
+                # _REGISTRY lists a tuple's elements in index order.
+                args[k.attr] = v if k.index is None else (
+                    args.get(k.attr, ()) + (v,))
+        return args
+
     def tank(self) -> TankBounds:
-        v = self.values
-        return TankBounds(x=(v["tank.x_min"], v["tank.x_max"]),
-                          y=(v["tank.y_min"], v["tank.y_max"]),
-                          z=(v["tank.z_min"], v["tank.z_max"]))
+        return TankBounds(**self._args(TankBounds))
 
     def rig(self) -> StereoRig:
-        v = self.values
-        return default_rig(image_size=(v["image_width"], v["image_height"]),
-                           focal=v["focal"], tank=self.tank())
+        return default_rig(**self._args(default_rig), tank=self.tank())
 
     def sim_config(self) -> SimConfig:
-        v = self.values
-        return SimConfig(
-            n_fish=v["n_fish"], duration_s=v["duration_s"], fps=v["fps"],
-            tank=self.tank(), speed_mean=v["sim.speed_mean"],
-            reversion_rate=v["sim.reversion_rate"],
-            body_length=v["sim.body_length"],
-            body_radius=v["sim.body_radius"], taper=v["sim.taper"],
-            n_spheres=v["sim.n_spheres"], seed=v["seed"],
-            confine_axis_slabs=v["sim.confine_axis_slabs"],
-            slab_margin=v["sim.slab_margin"])
+        return SimConfig(**self._args(SimConfig), tank=self.tank())
 
     def degrade_model(self) -> DegradeModel:
-        v = self.values
-        return DegradeModel(drop_rate=v["degrade.drop_rate"],
-                            jitter_px=v["degrade.jitter_px"],
-                            ghost_rate=v["degrade.ghost_rate"])
+        return DegradeModel(**self._args(DegradeModel))
 
     def detect_params(self) -> DetectParams:
-        v = self.values
-        return DetectParams(
-            n_bg=v["detect.n_bg"], downsample=v["detect.downsample"],
-            nms_thresh=v["detect.nms_thresh"],
-            junction_divisor=v["detect.junction_divisor"],
-            min_keypoint_weight=v["detect.min_keypoint_weight"],
-            min_blob_area=v["detect.min_blob_area"], n_fish=v["n_fish"])
+        return DetectParams(**self._args(DetectParams),
+                            n_fish=self.values["n_fish"])
 
     def track2d_params(self) -> Track2DParams:
-        v = self.values
-        return Track2DParams(delta_top=v["track2d.delta_top"],
-                             delta_front=v["track2d.delta_front"],
-                             tau_k=v["track2d.tau_k"],
-                             top_mode=v["track2d.top_mode"],
-                             front_mode=v["track2d.front_mode"])
+        return Track2DParams(**self._args(Track2DParams))
 
     def assoc_params(self) -> AssocParams:
-        v = self.values
-        return AssocParams(alpha=v["assoc.alpha"], tau_p=v["assoc.tau_p"],
-                           lambda_err=v["assoc.lambda_err"],
-                           lambda_s=v["assoc.lambda_s"])
+        return AssocParams(**self._args(AssocParams))
 
     def stitch_params(self) -> StitchParams:
-        v = self.values
-        return StitchParams(beta=v["stitch.beta"],
-                            top_fraction=v["stitch.top_fraction"],
-                            overlap_scale=v["stitch.overlap_scale"])
+        return StitchParams(**self._args(StitchParams))
 
     def validate(self) -> None:
         try:
@@ -249,7 +262,6 @@ class PipelineConfig:
 
 def describe_defaults() -> str:
     """Annotated canonical configuration listing."""
-    lines = []
-    for k in _REGISTRY:
-        lines.append(f"{k.name} = {_format_value(k.default)}  # {k.help}")
-    return "\n".join(lines) + "\n"
+    lines = PipelineConfig.defaults().dump().splitlines()
+    return "".join(f"{line}  # {k.help}\n"
+                   for line, k in zip(lines, _REGISTRY))

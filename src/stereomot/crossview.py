@@ -156,7 +156,8 @@ class AssociationGraph:
             self._succ[a].append(b)
         for nid in self._succ:
             self._succ[nid].sort()
-        self._check_acyclic()
+        if len(self._topo_order(set(self.nodes))) != len(self.nodes):
+            raise ValueError("association graph contains a cycle")
 
     @classmethod
     def from_weights(cls, node_weights: dict, edge_weights: dict) -> "AssociationGraph":
@@ -169,22 +170,6 @@ class AssociationGraph:
 
     def successors(self, node_id) -> list:
         return self._succ[node_id]
-
-    def _check_acyclic(self) -> None:
-        indeg = {nid: 0 for nid in self.nodes}
-        for _, b in self.edges:
-            indeg[b] += 1
-        queue = sorted(nid for nid, d in indeg.items() if d == 0)
-        seen = 0
-        while queue:
-            nid = queue.pop()
-            seen += 1
-            for b in self._succ[nid]:
-                indeg[b] -= 1
-                if indeg[b] == 0:
-                    queue.append(b)
-        if seen != len(self.nodes):
-            raise ValueError("association graph contains a cycle")
 
     def _topo_order(self, alive: set) -> list:
         indeg = {nid: 0 for nid in alive}
@@ -205,11 +190,6 @@ class AssociationGraph:
             if fresh:
                 queue = sorted(set(queue) | set(fresh), reverse=True)
         return order
-
-    def path_score(self, path: list) -> float:
-        total = sum(self.nodes[nid].weight for nid in path)
-        total += sum(self.edges[(a, b)] for a, b in zip(path, path[1:]))
-        return total
 
 
 def build_graph(top_tracklets: list[Tracklet2D],
@@ -290,12 +270,12 @@ def extract_paths(graph: AssociationGraph) -> list[list]:
 
 @dataclass
 class Tracklet3D:
-    """3D tracklet: per-frame in-tank points plus 2D payload for gap frames."""
+    """3D tracklet: per-frame in-tank points plus the 2D tracklet ids behind
+    every frame, including frames only one view covers."""
 
     id: int
     points: dict[int, np.ndarray] = field(default_factory=dict)
     sources: dict[int, tuple] = field(default_factory=dict)  # frame -> (top, front) ids
-    points2d: dict[int, dict[str, tuple[float, float]]] = field(default_factory=dict)
 
     @property
     def frames(self) -> list[int]:
@@ -314,36 +294,6 @@ class Tracklet3D:
         return self.last_frame - self.first_frame + 1
 
 
-def _resolve_front(node: NodeCandidate) -> dict[int, tuple[float, float]]:
-    """Pick a front head candidate for every front frame.
-
-    Frames triangulated during scoring keep their choice; the rest take the
-    candidate closest to the nearest already-resolved frame (previous
-    preferred, next otherwise), so choices propagate outward.
-    """
-    resolved = dict(node.chosen_front)
-    pending = [f for f in node.front.frames if f not in resolved]
-    if not resolved:
-        return {f: node.front.detections[f].candidates[0] for f in node.front.frames}
-
-    def pick(frame: int, ref: tuple[float, float]) -> tuple[float, float]:
-        cands = node.front.detections[frame].candidates
-        dists = [math.hypot(c[0] - ref[0], c[1] - ref[1]) for c in cands]
-        return cands[dists.index(min(dists))]
-
-    later = []
-    for f in sorted(pending):
-        prev = max((r for r in resolved if r < f), default=None)
-        if prev is None:
-            later.append(f)
-            continue
-        resolved[f] = pick(f, resolved[prev])
-    for f in sorted(later, reverse=True):
-        nxt = min(r for r in resolved if r > f)
-        resolved[f] = pick(f, resolved[nxt])
-    return resolved
-
-
 def extract_3d_tracklets(graph: AssociationGraph) -> list[Tracklet3D]:
     out = []
     for tid, path in enumerate(extract_paths(graph)):
@@ -352,20 +302,12 @@ def extract_3d_tracklets(graph: AssociationGraph) -> list[Tracklet3D]:
             node = graph.nodes[nid].payload
             if node is None:
                 raise ValueError("graph node lacks tracklet payload")
-            front2d = _resolve_front(node)
             for f in sorted(set(node.top.frames) | set(node.front.frames)):
                 if f in node.points and node.valid[f] and f not in tracklet.points:
                     tracklet.points[f] = node.points[f]
-                in_top = f in node.top.detections
-                in_front = f in front2d
                 if f not in tracklet.sources:
-                    tracklet.sources[f] = (node.top.id if in_top else None,
-                                           node.front.id if in_front else None)
-                    payload = {}
-                    if in_top:
-                        payload["top"] = node.top.detections[f].head
-                    if in_front:
-                        payload["front"] = front2d[f]
-                    tracklet.points2d[f] = payload
+                    tracklet.sources[f] = (
+                        node.top.id if f in node.top.detections else None,
+                        node.front.id if f in node.front.detections else None)
         out.append(tracklet)
     return out

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 
 import numpy as np
@@ -17,6 +18,7 @@ import numpy as np
 from . import __version__
 from .crossview import Tracklet3D
 from .detect import Detection
+from .geometry import VIEWS
 from .metrics import EvalReport, GroundTruth, GTEntry
 from .track2d import Tracklet2D
 from .track3d import Track3D
@@ -114,11 +116,14 @@ def _req_int(path, line_no, row, key) -> int:
 
 def _req_float(path, line_no, row, key) -> float:
     try:
-        return float(row[key])
+        value = float(row[key])
     except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
         raise FormatError(
             f"{path}:{line_no}: field {key!r} must be a number, "
-            f"got {row[key]!r}") from None
+            f"got {row[key]!r}")
+    return value
 
 
 def _opt_float(path, line_no, row, key) -> float | None:
@@ -129,10 +134,27 @@ def _opt_float(path, line_no, row, key) -> float | None:
 
 def _req_view(path, line_no, row) -> str:
     view = row["view"]
-    if view not in ("top", "front"):
+    if view not in VIEWS:
         raise FormatError(
             f"{path}:{line_no}: view must be 'top' or 'front', got {view!r}")
     return view
+
+
+def _cand_cells(det: Detection) -> list:
+    """The c1x..c3y cells: up to three head candidates, blank when absent."""
+    cells = [v for c in det.candidates[:3] for v in c]
+    return cells + [None] * (6 - len(cells))
+
+
+def _read_cands(path, line_no, row, head) -> tuple:
+    """Head candidates from the c1x..c3y cells; the head alone when none."""
+    cands = []
+    for i in (1, 2, 3):
+        cx = _opt_float(path, line_no, row, f"c{i}x")
+        cy = _opt_float(path, line_no, row, f"c{i}y")
+        if cx is not None and cy is not None:
+            cands.append((cx, cy))
+    return tuple(cands) if cands else (head,)
 
 
 # ---------------------------------------------------------------------------
@@ -142,17 +164,13 @@ def _req_view(path, line_no, row) -> str:
 def write_detections_csv(path, detections: dict[str, dict[int, list[Detection]]],
                          meta: dict | None = None) -> None:
     rows = []
-    for view in ("top", "front"):
+    for view in VIEWS:
         for f in sorted(detections.get(view, {})):
             for det in detections[view][f]:
-                cands = list(det.candidates[:3])
-                cands += [None] * (3 - len(cands))
                 row = [det.frame, det.view, det.head[0], det.head[1]]
                 row += list(det.bbox) if det.bbox is not None else [None] * 4
                 row.append(det.confidence)
-                for c in cands:
-                    row += [c[0], c[1]] if c is not None else [None, None]
-                rows.append(row)
+                rows.append(row + _cand_cells(det))
     _write_rows(path, DETECTIONS_HEADER, rows, meta)
 
 
@@ -166,22 +184,16 @@ def read_detections_csv(path) -> list[tuple[int, Detection]]:
         box = [_opt_float(path, line_no, row, k)
                for k in ("bbox_x", "bbox_y", "bbox_w", "bbox_h")]
         bbox = tuple(box) if all(v is not None for v in box) else None
-        cands = []
-        for i in (1, 2, 3):
-            cx = _opt_float(path, line_no, row, f"c{i}x")
-            cy = _opt_float(path, line_no, row, f"c{i}y")
-            if cx is not None and cy is not None:
-                cands.append((cx, cy))
         out.append((line_no, Detection(
             frame=frame, view=view, head=head,
-            candidates=tuple(cands) if cands else (head,), bbox=bbox,
+            candidates=_read_cands(path, line_no, row, head), bbox=bbox,
             confidence=_opt_float(path, line_no, row, "confidence"))))
     return out
 
 
 def group_detections(rows: list[tuple[int, Detection]]
                      ) -> dict[str, dict[int, list[Detection]]]:
-    out: dict[str, dict[int, list[Detection]]] = {"top": {}, "front": {}}
+    out: dict[str, dict[int, list[Detection]]] = {v: {} for v in VIEWS}
     for _, det in rows:
         out[det.view].setdefault(det.frame, []).append(det)
     return out
@@ -197,11 +209,8 @@ def write_tracklets_csv(path, tracklets: list[Tracklet2D],
     for t in sorted(tracklets, key=lambda t: (t.view, t.id)):
         for f in t.frames:
             det = t.detections[f]
-            cands = list(det.candidates[:3])
-            cands += [None] * (3 - len(cands))
-            row = [t.id, t.view, f, det.head[0], det.head[1]]
-            for c in cands:
-                row += [c[0], c[1]] if c is not None else [None, None]
+            row = [t.id, t.view, f, det.head[0], det.head[1],
+                   *_cand_cells(det)]
             if det.cov is not None:
                 cov = np.asarray(det.cov)
                 row += [cov[0, 0], cov[0, 1], cov[1, 1]]
@@ -212,35 +221,33 @@ def write_tracklets_csv(path, tracklets: list[Tracklet2D],
 
 
 def read_tracklets_csv(path) -> list[Tracklet2D]:
-    tracklets: dict[tuple[str, int], Tracklet2D] = {}
-    staged: dict[tuple[str, int], list[tuple[int, Detection]]] = {}
+    staged: dict[tuple[str, int], dict[int, Detection]] = {}
     for line_no, row in _read_rows(path, TRACKLETS_HEADER):
         tid = _req_int(path, line_no, row, "tracklet_id")
         view = _req_view(path, line_no, row)
         frame = _req_int(path, line_no, row, "frame")
+        dets = staged.setdefault((view, tid), {})
+        if frame in dets:
+            raise FormatError(
+                f"{path}:{line_no}: duplicate row for {view} tracklet {tid} "
+                f"at frame {frame}")
         head = (_req_float(path, line_no, row, "x"),
                 _req_float(path, line_no, row, "y"))
-        cands = []
-        for i in (1, 2, 3):
-            cx = _opt_float(path, line_no, row, f"c{i}x")
-            cy = _opt_float(path, line_no, row, f"c{i}y")
-            if cx is not None and cy is not None:
-                cands.append((cx, cy))
         cov_vals = [_opt_float(path, line_no, row, k)
                     for k in ("covxx", "covxy", "covyy")]
         cov = None
         if all(v is not None for v in cov_vals):
             cov = np.array([[cov_vals[0], cov_vals[1]],
                             [cov_vals[1], cov_vals[2]]])
-        det = Detection(frame=frame, view=view, head=head,
-                        candidates=tuple(cands) if cands else (head,),
-                        centroid=head if cov is not None else None, cov=cov)
-        staged.setdefault((view, tid), []).append((frame, det))
+        dets[frame] = Detection(
+            frame=frame, view=view, head=head,
+            candidates=_read_cands(path, line_no, row, head),
+            centroid=head if cov is not None else None, cov=cov)
     out = []
-    for (view, tid), items in sorted(staged.items()):
+    for (view, tid), dets in sorted(staged.items()):
         t = Tracklet2D(id=tid, view=view)
-        for frame, det in sorted(items, key=lambda x: x[0]):
-            t.append(frame, det)
+        for frame in sorted(dets):
+            t.append(frame, dets[frame])
         out.append(t)
     return out
 
@@ -319,7 +326,7 @@ def write_annotations_csv(path, gt: GroundTruth,
     for f in range(gt.n_frames):
         for i in gt.fish_ids:
             p = gt.points3d.get((f, i))
-            for view in ("top", "front"):
+            for view in VIEWS:
                 entry = gt.views.get((f, i, view))
                 if entry is None:
                     continue
@@ -335,7 +342,7 @@ def read_annotations_csv(path) -> GroundTruth:
     meta = read_meta(path)
     if "fps" not in meta:
         raise FormatError(f"{path}:1: missing '# fps:' header line")
-    fps = float(meta["fps"])
+    fps = _req_float(path, 1, meta, "fps")
     gt = GroundTruth(fps=fps, n_frames=0, n_fish=0)
     max_frame = -1
     for line_no, row in _read_rows(path, ANNOTATIONS_HEADER):
@@ -404,7 +411,7 @@ def format_report_table(report: EvalReport) -> str:
 
 def format_complexity_table(report) -> str:
     rows = [("", "OC", "OL", "TBO", "IBO")]
-    for view in ("top", "front"):
+    for view in VIEWS:
         s = getattr(report, view)
         rows.append((view, f"{s.oc:.4f}", f"{s.ol:.4f}",
                      f"{s.tbo:.4f}", f"{s.ibo:.4f}"))

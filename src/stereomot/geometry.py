@@ -20,6 +20,9 @@ ORTHONORMAL_TOL = 1e-9
 # (directions are unit vectors, so this is sin^2 of the ray angle).
 PARALLEL_TOL = 1e-12
 
+# The two camera views, in the order every file and loop uses them.
+VIEWS = ("top", "front")
+
 
 class GeometryError(ValueError):
     """Raised for degenerate geometric inputs (behind camera, parallel rays)."""
@@ -194,26 +197,15 @@ def triangulate_batch(pts_top: np.ndarray, pts_front: np.ndarray,
     return points, errs
 
 
-def reprojection_error(point, pixels, cams) -> float:
-    """Mean L2 pixel error of `point` against observed pixels in each camera."""
-    errs = []
-    for pix, cam in zip(pixels, cams):
-        r = project(point, cam)
-        errs.append(math.hypot(r[0] - pix[0], r[1] - pix[1]))
-    return float(np.mean(errs))
-
-
 @dataclass(frozen=True)
 class StereoRig:
     top: CameraModel
     front: CameraModel
 
     def camera(self, view: str) -> CameraModel:
-        if view == "top":
-            return self.top
-        if view == "front":
-            return self.front
-        raise ValueError(f"unknown view {view!r}")
+        if view not in VIEWS:
+            raise ValueError(f"unknown view {view!r}")
+        return getattr(self, view)
 
 
 def default_rig(image_size: tuple[int, int] = (800, 800),
@@ -277,7 +269,7 @@ def _camera_from_dict(d: dict) -> CameraModel:
 
 
 def save_calibration(rig: StereoRig, path) -> None:
-    payload = {"cameras": [_camera_to_dict(rig.top), _camera_to_dict(rig.front)]}
+    payload = {"cameras": [_camera_to_dict(rig.camera(v)) for v in VIEWS]}
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
@@ -291,8 +283,8 @@ def load_calibration(path) -> StereoRig:
     for entry in payload.get("cameras", []):
         cam = _camera_from_dict(entry)
         cams[cam.view_id] = cam
-    if set(cams) != {"top", "front"}:
+    if set(cams) != set(VIEWS):
         raise ValueError(
             f"calibration must define exactly a 'top' and a 'front' camera, "
             f"got {sorted(cams)}")
-    return StereoRig(top=cams["top"], front=cams["front"])
+    return StereoRig(**cams)

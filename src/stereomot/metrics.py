@@ -10,13 +10,13 @@ per-frame gated matching with match persistence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .geometry import VIEWS
 from .track2d import hungarian
 
-VIEWS = ("top", "front")
 _SENTINEL = 1e18
 
 
@@ -118,13 +118,7 @@ class ComplexityReport:
     psi: float
 
     def to_dict(self) -> dict:
-        out = {}
-        for view in VIEWS:
-            stats = getattr(self, view)
-            out[view] = {"oc": stats.oc, "ol": stats.ol,
-                         "tbo": stats.tbo, "ibo": stats.ibo}
-        out["psi"] = self.psi
-        return out
+        return asdict(self)
 
 
 def complexity_psi(top: ViewComplexity, front: ViewComplexity) -> float:
@@ -444,17 +438,7 @@ class EvalReport:
     n_pred_tracks: int
 
     def to_dict(self) -> dict:
-        return {
-            "mota": self.mota, "motp": self.motp,
-            "precision": self.precision, "recall": self.recall,
-            "id_precision": self.id_precision, "id_recall": self.id_recall,
-            "id_f1": self.id_f1, "fp": self.fp, "fn": self.fn,
-            "idsw": self.idsw, "frag": self.frag, "mt": self.mt,
-            "ml": self.ml, "mtbf_strict": self.mtbf_strict,
-            "mtbf_monotone": self.mtbf_monotone, "gt_total": self.gt_total,
-            "n_matches": self.n_matches, "n_gt_tracks": self.n_gt_tracks,
-            "n_pred_tracks": self.n_pred_tracks,
-        }
+        return asdict(self)
 
 
 def evaluate_tracks(pred: dict[int, dict[int, np.ndarray]], gt: GroundTruth,

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .detect import Detection
-from .geometry import CameraModel, StereoRig, TankBounds, default_rig, project_batch
+from .geometry import (VIEWS, CameraModel, StereoRig, TankBounds, default_rig,
+                       project_batch)
 from .metrics import GroundTruth, GTEntry
 
 # E|v| of an isotropic 3D Gaussian with per-axis sigma a is a*sqrt(8/pi);
@@ -170,7 +171,7 @@ def annotate(seq: SyntheticSequence) -> GroundTruth:
     cfg = seq.config
     gt = GroundTruth(fps=cfg.fps, n_frames=cfg.n_frames, n_fish=cfg.n_fish)
     for f in range(cfg.n_frames):
-        for view in ("top", "front"):
+        for view in VIEWS:
             cam = seq.rig.camera(view)
             boxes = []
             for i in range(cfg.n_fish):
@@ -221,49 +222,48 @@ def _paint_disk(img: np.ndarray, u: float, v: float, rho: float) -> None:
     img[y0:y1 + 1, x0:x1 + 1][mask] = _FISH_LEVEL
 
 
-def render(seq: SyntheticSequence, frame: int,
-           single_sphere: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _noisy_frame(cam: CameraModel, rng: np.random.Generator,
+                 disks=()) -> np.ndarray:
+    """Bright background plus sensor noise with dark (u, v, radius) disks
+    painted on, as uint8 grayscale."""
+    img = _BG_LEVEL + rng.normal(0.0, _NOISE_SD, (cam.image_size[1],
+                                                  cam.image_size[0]))
+    for u, v, rho in disks:
+        _paint_disk(img, u, v, rho)
+    return np.clip(np.rint(img), 0, 255).astype(np.uint8)
+
+
+def render(seq: SyntheticSequence,
+           frame: int) -> tuple[np.ndarray, np.ndarray]:
     """Rasterize one frame pair (top, front) as uint8 grayscale."""
     cfg = seq.config
     rng = np.random.default_rng([cfg.seed, 9001, frame])
     out = []
-    for view in ("top", "front"):
+    for view in VIEWS:
         cam = seq.rig.camera(view)
-        img = _BG_LEVEL + rng.normal(0.0, _NOISE_SD, (cam.image_size[1],
-                                                      cam.image_size[0]))
+        disks = []
         for i in range(cfg.n_fish):
             centers, radii = body_spheres(cfg, seq.positions[frame, i],
                                           seq.headings[frame, i])
-            if single_sphere:
-                centers, radii = centers[:1], radii[:1]
             uv, rho = _sphere_pixels(cam, centers, radii)
-            for (u, v), r in zip(uv, rho):
-                _paint_disk(img, u, v, r)
-        out.append(np.clip(np.rint(img), 0, 255).astype(np.uint8))
+            disks.extend(zip(uv[:, 0], uv[:, 1], rho))
+        out.append(_noisy_frame(cam, rng, disks))
     return out[0], out[1]
 
 
 def render_background(seq: SyntheticSequence,
                       index: int) -> tuple[np.ndarray, np.ndarray]:
     """Fish-free frame pair with an independent noise stream."""
-    cfg = seq.config
-    rng = np.random.default_rng([cfg.seed, 417, index])
-    out = []
-    for view in ("top", "front"):
-        cam = seq.rig.camera(view)
-        img = _BG_LEVEL + rng.normal(0.0, _NOISE_SD, (cam.image_size[1],
-                                                      cam.image_size[0]))
-        out.append(np.clip(np.rint(img), 0, 255).astype(np.uint8))
-    return out[0], out[1]
+    rng = np.random.default_rng([seq.config.seed, 417, index])
+    top, front = (_noisy_frame(seq.rig.camera(v), rng) for v in VIEWS)
+    return top, front
 
 
 def perfect_detections(gt: GroundTruth) -> dict[str, dict[int, list[Detection]]]:
     """Head detections copied straight from the ground truth (both views)."""
     out: dict[str, dict[int, list[Detection]]] = {
-        "top": {f: [] for f in range(gt.n_frames)},
-        "front": {f: [] for f in range(gt.n_frames)},
-    }
-    for view in ("top", "front"):
+        view: {f: [] for f in range(gt.n_frames)} for view in VIEWS}
+    for view in VIEWS:
         for f in range(gt.n_frames):
             for i in gt.fish_ids:
                 entry = gt.views.get((f, i, view))
@@ -300,7 +300,7 @@ def degrade(detections: dict[str, dict[int, list[Detection]]],
     """
     rng = np.random.default_rng([seed, 31337])
     out: dict[str, dict[int, list[Detection]]] = {}
-    for view in ("top", "front"):
+    for view in VIEWS:
         frames = detections.get(view, {})
         out[view] = {}
         for f in sorted(frames):

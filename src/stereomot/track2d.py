@@ -10,7 +10,7 @@ terminated, yielding short, conservative fragments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -70,12 +70,6 @@ class Track2DParams:
         return self.top_mode if view == "top" else self.front_mode
 
 
-def head_detection_params(tau_k: int = 10, delta: float = 15.0) -> Track2DParams:
-    """Parameters for box/head-style detections: L2 gating in both views."""
-    return Track2DParams(delta_top=delta, delta_front=delta, tau_k=tau_k,
-                         top_mode=EUCLIDEAN_HEAD, front_mode=EUCLIDEAN_HEAD)
-
-
 @dataclass
 class Tracklet2D:
     """Ordered per-view detection sequence; frames are the assigned frames."""
@@ -116,6 +110,17 @@ def _distance(det: Detection, tracklet: Tracklet2D, mode: str) -> float:
     return mahalanobis(point, center, cov)
 
 
+def _box_cov(det: Detection) -> Detection:
+    """Uniform-box surrogate covariance for a detection that has a box but
+    no blob statistics."""
+    if det.cov is not None or det.bbox is None:
+        return det
+    w, h = det.bbox[2], det.bbox[3]
+    centroid = det.centroid if det.centroid is not None else det.head
+    return replace(det, cov=np.diag([w * w / 12.0, h * h / 12.0]),
+                   centroid=centroid)
+
+
 def build_tracklets(frames_dets: dict[int, list[Detection]],
                     params: Track2DParams = Track2DParams(),
                     view: str | None = None,
@@ -123,7 +128,9 @@ def build_tracklets(frames_dets: dict[int, list[Detection]],
     """Build tracklets for one view from per-frame detection lists.
 
     Termination is strict: a tracklet may still receive a detection at
-    frame f iff f - last_assigned_frame <= tau_k.
+    frame f iff f - last_assigned_frame <= tau_k. In Mahalanobis mode a
+    detection with a box but no covariance gets the uniform-box surrogate
+    diag(w^2/12, h^2/12), centered on its head if it has no centroid.
     """
     frames = sorted(frames_dets)
     if view is None:
@@ -145,6 +152,8 @@ def build_tracklets(frames_dets: dict[int, list[Detection]],
             (still if f - t.last_frame <= params.tau_k else done).append(t)
         active = still
         dets = [d for d in frames_dets[f] if d.view == view]
+        if mode == MAHALANOBIS_CENTROID:
+            dets = [_box_cov(d) for d in dets]
         assigned = [False] * len(dets)
         if active and dets:
             cost = np.empty((len(dets), len(active)))

@@ -10,6 +10,7 @@ than guessed.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -17,6 +18,8 @@ from itertools import combinations
 import numpy as np
 
 from .crossview import Tracklet3D
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -268,6 +271,8 @@ def associate(tracklets: list[Tracklet3D], n_fish: int,
     selected = select_initial(usable, n_fish, params)
     if selected is None:
         # No concurrent seed set: emit the raw tracklets so nothing is lost.
+        log.warning("no concurrent seed set for n_fish=%d; passing %d "
+                    "tracklets through unstitched", n_fish, len(usable))
         return [Track3D(fish_id=i + 1, points=dict(t.points), sources=[t.id])
                 for i, t in enumerate(usable)]
     mains, used = selected

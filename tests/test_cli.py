@@ -13,6 +13,7 @@ from stereomot.formats import (
     write_detections_csv,
     write_tracks_csv,
 )
+from stereomot.geometry import default_rig, save_calibration
 
 SMALL = """\
 n_fish = 2
@@ -230,3 +231,55 @@ def test_track2d_subcommand_builds_tracklets(tmp_path):
     for t in tracklets:
         if t.view == "front":
             assert t.detections[t.frames[0]].cov is not None
+
+
+DETECTIONS_ROWS = """\
+frame,view,x,y,bbox_x,bbox_y,bbox_w,bbox_h,confidence,c1x,c1y,c2x,c2y,c3x,c3y
+0,top,1.0,2.0,,,,,,,,,,,
+0,front,{bad},2.0,,,,,,,,,,,
+"""
+TRACKLETS3D_ROWS = """\
+tracklet_id,frame,x,y,z,top_tracklet_id,front_tracklet_id
+0,0,1.0,2.0,3.0,0,0
+0,1,{bad},2.0,3.0,0,0
+"""
+
+
+ANNOTATIONS_ROWS = """\
+# fps: {bad}
+frame,fish_id,view,bbox_x,bbox_y,bbox_w,bbox_h,head_x,head_y,occluded,x3d,y3d,z3d
+0,1,top,1.0,1.0,2.0,2.0,1.0,1.0,0,1.0,1.0,1.0
+"""
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command,flag,rows,line", [
+    ("track2d", "--detections", DETECTIONS_ROWS, 3),
+    ("stitch", "--tracklets3d", TRACKLETS3D_ROWS, 3),
+    ("complexity", "--annotations", ANNOTATIONS_ROWS, 1),
+])
+def test_non_finite_input_exits_2(tmp_path, capsys, bad, command, flag,
+                                  rows, line):
+    path = tmp_path / "input.csv"
+    path.write_text(rows.format(bad=bad))
+    assert main([command, flag, str(path),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}:{line}:")
+    assert not list((tmp_path / "out").iterdir())
+
+
+def test_duplicate_tracklet_row_exits_2(tmp_path, capsys):
+    calibration = tmp_path / "calibration.json"
+    save_calibration(default_rig(), calibration)
+    path = tmp_path / "tracklets.csv"
+    path.write_text(
+        "tracklet_id,view,frame,x,y,c1x,c1y,c2x,c2y,c3x,c3y,"
+        "covxx,covxy,covyy\n"
+        "0,top,0,1.0,2.0,,,,,,,,,\n"
+        "0,top,1,1.0,2.0,,,,,,,,,\n"
+        "0,top,0,1.5,2.5,,,,,,,,,\n")
+    assert main(["associate", "--tracklets", str(path),
+                 "--calibration", str(calibration),
+                 "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:4: duplicate row")

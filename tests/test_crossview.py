@@ -199,11 +199,10 @@ def test_extract_3d_tracklets_bridges_front_split(rig, tank):
     t = tracklets[0]
     assert t.first_frame == 0
     assert t.last_frame == 119
-    # frames covered by front gaps carry top-only 2D payload
+    # frames covered by front gaps keep only their top source
     assert set(t.points) == set(range(0, 50)) | set(range(60, 120))
     for f in range(50, 60):
         assert t.sources[f] == (0, None)
-        assert "front" not in t.points2d[f]
     for f in (0, 30, 80, 119):
         assert np.linalg.norm(t.points[f] - wave_path(f)) < 1e-6
         assert t.sources[f][0] == 0
@@ -224,21 +223,3 @@ def test_extraction_removes_sharing_nodes(rig, tank):
     tracklets = extract_3d_tracklets(graph)
     assert len(tracklets) == 1
     assert all(src == (0, 10) for src in tracklets[0].sources.values())
-
-
-def test_front_only_resolution_prefers_continuity(rig, tank):
-    # top covers a prefix; later front frames must chain from the last
-    # triangulated choice instead of trusting candidate order
-    top = projected_tracklet(rig, 0, "top", range(0, 20))
-    front = Tracklet2D(id=10, view="front")
-    for f in range(0, 40):
-        uv = project(wave_path(f), rig.front)
-        far = (uv[0] + 120.0, uv[1] + 80.0)
-        cands = (far, uv) if f >= 20 else (uv, far)
-        front.append(f, Detection(frame=f, view="front", head=uv,
-                                  candidates=cands))
-    graph = build_graph([top], [front], rig, tank)
-    (t,) = extract_3d_tracklets(graph)
-    for f in range(20, 40):
-        true_uv = project(wave_path(f), rig.front)
-        assert t.points2d[f]["front"] == pytest.approx(true_uv, abs=1e-9)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -134,6 +135,19 @@ def test_mahalanobis_mode_direction_sensitive():
     across = {0: [det(0, 10, 10, view="front", cov=cov)],
               1: [det(1, 10, 14, view="front", cov=cov)]}
     assert len(build_tracklets(across, params, view="front")) == 2
+
+
+def test_mahalanobis_mode_uses_box_surrogate():
+    params = Track2DParams(front_mode="mahalanobis-centroid")
+    boxed = Detection(frame=0, view="front", head=(5.0, 6.0),
+                      candidates=((5.0, 6.0),), bbox=(0.0, 0.0, 6.0, 12.0))
+    (t,) = build_tracklets({0: [boxed]}, params, view="front")
+    d = t.detections[0]
+    assert np.array_equal(d.cov, np.diag([3.0, 12.0]))
+    assert d.centroid == (5.0, 6.0)
+    (t,) = build_tracklets({0: [replace(boxed, view="top")]}, params,
+                           view="top")
+    assert t.detections[0].cov is None  # euclidean-head mode leaves it
 
 
 def test_tracklet_append_monotonic():

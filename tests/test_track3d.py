@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -13,6 +14,8 @@ from stereomot import (
     internal_switch_cost,
     select_initial,
 )
+from stereomot.cli import main
+from stereomot.formats import read_tracks_csv
 from stereomot.track3d import _normalize, temporal_gap
 
 
@@ -203,3 +206,26 @@ def test_associate_empty_tracklets_skipped():
     tracks = associate(tracklets, 2)
     assert len(tracks) == 2
     assert all(1 not in t.sources for t in tracks)
+
+
+def test_associate_warns_when_no_seed_set(tmp_path, caplog):
+    # This jittered scene has no concurrent set of five 3D tracklets, so
+    # stitching falls back to passing every tracklet through.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_fish = 5\nduration_s = 5.0\n"
+                   "degrade.jitter_px = 6.0\nseed = 0\n")
+    with caplog.at_level(logging.WARNING, logger="stereomot.track3d"):
+        assert main(["pipeline", "--config", str(cfg),
+                     "--out-dir", str(tmp_path)]) == 0
+    (record,) = [r for r in caplog.records if r.name == "stereomot.track3d"]
+    assert record.levelno == logging.WARNING
+    assert "n_fish=5" in record.getMessage()
+    assert "6 tracklets" in record.getMessage()
+    assert len(read_tracks_csv(tmp_path / "tracks.csv")) == 6
+
+
+def test_associate_with_seed_set_does_not_warn(caplog):
+    tracklets = [t3d(0, 0, 50), t3d(1, 0, 50, pos=(5.0, 0.0, 0.0))]
+    with caplog.at_level(logging.WARNING, logger="stereomot.track3d"):
+        assert len(associate(tracklets, 2)) == 2
+    assert not caplog.records
