@@ -58,7 +58,7 @@ def main():
 
     seq = timed("simulate", lambda: simulate(cfg.sim_config(), cfg.rig()))
     gt = timed("annotate", lambda: annotate(seq))
-    flagged = sum(e.occluded for e in gt.views.values())
+    flagged = sum(int(gt.occluded[v].sum()) for v in VIEWS)
     if flagged:
         print(f"warning: {flagged} occluded annotations; slabs too narrow "
               f"for this many fish?", file=sys.stderr)

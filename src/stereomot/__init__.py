@@ -22,11 +22,10 @@ from .crossview import (AssocParams, AssociationGraph, GraphNode,
                         frame_intersection, node_weight)
 from .track3d import (StitchParams, Track3D, assignment_cost, associate,
                       gallery_rank, internal_switch_cost, select_initial)
-from .metrics import (ComplexityReport, EvalReport, GroundTruth, GTEntry,
-                      clear_mot, complexity_psi, complexity_report,
-                      complexity_stats, evaluate_tracks, id_metrics,
-                      match_frames, mt_ml, mtbf, occlusion_events,
-                      oracle_tracks, tracks_to_pred)
+from .metrics import (ComplexityReport, EvalReport, GroundTruth, clear_mot,
+                      complexity_psi, complexity_report, complexity_stats,
+                      evaluate_tracks, id_metrics, match_frames, mt_ml, mtbf,
+                      occlusion_events, oracle_tracks, tracks_to_pred)
 from .simulator import (DegradeModel, SimConfig, SyntheticSequence, annotate,
                         degrade, perfect_detections, render, simulate)
 from .config import ConfigError, PipelineConfig
@@ -45,7 +44,7 @@ __all__ = [
     "extract_paths", "frame_intersection", "node_weight",
     "StitchParams", "Track3D", "assignment_cost", "associate",
     "gallery_rank", "internal_switch_cost", "select_initial",
-    "ComplexityReport", "EvalReport", "GroundTruth", "GTEntry", "clear_mot",
+    "ComplexityReport", "EvalReport", "GroundTruth", "clear_mot",
     "complexity_psi", "complexity_report", "complexity_stats",
     "evaluate_tracks", "id_metrics", "match_frames", "mt_ml", "mtbf",
     "occlusion_events", "oracle_tracks", "tracks_to_pred",

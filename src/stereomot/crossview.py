@@ -75,25 +75,24 @@ def node_weight(top: Tracklet2D, front: Tracklet2D, rig: StereoRig,
     common = frame_intersection(top, front)
     if not common:
         return None
-    tops, fronts, idx = [], [], []
+    tops, fronts, counts = [], [], []
     for f in common:
-        head = top.detections[f].head
-        for cand in front.detections[f].candidates:
-            tops.append(head)
-            fronts.append(cand)
-            idx.append(f)
+        cands = front.detections[f].candidates
+        tops.extend([top.detections[f].head] * len(cands))
+        fronts.extend(cands)
+        counts.append(len(cands))
     pts, errs = triangulate_batch(np.asarray(tops, dtype=float),
                                   np.asarray(fronts, dtype=float),
                                   rig.top, rig.front)
-    idx = np.asarray(idx)
 
+    # Each frame's candidates form one contiguous slice of the rows.
+    bounds = np.cumsum([0] + counts).tolist()
     points: dict[int, np.ndarray] = {}
     errors: dict[int, float] = {}
     chosen: dict[int, tuple[float, float]] = {}
     valid: dict[int, bool] = {}
-    for f in common:
-        rows = np.flatnonzero(idx == f)
-        best = rows[int(np.argmin(errs[rows]))]
+    for f, lo, hi in zip(common, bounds, bounds[1:]):
+        best = lo + int(np.argmin(errs[lo:hi]))
         if not np.isfinite(errs[best]):
             continue
         points[f] = pts[best]

@@ -19,7 +19,7 @@ from . import __version__
 from .crossview import Tracklet3D
 from .detect import Detection
 from .geometry import VIEWS
-from .metrics import EvalReport, GroundTruth, GTEntry
+from .metrics import EvalReport, GroundTruth
 from .track2d import Tracklet2D
 from .track3d import Track3D
 
@@ -132,6 +132,24 @@ def _opt_float(path, line_no, row, key) -> float | None:
     return _req_float(path, line_no, row, key)
 
 
+def _opt_int(path, line_no, row, key) -> int | None:
+    if row[key] == "":
+        return None
+    return _req_int(path, line_no, row, key)
+
+
+def _read_bbox(path, line_no, row, parse) -> list:
+    """bbox_x..bbox_h through `parse`; a negative width or height is an
+    error."""
+    box = [parse(path, line_no, row, k)
+           for k in ("bbox_x", "bbox_y", "bbox_w", "bbox_h")]
+    for key, size in zip(("bbox_w", "bbox_h"), box[2:]):
+        if size is not None and size < 0:
+            raise FormatError(f"{path}:{line_no}: field {key!r} must be "
+                              f">= 0, got {row[key]!r}")
+    return box
+
+
 def _req_view(path, line_no, row) -> str:
     view = row["view"]
     if view not in VIEWS:
@@ -181,9 +199,8 @@ def read_detections_csv(path) -> list[tuple[int, Detection]]:
         view = _req_view(path, line_no, row)
         head = (_req_float(path, line_no, row, "x"),
                 _req_float(path, line_no, row, "y"))
-        box = [_opt_float(path, line_no, row, k)
-               for k in ("bbox_x", "bbox_y", "bbox_w", "bbox_h")]
-        bbox = tuple(box) if all(v is not None for v in box) else None
+        box = _read_bbox(path, line_no, row, _opt_float)
+        bbox = tuple(box) if None not in box else None
         out.append((line_no, Detection(
             frame=frame, view=view, head=head,
             candidates=_read_cands(path, line_no, row, head), bbox=bbox,
@@ -280,10 +297,8 @@ def read_tracklets3d_csv(path) -> list[Tracklet3D]:
         t = staged.setdefault(tid, Tracklet3D(id=tid))
         if all(c is not None for c in coords):
             t.points[frame] = np.array(coords)
-        top_id = row["top_tracklet_id"]
-        front_id = row["front_tracklet_id"]
-        t.sources[frame] = (int(top_id) if top_id != "" else None,
-                            int(front_id) if front_id != "" else None)
+        t.sources[frame] = (_opt_int(path, line_no, row, "top_tracklet_id"),
+                            _opt_int(path, line_no, row, "front_tracklet_id"))
     return [staged[tid] for tid in sorted(staged)]
 
 
@@ -322,19 +337,18 @@ def write_annotations_csv(path, gt: GroundTruth,
     meta.setdefault("fps", _fmt(gt.fps))
     meta.setdefault("n_frames", gt.n_frames)
     meta.setdefault("n_fish", gt.n_fish)
+    points = [[[None] * 3 if math.isnan(p[0]) else p for p in row]
+              for row in gt.points3d.tolist()]
+    views = [(v, gt.boxes[v].tolist(), gt.heads[v].tolist(),
+              gt.occluded[v].tolist()) for v in VIEWS]
     rows = []
+    ids = gt.fish_ids
     for f in range(gt.n_frames):
-        for i in gt.fish_ids:
-            p = gt.points3d.get((f, i))
-            for view in VIEWS:
-                entry = gt.views.get((f, i, view))
-                if entry is None:
-                    continue
-                rows.append([f, i, view, *entry.bbox, *entry.head,
-                             entry.occluded,
-                             p[0] if p is not None else None,
-                             p[1] if p is not None else None,
-                             p[2] if p is not None else None])
+        for j, i in enumerate(ids):
+            for view, boxes, heads, occluded in views:
+                if not math.isnan(heads[f][j][0]):
+                    rows.append([f, i, view, *boxes[f][j], *heads[f][j],
+                                 occluded[f][j], *points[f][j]])
     _write_rows(path, ANNOTATIONS_HEADER, rows, meta)
 
 
@@ -343,29 +357,45 @@ def read_annotations_csv(path) -> GroundTruth:
     if "fps" not in meta:
         raise FormatError(f"{path}:1: missing '# fps:' header line")
     fps = _req_float(path, 1, meta, "fps")
-    gt = GroundTruth(fps=fps, n_frames=0, n_fish=0)
-    max_frame = -1
+    if fps <= 0:
+        raise FormatError(
+            f"{path}:1: '# fps:' must be positive, got {meta['fps']!r}")
+    rows = []
     for line_no, row in _read_rows(path, ANNOTATIONS_HEADER):
         frame = _req_int(path, line_no, row, "frame")
         fish = _req_int(path, line_no, row, "fish_id")
         view = _req_view(path, line_no, row)
-        bbox = tuple(_req_float(path, line_no, row, k)
-                     for k in ("bbox_x", "bbox_y", "bbox_w", "bbox_h"))
-        head = (_req_float(path, line_no, row, "head_x"),
-                _req_float(path, line_no, row, "head_y"))
+        bbox = _read_bbox(path, line_no, row, _req_float)
+        head = [_req_float(path, line_no, row, k) for k in ("head_x", "head_y")]
         occluded = _req_int(path, line_no, row, "occluded")
         if occluded not in (0, 1):
             raise FormatError(
                 f"{path}:{line_no}: occluded must be 0 or 1, got {occluded}")
-        gt.views[(frame, fish, view)] = GTEntry(bbox=bbox, head=head,
-                                                occluded=bool(occluded))
         coords = [_opt_float(path, line_no, row, k)
                   for k in ("x3d", "y3d", "z3d")]
-        if all(c is not None for c in coords):
-            gt.points3d[(frame, fish)] = np.array(coords)
-        max_frame = max(max_frame, frame)
-    gt.n_frames = int(meta.get("n_frames", max_frame + 1))
-    gt.n_fish = int(meta.get("n_fish", len(gt.fish_ids)))
+        rows.append((line_no, frame, fish, view, bbox, head, occluded, coords))
+    if "n_frames" in meta:
+        n_frames = _req_int(path, 1, meta, "n_frames")
+        if n_frames < 0:
+            raise FormatError(f"{path}:1: '# n_frames:' must be >= 0, "
+                              f"got {n_frames}")
+    else:
+        n_frames = 1 + max((r[1] for r in rows), default=-1)
+    gt = GroundTruth(fps, n_frames, sorted({r[2] for r in rows}))
+    column = {i: j for j, i in enumerate(gt.fish_ids)}
+    for line_no, frame, fish, view, bbox, head, occluded, coords in rows:
+        if not 0 <= frame < n_frames:
+            raise FormatError(f"{path}:{line_no}: frame {frame} outside "
+                              f"[0, n_frames = {n_frames})")
+        j = column[fish]
+        if not np.isnan(gt.heads[view][frame, j, 0]):
+            raise FormatError(f"{path}:{line_no}: duplicate row for fish "
+                              f"{fish} in view {view} at frame {frame}")
+        gt.boxes[view][frame, j] = bbox
+        gt.heads[view][frame, j] = head
+        gt.occluded[view][frame, j] = occluded
+        if None not in coords:
+            gt.points3d[frame, j] = coords
     return gt
 
 

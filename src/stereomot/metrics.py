@@ -10,9 +10,10 @@ per-frame gated matching with match persistence.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .geometry import VIEWS
 from .track2d import hungarian
@@ -20,48 +21,50 @@ from .track2d import hungarian
 _SENTINEL = 1e18
 
 
-@dataclass(frozen=True)
-class GTEntry:
-    bbox: tuple[float, float, float, float]  # x, y, w, h in pixels
-    head: tuple[float, float]
-    occluded: bool
-
-
-@dataclass
 class GroundTruth:
-    fps: float
-    n_frames: int
-    n_fish: int
-    views: dict[tuple[int, int, str], GTEntry] = field(default_factory=dict)
-    points3d: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
+    """Annotations laid out per frame for a fixed, ascending fish-id column.
+
+    Column j of every array is fish ``fish_ids[j]``: ``points3d`` (F,N,3)
+    and, per view, ``heads`` (F,N,2), ``boxes`` (F,N,4) as x, y, w, h pixels
+    and ``occluded`` (F,N). NaN marks an absent point, head or box; an
+    absent entry is never flagged occluded.
+    """
+
+    def __init__(self, fps: float, n_frames: int, ids):
+        self.fps = fps
+        self._fish_ids = tuple(int(i) for i in ids)
+        if list(self._fish_ids) != sorted(set(self._fish_ids)):
+            raise ValueError("fish ids must be unique and ascending")
+        shape = (n_frames, len(self._fish_ids))
+        self.points3d = np.full(shape + (3,), np.nan)
+        self.heads = {v: np.full(shape + (2,), np.nan) for v in VIEWS}
+        self.boxes = {v: np.full(shape + (4,), np.nan) for v in VIEWS}
+        self.occluded = {v: np.zeros(shape, dtype=bool) for v in VIEWS}
+
+    @property
+    def n_frames(self) -> int:
+        return self.points3d.shape[0]
+
+    @property
+    def n_fish(self) -> int:
+        return self.points3d.shape[1]
 
     @property
     def duration(self) -> float:
         return self.n_frames / self.fps
 
     @property
-    def fish_ids(self) -> list[int]:
-        ids = {i for (_, i) in self.points3d}
-        ids.update(i for (_, i, _) in self.views)
-        return sorted(ids)
+    def fish_ids(self) -> tuple[int, ...]:
+        return self._fish_ids
 
 
 def occlusion_events(gt: GroundTruth, view: str) -> dict[int, list[tuple[int, int]]]:
     """Maximal runs of occluded frames per fish: fish -> [(start, end)]."""
-    events: dict[int, list[tuple[int, int]]] = {i: [] for i in gt.fish_ids}
-    for i in gt.fish_ids:
-        start = None
-        for f in range(gt.n_frames):
-            entry = gt.views.get((f, i, view))
-            flagged = entry is not None and entry.occluded
-            if flagged and start is None:
-                start = f
-            elif not flagged and start is not None:
-                events[i].append((start, f - 1))
-                start = None
-        if start is not None:
-            events[i].append((start, gt.n_frames - 1))
-    return events
+    flags = np.pad(gt.occluded[view].astype(np.int8), ((1, 1), (0, 0)))
+    edges = np.diff(flags, axis=0)
+    return {i: list(zip(np.flatnonzero(edges[:, j] == 1).tolist(),
+                        (np.flatnonzero(edges[:, j] == -1) - 1).tolist()))
+            for j, i in enumerate(gt.fish_ids)}
 
 
 @dataclass(frozen=True)
@@ -72,10 +75,16 @@ class ViewComplexity:
     ibo: float  # mean summed bbox-overlap fraction while occluded
 
 
-def _bbox_overlap_px(a, b) -> float:
-    ix = min(a[0] + a[2], b[0] + b[2]) - max(a[0], b[0])
-    iy = min(a[1] + a[3], b[1] + b[3]) - max(a[1], b[1])
-    return max(0.0, ix) * max(0.0, iy)
+def pair_overlap(boxes: np.ndarray) -> np.ndarray:
+    """Pixel overlap area of every pair of (..., N, 4) x, y, w, h boxes as
+    (..., N, N), zero on the diagonal."""
+    a, b = boxes[..., :, None, :], boxes[..., None, :, :]
+    ix = (np.minimum(a[..., 0] + a[..., 2], b[..., 0] + b[..., 2])
+          - np.maximum(a[..., 0], b[..., 0]))
+    iy = (np.minimum(a[..., 1] + a[..., 3], b[..., 1] + b[..., 3])
+          - np.maximum(a[..., 1], b[..., 1]))
+    area = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
+    return np.where(np.eye(boxes.shape[-2], dtype=bool), 0.0, area)
 
 
 def complexity_stats(gt: GroundTruth, view: str) -> ViewComplexity:
@@ -85,8 +94,7 @@ def complexity_stats(gt: GroundTruth, view: str) -> ViewComplexity:
     ol = (sum(e - s + 1 for s, e in flat) / len(flat) / gt.fps) if flat else 0.0
 
     gaps: list[float] = []
-    for i in gt.fish_ids:
-        evs = events[i]
+    for evs in events.values():
         if not evs:
             gaps.append(float(gt.n_frames))
             continue
@@ -96,17 +104,14 @@ def complexity_stats(gt: GroundTruth, view: str) -> ViewComplexity:
         gaps.append(float(gt.n_frames - 1 - evs[-1][1]))
     tbo = (sum(gaps) / len(gaps) / gt.fps) if gaps else 0.0
 
-    ratios: list[float] = []
-    for f in range(gt.n_frames):
-        flagged = [(i, gt.views[(f, i, view)].bbox) for i in gt.fish_ids
-                   if (f, i, view) in gt.views and gt.views[(f, i, view)].occluded]
-        for i, box in flagged:
-            area = box[2] * box[3]
-            if area <= 0:
-                continue
-            inter = sum(_bbox_overlap_px(box, other)
-                        for j, other in flagged if j != i)
-            ratios.append(inter / area)
+    # Overlap with the other flagged boxes of the frame as a fraction of the
+    # box's own area. Python's sum adds in fish order; np.sum would pair the
+    # terms differently and can change the last digit.
+    occ, boxes = gt.occluded[view], gt.boxes[view]
+    inter = np.where(occ[:, None, :], pair_overlap(boxes), 0.0)
+    area = boxes[..., 2] * boxes[..., 3]
+    ratios = [sum(inter[f, j].tolist()) / float(area[f, j])
+              for f, j in np.argwhere(occ & (area > 0))]
     ibo = sum(ratios) / len(ratios) if ratios else 0.0
     return ViewComplexity(oc=oc, ol=ol, tbo=tbo, ibo=ibo)
 
@@ -155,16 +160,18 @@ class MatchSequence:
     matches: dict[int, dict[int, tuple[int, float]]]  # frame -> gt -> (pid, dist)
 
 
-def _gt_positions(gt: GroundTruth, space: str, view: str | None):
+def _gt_positions(gt: GroundTruth, space: str,
+                  view: str | None) -> tuple[np.ndarray, np.ndarray]:
+    """(positions (F,N,d), present (F,N)) in the evaluation space."""
     if space == "3d":
-        return {key: np.asarray(p, dtype=float)
-                for key, p in gt.points3d.items()}
-    if space == "2d":
+        pos = gt.points3d
+    elif space == "2d":
         if view not in VIEWS:
             raise ValueError("2d evaluation needs view 'top' or 'front'")
-        return {(f, i): np.asarray(e.head, dtype=float)
-                for (f, i, v), e in gt.views.items() if v == view}
-    raise ValueError("space must be '3d' or '2d'")
+        pos = gt.heads[view]
+    else:
+        raise ValueError("space must be '3d' or '2d'")
+    return pos, ~np.isnan(pos[..., 0])
 
 
 def match_frames(pred: dict[int, dict[int, np.ndarray]], gt: GroundTruth,
@@ -176,10 +183,14 @@ def match_frames(pred: dict[int, dict[int, np.ndarray]], gt: GroundTruth,
     still within the gate; the remainder is matched per frame and pairs
     beyond the gate are rejected even if the solver picked them.
     """
-    gt_pos = _gt_positions(gt, space, view)
-    frames = sorted({f for (f, _) in gt_pos}
+    pos, present = _gt_positions(gt, space, view)
+    ids = gt.fish_ids
+    column = {i: j for j, i in enumerate(ids)}
+    frames = sorted(set(np.flatnonzero(present.any(axis=1)).tolist())
                     | {f for track in pred.values() for f in track})
-    gt_present = {f: sorted(i for (ff, i) in gt_pos if ff == f) for f in frames}
+    gt_present = {f: ([ids[j] for j in np.flatnonzero(present[f])]
+                      if 0 <= f < gt.n_frames else [])
+                  for f in frames}
     pred_present = {
         f: sorted(pid for pid, track in pred.items() if f in track)
         for f in frames}
@@ -194,7 +205,7 @@ def match_frames(pred: dict[int, dict[int, np.ndarray]], gt: GroundTruth,
             p = prev.get(g)
             if p is None or p not in pids or p in taken:
                 continue
-            d = float(np.linalg.norm(gt_pos[(f, g)] - pred[p][f]))
+            d = float(np.linalg.norm(pos[f, column[g]] - pred[p][f]))
             if d <= dist_thresh:
                 here[g] = (p, d)
                 taken.add(p)
@@ -204,7 +215,7 @@ def match_frames(pred: dict[int, dict[int, np.ndarray]], gt: GroundTruth,
             cost = np.empty((len(rest_g), len(rest_p)))
             for a, g in enumerate(rest_g):
                 for b, p in enumerate(rest_p):
-                    d2 = float(np.sum((gt_pos[(f, g)] - pred[p][f]) ** 2))
+                    d2 = float(np.sum((pos[f, column[g]] - pred[p][f]) ** 2))
                     cost[a, b] = d2 if d2 <= dist_thresh ** 2 else _SENTINEL
             for a, b in hungarian(cost):
                 if cost[a, b] <= dist_thresh ** 2:
@@ -271,42 +282,20 @@ def id_metrics(pred: dict[int, dict[int, np.ndarray]], gt: GroundTruth,
                dist_thresh: float, space: str = "3d",
                view: str | None = None) -> tuple[float, float, float]:
     """(IDP, IDR, IDF1) from the optimal whole-track identity mapping."""
-    gt_pos = _gt_positions(gt, space, view)
-    gids = sorted({i for (_, i) in gt_pos})
+    pos, present = _gt_positions(gt, space, view)
     pids = sorted(pred)
-    gt_frames = {g: {f for (f, i) in gt_pos if i == g} for g in gids}
-    binned: dict[tuple[int, int], int] = {}
-    for gi, g in enumerate(gids):
-        for pi, p in enumerate(pids):
-            n = 0
-            for f in gt_frames[g] & set(pred[p]):
-                if float(np.linalg.norm(gt_pos[(f, g)] - pred[p][f])) <= dist_thresh:
-                    n += 1
-            binned[(gi, pi)] = n
-
-    ng, np_ = len(gids), len(pids)
-    total_g = sum(len(v) for v in gt_frames.values())
-    total_p = sum(len(v) for v in pred.values())
-    if ng == 0 and np_ == 0:
-        return (0.0, 0.0, 0.0)
-    size = ng + np_
-    cost = np.zeros((size, size))
-    big = 1e15
-    for i in range(ng):
-        for j in range(np_):
-            cost[i, j] = (len(gt_frames[gids[i]]) + len(pred[pids[j]])
-                          - 2 * binned[(i, j)])
-        for j in range(np_, size):
-            cost[i, j] = len(gt_frames[gids[i]]) if j - np_ == i else big
-    for i in range(ng, size):
-        for j in range(np_):
-            cost[i, j] = len(pred[pids[j]]) if i - ng == j else big
-    idtp = 0
-    for i, j in hungarian(cost):
-        if i < ng and j < np_:
-            idtp += binned[(i, j)]
-    idfn = total_g - idtp
-    idfp = total_p - idtp
+    binned = np.zeros((gt.n_fish, len(pids)), dtype=int)
+    for j in range(gt.n_fish):
+        gt_frames = set(np.flatnonzero(present[:, j]).tolist())
+        for b, p in enumerate(pids):
+            for f in gt_frames & set(pred[p]):
+                if float(np.linalg.norm(pos[f, j] - pred[p][f])) <= dist_thresh:
+                    binned[j, b] += 1
+    # Maximizing the matched counts minimizes T_g + T_p - 2 * IDTP.
+    rows, cols = linear_sum_assignment(binned, maximize=True)
+    idtp = int(binned[rows, cols].sum())
+    idfn = int(present.sum()) - idtp
+    idfp = sum(len(v) for v in pred.values()) - idtp
     idp = 100.0 * idtp / (idtp + idfp) if idtp + idfp else 0.0
     idr = 100.0 * idtp / (idtp + idfn) if idtp + idfn else 0.0
     idf1 = (100.0 * 2 * idtp / (2 * idtp + idfp + idfn)
@@ -380,31 +369,26 @@ def oracle_tracks(gt: GroundTruth, space: str = "3d", view: str | None = None,
     In 3D a frame is dropped when the fish is occluded in either view. With
     same_id=False every contiguous visible run gets a fresh track id.
     """
-    def visible(f: int, i: int) -> bool:
-        if space == "3d":
-            return not any(
-                gt.views.get((f, i, v), GTEntry((0, 0, 0, 0), (0, 0), False)).occluded
-                for v in VIEWS)
-        entry = gt.views.get((f, i, view))
-        return entry is not None and not entry.occluded
-
-    gt_pos = _gt_positions(gt, space, view)
+    pos, present = _gt_positions(gt, space, view)
+    occluded = (np.logical_or.reduce([gt.occluded[v] for v in VIEWS])
+                if space == "3d" else gt.occluded[view])
+    visible = present & ~occluded
     out: dict[int, dict[int, np.ndarray]] = {}
     next_id = 1
-    for i in gt.fish_ids:
-        frames = sorted(f for (f, ii) in gt_pos if ii == i and visible(f, i))
+    for j, i in enumerate(gt.fish_ids):
+        frames = np.flatnonzero(visible[:, j]).tolist()
         if same_id:
-            out[i] = {f: gt_pos[(f, i)] for f in frames}
+            out[i] = {f: pos[f, j] for f in frames}
             continue
         run: list[int] = []
         for f in frames:
             if run and f != run[-1] + 1:
-                out[next_id] = {ff: gt_pos[(ff, i)] for ff in run}
+                out[next_id] = {ff: pos[ff, j] for ff in run}
                 next_id += 1
                 run = []
             run.append(f)
         if run:
-            out[next_id] = {ff: gt_pos[(ff, i)] for ff in run}
+            out[next_id] = {ff: pos[ff, j] for ff in run}
             next_id += 1
     return out
 

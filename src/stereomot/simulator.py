@@ -16,7 +16,7 @@ import numpy as np
 from .detect import Detection
 from .geometry import (VIEWS, CameraModel, StereoRig, TankBounds, default_rig,
                        project_batch)
-from .metrics import GroundTruth, GTEntry
+from .metrics import GroundTruth, pair_overlap
 
 # E|v| of an isotropic 3D Gaussian with per-axis sigma a is a*sqrt(8/pi);
 # dividing the target mean speed by this yields the stationary sigma.
@@ -135,73 +135,51 @@ def simulate(cfg: SimConfig, rig: StereoRig | None = None) -> SyntheticSequence:
 
 def body_spheres(cfg: SimConfig, head: np.ndarray,
                  heading: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(centers (K,3), radii (K,)) of the tapered-sphere body, head first."""
+    """(centers (..., K, 3), radii (K,)) of the tapered-sphere body, head
+    first, for heads and headings of shape (..., 3)."""
     k = np.arange(cfg.n_spheres)
     t = k / (cfg.n_spheres - 1)
     span = 0.85 * cfg.body_length
-    centers = head[None, :] - heading[None, :] * (t[:, None] * span)
+    centers = head[..., None, :] - heading[..., None, :] * (t[:, None] * span)
     radii = cfg.body_radius * (1.0 - cfg.taper * t)
     return centers, radii
 
 
 def _sphere_pixels(cam: CameraModel, centers: np.ndarray,
                    radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Projected centers (K,2) and pixel radii (K,) under depth scaling."""
-    uv = project_batch(centers, cam)
+    """Projected centers (..., K, 2) and pixel radii (..., K) under depth
+    scaling, for centers of shape (..., K, 3)."""
+    flat = centers.reshape(-1, 3)
+    uv = project_batch(flat, cam)
     if np.isnan(uv).any():
         raise ValueError("body sphere behind camera")
-    z = centers @ cam.rotation.T[:, 2] + cam.translation[2]
-    return uv, cam.fx * radii / z
-
-
-def _bbox_from_spheres(cam: CameraModel, uv: np.ndarray,
-                       rho: np.ndarray) -> tuple[float, float, float, float]:
-    x0 = math.floor(float(np.min(uv[:, 0] - rho)))
-    x1 = math.ceil(float(np.max(uv[:, 0] + rho)))
-    y0 = math.floor(float(np.min(uv[:, 1] - rho)))
-    y1 = math.ceil(float(np.max(uv[:, 1] + rho)))
-    w, h = cam.image_size
-    x0, x1 = max(0, x0), min(w - 1, x1)
-    y0, y1 = max(0, y0), min(h - 1, y1)
-    return (float(x0), float(y0), float(x1 - x0 + 1), float(y1 - y0 + 1))
+    z = (flat @ cam.rotation.T[:, 2] + cam.translation[2]).reshape(
+        centers.shape[:-1])
+    return uv.reshape(centers.shape[:-1] + (2,)), cam.fx * radii / z
 
 
 def annotate(seq: SyntheticSequence) -> GroundTruth:
-    """Exact per-frame annotations: bboxes, head pixels, occlusion flags."""
+    """Exact per-frame annotations: bboxes, head pixels, occlusion flags.
+
+    A box spans the floored/ceiled pixel extent of the body spheres, clamped
+    to the image; a fish is occluded when its box shares at least one pixel
+    with another fish's box.
+    """
     cfg = seq.config
-    gt = GroundTruth(fps=cfg.fps, n_frames=cfg.n_frames, n_fish=cfg.n_fish)
-    for f in range(cfg.n_frames):
-        for view in VIEWS:
-            cam = seq.rig.camera(view)
-            boxes = []
-            for i in range(cfg.n_fish):
-                centers, radii = body_spheres(cfg, seq.positions[f, i],
-                                              seq.headings[f, i])
-                uv, rho = _sphere_pixels(cam, centers, radii)
-                boxes.append(_bbox_from_spheres(cam, uv, rho))
-            heads = project_batch(seq.positions[f], cam)
-            occluded = _occlusion_flags(boxes)
-            for i in range(cfg.n_fish):
-                gt.views[(f, i + 1, view)] = GTEntry(
-                    bbox=boxes[i], head=(float(heads[i, 0]), float(heads[i, 1])),
-                    occluded=occluded[i])
-        for i in range(cfg.n_fish):
-            gt.points3d[(f, i + 1)] = seq.positions[f, i].copy()
+    gt = GroundTruth(cfg.fps, cfg.n_frames, range(1, cfg.n_fish + 1))
+    gt.points3d[:] = seq.positions
+    centers, radii = body_spheres(cfg, seq.positions, seq.headings)
+    for view in VIEWS:
+        cam = seq.rig.camera(view)
+        uv, rho = _sphere_pixels(cam, centers, radii)
+        lo = np.maximum(np.floor(np.min(uv - rho[..., None], axis=-2)), 0.0)
+        hi = np.minimum(np.ceil(np.max(uv + rho[..., None], axis=-2)),
+                        np.subtract(cam.image_size, 1))
+        gt.boxes[view][:] = np.concatenate([lo, hi - lo + 1], axis=-1)
+        gt.heads[view][:] = project_batch(
+            seq.positions.reshape(-1, 3), cam).reshape(gt.heads[view].shape)
+        gt.occluded[view][:] = (pair_overlap(gt.boxes[view]) > 0).any(axis=-1)
     return gt
-
-
-def _occlusion_flags(boxes: list[tuple[float, float, float, float]]) -> list[bool]:
-    """A fish is occluded when its bbox shares at least one pixel with
-    another fish's bbox."""
-    flags = [False] * len(boxes)
-    for i in range(len(boxes)):
-        for j in range(i + 1, len(boxes)):
-            a, b = boxes[i], boxes[j]
-            ix = min(a[0] + a[2], b[0] + b[2]) - max(a[0], b[0])
-            iy = min(a[1] + a[3], b[1] + b[3]) - max(a[1], b[1])
-            if ix > 0 and iy > 0:
-                flags[i] = flags[j] = True
-    return flags
 
 
 _BG_LEVEL = 235.0
@@ -264,15 +242,12 @@ def perfect_detections(gt: GroundTruth) -> dict[str, dict[int, list[Detection]]]
     out: dict[str, dict[int, list[Detection]]] = {
         view: {f: [] for f in range(gt.n_frames)} for view in VIEWS}
     for view in VIEWS:
-        for f in range(gt.n_frames):
-            for i in gt.fish_ids:
-                entry = gt.views.get((f, i, view))
-                if entry is None:
-                    continue
-                head = entry.head
-                out[view][f].append(Detection(
-                    frame=f, view=view, head=head, candidates=(head,),
-                    bbox=entry.bbox, confidence=100.0))
+        heads, boxes = gt.heads[view].tolist(), gt.boxes[view].tolist()
+        for f, j in np.argwhere(~np.isnan(gt.heads[view][..., 0])).tolist():
+            head = tuple(heads[f][j])
+            out[view][f].append(Detection(
+                frame=f, view=view, head=head, candidates=(head,),
+                bbox=tuple(boxes[f][j]), confidence=100.0))
     return out
 
 

@@ -7,6 +7,7 @@ rig. Every test also asserts its own wall-clock budget, so
 `pytest -v tests/test_acceptance.py` prints one pass/fail line per gate.
 """
 
+import copy
 import itertools
 import json
 import math
@@ -24,7 +25,6 @@ from stereomot import (
     DegradeModel,
     Detection,
     GroundTruth,
-    GTEntry,
     NodeCandidate,
     SimConfig,
     StitchParams,
@@ -115,21 +115,17 @@ def test_criterion_01_difficulty_score_matches_reference_table():
 # the time between occlusions equals the sequence duration
 
 def scripted_gt(n_frames, n_fish, fps=60.0):
-    gt = GroundTruth(fps=fps, n_frames=n_frames, n_fish=n_fish)
-    for f in range(n_frames):
-        for i in range(1, n_fish + 1):
-            for view in ("top", "front"):
-                gt.views[(f, i, view)] = GTEntry(bbox=(0.0, 0.0, 10.0, 10.0),
-                                                 head=(5.0, 5.0),
-                                                 occluded=False)
-            gt.points3d[(f, i)] = np.array([4.0 * i, 10.0, 5.0])
+    gt = GroundTruth(fps=fps, n_frames=n_frames, ids=range(1, n_fish + 1))
+    for view in ("top", "front"):
+        gt.boxes[view][:] = (0.0, 0.0, 10.0, 10.0)
+        gt.heads[view][:] = (5.0, 5.0)
+    gt.points3d[:] = [[4.0 * i, 10.0, 5.0] for i in gt.fish_ids]
     return gt
 
 
 def flag(gt, frames, fish, view):
     for f in frames:
-        key = (f, fish, view)
-        gt.views[key] = replace(gt.views[key], occluded=True)
+        gt.occluded[view][f, fish - 1] = True
 
 
 def test_criterion_02_annotation_statistics_match_hand_computation():
@@ -416,7 +412,7 @@ def test_criterion_08_clean_run_is_perfect(tmp_path):
         out = tmp_path
         stage_simulate(cfg, out)
         gt = read_annotations_csv(out / "annotations.csv")
-        assert not any(e.occluded for e in gt.views.values())
+        assert not any(gt.occluded[v].any() for v in ("top", "front"))
         stage_track2d(cfg, out / "detections.csv", out)
         stage_associate(cfg, out / "tracklets.csv",
                         out / "calibration.json", out)
@@ -482,19 +478,18 @@ def test_criterion_09_degradation_is_monotone():
         gt = annotate(simulate(SimConfig(n_fish=5, duration_s=10.0,
                                          fps=60.0, seed=99)))
         rng = np.random.default_rng(99)
-        unflagged = [k for k, e in gt.views.items() if not e.occluded]
+        unflagged = [(f, i, v) for f in range(gt.n_frames)
+                     for v in ("top", "front") for i in gt.fish_ids
+                     if not gt.occluded[v][f, i - 1]]
         rng.shuffle(unflagged)
         last_mota = math.inf
         last_occluded = -1
         for extra in (0, 400, 800, 1200):
-            views = dict(gt.views)
-            for key in unflagged[:extra]:
-                views[key] = replace(views[key], occluded=True)
-            flagged_gt = GroundTruth(fps=gt.fps, n_frames=gt.n_frames,
-                                     n_fish=gt.n_fish, views=views,
-                                     points3d=gt.points3d)
-            n_occluded = len({(f, i) for (f, i, v), e in views.items()
-                              if e.occluded})
+            flagged_gt = copy.deepcopy(gt)
+            for f, i, v in unflagged[:extra]:
+                flagged_gt.occluded[v][f, i - 1] = True
+            n_occluded = int((flagged_gt.occluded["top"]
+                              | flagged_gt.occluded["front"]).sum())
             pred = oracle_tracks(flagged_gt)
             mota = evaluate_tracks(pred, flagged_gt, 0.5).mota
             assert n_occluded > last_occluded
@@ -508,7 +503,7 @@ def test_criterion_09_degradation_is_monotone():
 def test_criterion_10_metric_self_consistency():
     with budget(10.0):
         gt = scripted_gt(900, 1)  # 15 s at 60 fps, one fish
-        pred = {1: {f: gt.points3d[(f, 1)] for f in range(900)}}
+        pred = {1: {f: gt.points3d[f, 0] for f in range(900)}}
         r = evaluate_tracks(pred, gt, 0.5)
         assert r.mota == 100.0
         assert r.motp == 0.0
@@ -518,7 +513,7 @@ def test_criterion_10_metric_self_consistency():
         assert r.mtbf_monotone == 900.0
 
         gt3 = scripted_gt(120, 3)
-        pred3 = {i: {f: gt3.points3d[(f, i)] for f in range(120)}
+        pred3 = {i: {f: gt3.points3d[f, i - 1] for f in range(120)}
                  for i in (1, 2, 3)}
         assert evaluate_tracks(pred3, gt3, 0.5).mt == 3
 
@@ -534,6 +529,6 @@ def test_criterion_10_metric_self_consistency():
                     if rng.random() < drop_p:
                         continue
                     pid = fish if split is None or f < split else 100 + fish
-                    pred.setdefault(pid, {})[f] = gt2.points3d[(f, fish)]
+                    pred.setdefault(pid, {})[f] = gt2.points3d[f, fish - 1]
             r = evaluate_tracks(pred, gt2, 0.5)
             assert r.mtbf_monotone <= r.mtbf_strict + 1e-12

@@ -139,8 +139,8 @@ def test_evaluate_annotations_against_themselves(tmp_path, capsys):
     assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 0
     gt = read_annotations_csv(out / "annotations.csv")
     tracks = [Track3D(fish_id=i) for i in gt.fish_ids]
-    for (f, i), p in gt.points3d.items():
-        tracks[i - 1].points[f] = np.asarray(p)
+    for f, j in zip(*np.nonzero(~np.isnan(gt.points3d[..., 0]))):
+        tracks[j].points[f] = gt.points3d[f, j]
     write_tracks_csv(out / "gt_tracks.csv", tracks)
     assert main(["evaluate", "--config", cfg, "--out-dir", str(out),
                  "--annotations", str(out / "annotations.csv"),
@@ -218,6 +218,32 @@ def test_errors_exit_2(tmp_path, capsys):
                  "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "bad.cfg:1" in err
+
+    # Inputs the readers must refuse at their line: fps <= 0, a non-integer
+    # n_frames or tracklet id, a frame outside [0, n_frames), a repeated
+    # (frame, fish_id, view) row, and a negative box size.
+    good = ANNOTATIONS_ROWS.format(bad="60.0")
+    for command, flag, text, line in [
+        ("complexity", "--annotations", ANNOTATIONS_ROWS.format(bad="0"), 1),
+        ("complexity", "--annotations", "# n_frames: 2.5\n" + good, 1),
+        ("complexity", "--annotations",
+         good.replace("\n0,1,top", "\n-1,1,top"), 3),
+        ("complexity", "--annotations",
+         "# n_frames: 1\n" + good.replace("\n0,1,top", "\n1,1,top"), 4),
+        ("complexity", "--annotations", good + good.splitlines()[-1] + "\n", 4),
+        ("complexity", "--annotations",
+         good.replace(",2.0,2.0,", ",-2.0,2.0,"), 3),
+        ("track2d", "--detections", DETECTIONS_ROWS.format(bad="1.0")
+         + "1,top,1.0,2.0,0.0,0.0,2.0,-2.0,,,,,,,\n", 4),
+        ("stitch", "--tracklets3d", TRACKLETS3D_ROWS.format(bad="1.0")
+         + "0,2,1.0,2.0,3.0,x,0\n", 4),
+    ]:
+        path = tmp_path / "input.csv"
+        path.write_text(text)
+        assert main([command, flag, str(path),
+                     "--out-dir", str(tmp_path / "out")]) == 2, text
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:{line}:"), text
 
 
 def test_track2d_subcommand_builds_tracklets(tmp_path):

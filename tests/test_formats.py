@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stereomot import GroundTruth, GTEntry, Track3D, Tracklet2D, Tracklet3D
+from stereomot import GroundTruth, Track3D, Tracklet2D, Tracklet3D
 from stereomot.detect import Detection
 from stereomot.formats import (
     FormatError,
@@ -107,23 +107,26 @@ def test_tracks_roundtrip(tmp_path):
 
 def test_annotations_roundtrip(tmp_path):
     path = tmp_path / "gt.csv"
-    gt = GroundTruth(fps=60.0, n_frames=2, n_fish=1)
-    gt.views[(0, 1, "top")] = GTEntry(bbox=(1.0, 2.0, 3.0, 4.0),
-                                      head=(2.0, 3.0), occluded=False)
-    gt.views[(0, 1, "front")] = GTEntry(bbox=(5.0, 6.0, 7.0, 8.0),
-                                        head=(6.0, 7.0), occluded=True)
-    gt.views[(1, 1, "top")] = GTEntry(bbox=(1.0, 2.0, 3.0, 4.0),
-                                      head=(2.5, 3.5), occluded=False)
-    gt.points3d[(0, 1)] = np.array([10.0, 11.0, UGLY])
+    gt = GroundTruth(fps=60.0, n_frames=2, ids=[1])
+    gt.boxes["top"][0, 0] = (1.0, 2.0, 3.0, 4.0)
+    gt.heads["top"][0, 0] = (2.0, 3.0)
+    gt.boxes["front"][0, 0] = (5.0, 6.0, 7.0, 8.0)
+    gt.heads["front"][0, 0] = (6.0, 7.0)
+    gt.occluded["front"][0, 0] = True
+    gt.boxes["top"][1, 0] = (1.0, 2.0, 3.0, 4.0)
+    gt.heads["top"][1, 0] = (2.5, 3.5)
+    gt.points3d[0, 0] = (10.0, 11.0, UGLY)
     write_annotations_csv(path, gt)
     out = read_annotations_csv(path)
     assert out.fps == 60.0
     assert out.n_frames == 2
     assert out.n_fish == 1
-    assert out.views[(0, 1, "front")].occluded is True
-    assert out.views[(1, 1, "top")].head == (2.5, 3.5)
-    assert np.array_equal(out.points3d[(0, 1)], [10.0, 11.0, UGLY])
-    assert (1, 1) not in out.points3d  # 3D coords were absent for frame 1
+    assert out.fish_ids == (1,)
+    assert out.occluded["front"][0, 0]
+    assert tuple(out.heads["top"][1, 0]) == (2.5, 3.5)
+    assert np.array_equal(out.points3d[0, 0], [10.0, 11.0, UGLY])
+    assert np.isnan(out.points3d[1, 0]).all()  # no 3D coords at frame 1
+    assert np.isnan(out.heads["front"][1, 0]).all()  # no front row at frame 1
 
 
 def test_annotations_require_fps(tmp_path):

@@ -5,7 +5,6 @@ import pytest
 
 from stereomot import (
     GroundTruth,
-    GTEntry,
     Track3D,
     clear_mot,
     complexity_psi,
@@ -25,22 +24,17 @@ from stereomot.metrics import ViewComplexity
 BOX = (0.0, 0.0, 10.0, 10.0)
 
 
-def entry(occluded=False, bbox=BOX, head=(5.0, 5.0)):
-    return GTEntry(bbox=bbox, head=head, occluded=occluded)
-
-
 def make_gt(n_frames, n_fish, fps=60.0, flags=(), spacing=3.0):
-    """GT with fish i resting at x = i * spacing; flags = {(frame, fish, view)}."""
-    flags = set(flags)
-    views = {}
-    points3d = {}
-    for f in range(n_frames):
-        for i in range(1, n_fish + 1):
-            for v in ("top", "front"):
-                views[(f, i, v)] = entry(occluded=(f, i, v) in flags)
-            points3d[(f, i)] = np.array([i * spacing, 10.0, 5.0])
-    return GroundTruth(fps=fps, n_frames=n_frames, n_fish=n_fish,
-                       views=views, points3d=points3d)
+    """GT with fish i (column i - 1) resting at x = i * spacing;
+    flags = {(frame, fish, view)}."""
+    gt = GroundTruth(fps=fps, n_frames=n_frames, ids=range(1, n_fish + 1))
+    for v in ("top", "front"):
+        gt.boxes[v][:] = BOX
+        gt.heads[v][:] = (5.0, 5.0)
+    gt.points3d[:] = [[i * spacing, 10.0, 5.0] for i in gt.fish_ids]
+    for f, i, v in flags:
+        gt.occluded[v][f, i - 1] = True
+    return gt
 
 
 def flag_range(fish, frames, view="top"):
@@ -49,7 +43,7 @@ def flag_range(fish, frames, view="top"):
 
 def pred_from_gt(gt, fish_ids=None):
     fish_ids = fish_ids or gt.fish_ids
-    return {i: {f: gt.points3d[(f, i)] for f in range(gt.n_frames)}
+    return {i: {f: gt.points3d[f, i - 1] for f in range(gt.n_frames)}
             for i in fish_ids}
 
 
@@ -120,7 +114,7 @@ def test_complexity_report_roundtrip():
 
 def test_match_frames_gate_boundary():
     gt = make_gt(1, 1)
-    base = gt.points3d[(0, 1)]
+    base = gt.points3d[0, 0]
     at_gate = {1: {0: base + np.array([0.5, 0.0, 0.0])}}
     seq = match_frames(at_gate, gt, dist_thresh=0.5)
     assert 1 in seq.matches[0]
@@ -132,18 +126,12 @@ def test_match_frames_gate_boundary():
 def test_match_persistence_through_crossing():
     # two fish swap sides; exact preds must keep their original pairing
     n = 21
-    views, points3d = {}, {}
+    gt = make_gt(n, 2)
     for f in range(n):
         x = f * 1.0
-        points3d[(f, 1)] = np.array([x, 0.0, 0.0])
-        points3d[(f, 2)] = np.array([20.0 - x, 0.0, 0.0])
-        for i in (1, 2):
-            for v in ("top", "front"):
-                views[(f, i, v)] = entry()
-    gt = GroundTruth(fps=60.0, n_frames=n, n_fish=2, views=views,
-                     points3d=points3d)
-    pred = {10: {f: points3d[(f, 1)] for f in range(n)},
-            20: {f: points3d[(f, 2)] for f in range(n)}}
+        gt.points3d[f] = [[x, 0.0, 0.0], [20.0 - x, 0.0, 0.0]]
+    pred = {10: {f: gt.points3d[f, 0] for f in range(n)},
+            20: {f: gt.points3d[f, 1] for f in range(n)}}
     seq = match_frames(pred, gt, dist_thresh=5.0)
     for f in range(n):
         assert seq.matches[f][1][0] == 10
@@ -155,7 +143,7 @@ def test_match_persistence_through_crossing():
 
 def test_clear_mot_hand_counts():
     gt = make_gt(100, 1)
-    origin = gt.points3d[(0, 1)]
+    origin = gt.points3d[0, 0]
     pred = {
         1: {f: origin for f in range(0, 50)},
         2: {f: origin for f in range(50, 70)},
@@ -171,14 +159,14 @@ def test_clear_mot_hand_counts():
 
 
 def test_clear_mot_requires_gt():
-    gt = GroundTruth(fps=60.0, n_frames=0, n_fish=0)
+    gt = GroundTruth(fps=60.0, n_frames=0, ids=())
     with pytest.raises(ValueError):
         clear_mot(match_frames({}, gt, dist_thresh=0.5))
 
 
 def test_frag_and_idsw_after_gap():
     gt = make_gt(30, 1)
-    origin = gt.points3d[(0, 1)]
+    origin = gt.points3d[0, 0]
     same_id = {1: {f: origin for f in list(range(0, 10)) + list(range(20, 30))}}
     res = clear_mot(match_frames(same_id, gt, dist_thresh=0.5))
     assert (res.fn, res.idsw, res.frag) == (10, 0, 1)
@@ -193,9 +181,9 @@ def test_frag_and_idsw_after_gap():
 def test_mt_ml_inclusive_thresholds():
     gt = make_gt(10, 3, spacing=5.0)
     pred = {
-        1: {f: gt.points3d[(f, 1)] for f in range(8)},   # 0.8 -> MT
-        2: {f: gt.points3d[(f, 2)] for f in range(2)},   # 0.2 -> ML
-        3: {f: gt.points3d[(f, 3)] for f in range(5)},   # neither
+        1: {f: gt.points3d[f, 0] for f in range(8)},   # 0.8 -> MT
+        2: {f: gt.points3d[f, 1] for f in range(2)},   # 0.2 -> ML
+        3: {f: gt.points3d[f, 2] for f in range(5)},   # neither
     }
     seq = match_frames(pred, gt, dist_thresh=0.5)
     assert mt_ml(seq) == (1, 1)
@@ -205,7 +193,7 @@ def test_id_metrics_perfect_and_half():
     gt = make_gt(100, 1)
     perfect = pred_from_gt(gt)
     assert id_metrics(perfect, gt, 0.5) == pytest.approx((100.0, 100.0, 100.0))
-    half = {1: {f: gt.points3d[(f, 1)] for f in range(50)}}
+    half = {1: {f: gt.points3d[f, 0] for f in range(50)}}
     idp, idr, idf1 = id_metrics(half, gt, 0.5)
     assert idp == pytest.approx(100.0)
     assert idr == pytest.approx(50.0)
@@ -222,7 +210,7 @@ def test_id_metrics_label_invariance():
 
 def test_mtbf_interior_gap():
     gt = make_gt(100, 1)
-    origin = gt.points3d[(0, 1)]
+    origin = gt.points3d[0, 0]
     pred = {1: {f: origin for f in list(range(0, 50)) + list(range(60, 100))}}
     seq = match_frames(pred, gt, dist_thresh=0.5)
     strict, monotone = mtbf(seq)
@@ -232,7 +220,7 @@ def test_mtbf_interior_gap():
 
 def test_mtbf_pure_id_switch():
     gt = make_gt(100, 1)
-    origin = gt.points3d[(0, 1)]
+    origin = gt.points3d[0, 0]
     pred = {1: {f: origin for f in range(0, 50)},
             2: {f: origin for f in range(50, 100)}}
     seq = match_frames(pred, gt, dist_thresh=0.5)

@@ -108,15 +108,15 @@ def test_annotate_complete_and_in_bounds():
     assert gt.fps == 60.0
     for f in range(gt.n_frames):
         for i in (1, 2):
-            assert np.array_equal(gt.points3d[(f, i)], seq.positions[f, i - 1])
+            assert np.array_equal(gt.points3d[f, i - 1], seq.positions[f, i - 1])
             for view in ("top", "front"):
-                e = gt.views[(f, i, view)]
-                x, y, w, h = e.bbox
+                x, y, w, h = gt.boxes[view][f, i - 1]
+                head = gt.heads[view][f, i - 1]
                 assert w >= 1 and h >= 1
                 assert 0 <= x and x + w <= 800
                 assert 0 <= y and y + h <= 800
-                assert x <= e.head[0] <= x + w
-                assert y <= e.head[1] <= y + h
+                assert x <= head[0] <= x + w
+                assert y <= head[1] <= y + h
 
 
 def test_occlusion_flags_from_scripted_overlap():
@@ -127,12 +127,12 @@ def test_occlusion_flags_from_scripted_overlap():
     pos = np.array([[a, b]] * 5 + [[a, apart]] * 5)
     gt = annotate(handmade_sequence(pos))
     for f in range(5):
-        assert gt.views[(f, 1, "top")].occluded
-        assert gt.views[(f, 2, "top")].occluded
-        assert not gt.views[(f, 1, "front")].occluded
+        assert gt.occluded["top"][f, 0]
+        assert gt.occluded["top"][f, 1]
+        assert not gt.occluded["front"][f, 0]
     for f in range(5, 10):
         for i in (1, 2):
-            assert not gt.views[(f, i, "top")].occluded
+            assert not gt.occluded["top"][f, i - 1]
 
 
 def test_render_paints_fish_dark():
