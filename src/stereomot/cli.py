@@ -9,6 +9,7 @@ manual chain of subcommands.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -68,21 +69,53 @@ def stage_simulate(cfg: PipelineConfig, out: Path,
             write_pgm(frame_dir / f"front_{f:06d}.pgm", front)
 
 
+def _frame_paths(frames_dir: Path, view: str):
+    """Frame numbers and paths of the view's `{view}_<digits>.pgm` files,
+    in frame order; the number in the name is the frame number."""
+    found: dict[int, Path] = {}
+    for path in frames_dir.glob(f"{view}_*.pgm"):
+        m = re.fullmatch(rf"{view}_([0-9]+)\.pgm", path.name)
+        if not m:
+            raise DetectError(f"{path}: frame file name is not "
+                              f"{view}_<digits>.pgm")
+        f = int(m.group(1))
+        if f in found:
+            raise DetectError(f"{path}: frame {f} is also in {found[f]}")
+        found[f] = path
+    if not found:
+        raise DetectError(f"no {view}_*.pgm frames found in {frames_dir}")
+    numbers, paths = zip(*sorted(found.items()))
+    return numbers, paths
+
+
+def _read_frames(paths, shape: tuple[int, ...] | None = None):
+    """Yield each PGM in turn; all must have `shape`, or the first one's."""
+    for path in paths:
+        img = read_pgm(path)
+        if shape is None:
+            shape = img.shape
+        elif img.shape != shape:
+            raise DetectError(f"{path}: frame is {img.shape[1]}x"
+                              f"{img.shape[0]} px, expected {shape[1]}x"
+                              f"{shape[0]} px")
+        yield img
+
+
 def stage_detect_frames(cfg: PipelineConfig, frames_dir: Path,
                         out: Path) -> None:
     params = cfg.detect_params()
     dets: dict[str, dict[int, list[Detection]]] = {}
     for view in VIEWS:
-        paths = sorted(frames_dir.glob(f"{view}_*.pgm"))
-        if not paths:
-            raise DetectError(f"no {view}_*.pgm frames found in {frames_dir}")
-        frames = [read_pgm(p) for p in paths]
-        n_bg = min(params.n_bg, len(frames))
-        sample = np.unique(np.linspace(0, len(frames) - 1, n_bg).astype(int))
-        bg = estimate_background([frames[i] for i in sample])
+        numbers, paths = _frame_paths(frames_dir, view)
+        n_bg = min(params.n_bg, len(paths))
+        sample = np.unique(np.linspace(0, len(paths) - 1, n_bg).astype(int))
+        # Only the sampled frames are held at once; detection then reads
+        # one frame at a time.
+        bg = estimate_background(_read_frames(paths[i] for i in sample))
         detector = detect_top if view == "top" else detect_front
         dets[view] = {f: detector(img, bg, params, frame_index=f)
-                      for f, img in enumerate(frames)}
+                      for f, img in zip(numbers,
+                                        _read_frames(paths, bg.shape))}
     write_detections_csv(out / "detections.csv", dets, _meta(cfg))
 
 

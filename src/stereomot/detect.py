@@ -72,23 +72,106 @@ class DetectParams:
                 raise ValueError(f"DetectParams.{name} must be positive")
 
 
+def _batcher_pairs(n: int):
+    """Comparators (i, j), i < j, of Batcher's odd-even merge sort on n
+    wires, n a power of two (Knuth, TAOCP vol. 3, 5.3.4)."""
+    p = 1
+    while p < n:
+        k = p
+        while k >= 1:
+            for j in range(k % p, n - k, 2 * k):
+                for i in range(min(k, n - j - k)):
+                    if (i + j) // (2 * p) == (i + j + k) // (2 * p):
+                        yield i + j, i + j + k
+            k //= 2
+        p *= 2
+
+
+def _median_network(n: int = 25, width: int = 32):
+    """Selection network for the lower median of n inputs.
+
+    Batcher's sort on `width` wires, the extra wires held at the largest
+    value, is pruned forwards (a comparator against such a wire is a no-op
+    or a swap) and backwards (a comparator stays only if it reaches the
+    median, and computes only the outputs read later). Returns
+    (comparators, output): each comparator is (lo, hi, keep_min, keep_max)
+    over input indices. By the 0-1 principle the output equals the median
+    of a full sort, ties included.
+    """
+    wire: list[int | None] = list(range(n)) + [None] * (width - n)
+    forward = []
+    for a, b in _batcher_pairs(width):
+        if wire[b] is None:
+            continue
+        if wire[a] is None:
+            wire[a], wire[b] = wire[b], None
+        else:
+            forward.append((wire[a], wire[b]))
+    out = wire[(n - 1) // 2]
+    need = {out}
+    net = []
+    for lo, hi in reversed(forward):
+        if lo in need or hi in need:
+            net.append((lo, hi, lo in need, hi in need))
+            need |= {lo, hi}
+    return net[::-1], out
+
+
+_MEDIAN25, _MEDIAN25_OUT = _median_network()
+
+
+def _median_5x5(img: np.ndarray) -> np.ndarray:
+    """5x5 median with edge-replicated borders, bit-identical to
+    `ndimage.median_filter(img, size=5, mode="nearest")`."""
+    h, w = img.shape
+    pad = np.pad(img, 2, mode="edge")
+    s = [pad[dy:dy + h, dx:dx + w] for dy in range(5) for dx in range(5)]
+    for lo, hi, keep_min, keep_max in _MEDIAN25:
+        a, b = s[lo], s[hi]
+        if keep_min:
+            s[lo] = np.minimum(a, b)
+        if keep_max:
+            s[hi] = np.maximum(a, b)
+    return s[_MEDIAN25_OUT]
+
+
 def estimate_background(frames) -> np.ndarray:
-    """Per-pixel median of uniformly sampled frames (lower median when even)."""
-    frames = [np.asarray(f) for f in frames]
-    if not frames:
+    """Per-pixel median of the frames (lower median when even), as uint8.
+
+    `frames` is any iterable of equally sized images, such as a generator
+    that reads them one at a time. Each is copied into one uint8 stack
+    owned here, which grows by doubling, and the median is selected in
+    place with `partition`; no sorted copy is made.
+    """
+    stack = np.empty((0, 0, 0), dtype=np.uint8)
+    n = 0
+    for frame in frames:
+        frame = np.asarray(frame)
+        if n == 0:
+            stack = np.empty((1,) + frame.shape, dtype=np.uint8)
+        elif frame.shape != stack.shape[1:]:
+            raise DetectError("background frames must share dimensions")
+        if n == len(stack):
+            grown = np.empty((2 * n,) + frame.shape, dtype=np.uint8)
+            grown[:n] = stack
+            stack = grown
+        stack[n] = frame
+        n += 1
+    if n == 0:
         raise DetectError("estimate_background needs at least one frame")
-    shape = frames[0].shape
-    if any(f.shape != shape for f in frames):
-        raise DetectError("background frames must share dimensions")
-    stack = np.sort(np.stack(frames), axis=0)
-    return stack[(len(frames) - 1) // 2].astype(np.uint8)
+    k = (n - 1) // 2
+    stack = stack[:n]
+    stack.partition(k, axis=0)
+    return stack[k].copy()
 
 
 def preprocess(frame: np.ndarray, bg: np.ndarray) -> np.ndarray:
     """|frame - bg|, min-max normalized to [0,255], 5x5 median filtered.
 
-    A zero-range difference image normalizes to all zeros; the median
-    filter clamps at the border.
+    A zero-range difference image normalizes to all zeros. The median is
+    exact: a selection network over the 25 shifted views of the image with
+    its edge pixels replicated, equal to
+    `ndimage.median_filter(img, size=5, mode="nearest")`.
     """
     frame = np.asarray(frame)
     bg = np.asarray(bg)
@@ -102,7 +185,7 @@ def preprocess(frame: np.ndarray, bg: np.ndarray) -> np.ndarray:
     else:
         norm = (diff - lo) * (255.0 / (hi - lo))
     img = np.rint(norm).astype(np.uint8)
-    return ndimage.median_filter(img, size=5, mode="nearest")
+    return _median_5x5(img)
 
 
 def _modes(hist: np.ndarray) -> list[float]:

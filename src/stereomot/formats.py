@@ -381,7 +381,11 @@ def read_annotations_csv(path) -> GroundTruth:
                               f"got {n_frames}")
     else:
         n_frames = 1 + max((r[1] for r in rows), default=-1)
-    gt = GroundTruth(fps, n_frames, sorted({r[2] for r in rows}))
+    try:
+        gt = GroundTruth(fps, n_frames, sorted({r[2] for r in rows}))
+    except (MemoryError, ValueError):  # numpy: too large, or too many dims
+        raise FormatError(f"{path}:1: '# n_frames: {n_frames}' is too large "
+                          f"to allocate") from None
     column = {i: j for j, i in enumerate(gt.fish_ids)}
     for line_no, frame, fish, view, bbox, head, occluded, coords in rows:
         if not 0 <= frame < n_frames:

@@ -91,38 +91,47 @@ def select_initial(tracklets: list[Tracklet3D], n_fish: int,
         raise ValueError("n_fish must be >= 1")
     if len(tracklets) < n_fish:
         return None
-    by_len = sorted(tracklets, key=lambda t: (-t.duration, t.id))
+    first = np.array([t.first_frame for t in tracklets])
+    last = np.array([t.last_frame for t in tracklets])
+    dur = last - first + 1
+    ids = [t.id for t in tracklets]
+
+    def concurrency(rows, cols):
+        """Overlap in frames of every (row, col) pair, and whether it is
+        enough for the pair to be concurrent."""
+        overlap = (np.minimum.outer(last[rows], last[cols])
+                   - np.maximum.outer(first[rows], first[cols]) + 1)
+        need = np.maximum(1.0, params.overlap_scale
+                          * np.minimum.outer(dur[rows], dur[cols]))
+        return overlap, overlap >= need
+
+    by_len = sorted(range(len(tracklets)), key=lambda i: (-dur[i], ids[i]))
+    by_id = np.array(sorted(range(len(tracklets)), key=lambda i: ids[i]))
     seeds = by_len[:max(1, math.ceil(params.top_fraction * len(tracklets)))]
-
-    def pair_ok(a, b) -> bool:
-        need = max(1.0, params.overlap_scale * min(a.duration, b.duration))
-        return _overlap_frames(a, b) >= need
-
     combos: dict[frozenset, tuple] = {}
     for seed in seeds:
-        pool = sorted((t for t in tracklets
-                       if t is seed or pair_ok(seed, t)), key=lambda t: t.id)
-        for combo in combinations(pool, n_fish):
-            if seed not in combo:
+        # Member 0 is the seed, the rest are concurrent with it, by id. The
+        # pair table covers these members only, so its size follows the
+        # seed's pool, not the square of all tracklets.
+        row_ok = concurrency([seed], by_id)[1][0]
+        members = [seed] + [i for i in by_id[row_ok].tolist() if i != seed]
+        overlap, ok = (a.tolist() for a in concurrency(members, members))
+        for rest in combinations(range(1, len(members)), n_fish - 1):
+            combo = (0,) + rest
+            key = frozenset(ids[members[k]] for k in combo)
+            if key in combos or not all(ok[a][b]
+                                        for a, b in combinations(rest, 2)):
                 continue
-            key = frozenset(t.id for t in combo)
-            if key in combos:
-                continue
-            if all(pair_ok(a, b) for a, b in combinations(combo, 2)):
-                combos[key] = combo
+            combos[key] = ([members[k] for k in combo],
+                           [overlap[a][b] for a, b in combinations(combo, 2)])
 
     best, best_key = None, None
-    for combo in combos.values():
-        if n_fish == 1:
-            score = float(combo[0].duration)
-        else:
-            score = float(np.median([_overlap_frames(a, b)
-                                     for a, b in combinations(combo, 2)]))
-        total = sum(t.duration for t in combo)
-        ids = tuple(sorted(t.id for t in combo))
-        key = (-score, -total, ids)
+    for combo, overlaps in combos.values():
+        score = float(dur[combo[0]] if n_fish == 1 else np.median(overlaps))
+        total = int(dur[combo].sum())
+        key = (-score, -total, tuple(sorted(ids[i] for i in combo)))
         if best_key is None or key < best_key:
-            best, best_key = combo, key
+            best, best_key = [tracklets[i] for i in combo], key
     if best is None:
         return None
     ordered = sorted(best, key=lambda t: t.id)

@@ -208,6 +208,50 @@ def test_detect_frames_subcommand(tmp_path):
     assert by_view["top"] >= 25 and by_view["front"] >= 25
 
 
+def test_detect_frames_numbers_frames_by_file_name(tmp_path, capsys):
+    # With top_000003.pgm missing, every other frame keeps the number in its
+    # name. detect.n_bg = 1 takes frame 0 as the background of both scenes,
+    # so their other rows must be the same.
+    cfg = write_cfg(tmp_path, SMALL.replace("n_fish = 2", "n_fish = 1")
+                    + "detect.n_bg = 1\n")
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--out-dir", str(sim),
+                 "--dump-frames", "8"]) == 0
+    frames = sim / "frames"
+    assert main(["detect", "--config", cfg, "--out-dir", str(tmp_path / "all"),
+                 "--frames-dir", str(frames)]) == 0
+    (frames / "top_000003.pgm").unlink()
+    assert main(["detect", "--config", cfg, "--out-dir", str(tmp_path / "gap"),
+                 "--frames-dir", str(frames)]) == 0
+
+    def rows(name):
+        return [(d.frame, d.view, d.head) for _, d in
+                read_detections_csv(tmp_path / name / "detections.csv")]
+
+    full, gap = rows("all"), rows("gap")
+    assert {(3, "top"), (6, "top")} <= {r[:2] for r in full}
+    assert gap == [r for r in full if r[:2] != (3, "top")]
+
+    # A name without a frame number, a frame number given twice, and a
+    # frame of another size are refused, naming the file.
+    top1 = (frames / "top_000001.pgm").read_bytes()
+    small = b"P5 4 4 255\n" + bytes(16)
+    for name, data in [("top_x.pgm", top1), ("top_1.pgm", top1),
+                       ("top_000009.pgm", small)]:
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        for p in frames.iterdir():
+            (bad / p.name).write_bytes(p.read_bytes())
+        (bad / name).write_bytes(data)
+        assert main(["detect", "--config", cfg, "--out-dir",
+                     str(tmp_path / "out"), "--frames-dir", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err, name
+        for p in bad.iterdir():
+            p.unlink()
+        bad.rmdir()
+
+
 def test_errors_exit_2(tmp_path, capsys):
     assert main(["track2d", "--detections",
                  str(tmp_path / "missing.csv")]) == 2
@@ -220,12 +264,17 @@ def test_errors_exit_2(tmp_path, capsys):
     assert "error:" in err and "bad.cfg:1" in err
 
     # Inputs the readers must refuse at their line: fps <= 0, a non-integer
-    # n_frames or tracklet id, a frame outside [0, n_frames), a repeated
-    # (frame, fish_id, view) row, and a negative box size.
+    # or unallocatable n_frames, a non-integer tracklet id, a frame outside
+    # [0, n_frames), a repeated (frame, fish_id, view) row, and a negative
+    # box size.
     good = ANNOTATIONS_ROWS.format(bad="60.0")
     for command, flag, text, line in [
         ("complexity", "--annotations", ANNOTATIONS_ROWS.format(bad="0"), 1),
         ("complexity", "--annotations", "# n_frames: 2.5\n" + good, 1),
+        ("complexity", "--annotations",
+         "# n_frames: 1000000000000000\n" + good, 1),
+        ("complexity", "--annotations",
+         "# n_frames: 100000000000000000000\n" + good, 1),
         ("complexity", "--annotations",
          good.replace("\n0,1,top", "\n-1,1,top"), 3),
         ("complexity", "--annotations",

@@ -2,10 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import ndimage
 
 from stereomot import Detection, DetectParams
 from stereomot.detect import (
+    _MEDIAN25,
+    _MEDIAN25_OUT,
     DetectError,
+    _median_5x5,
     ENDPOINT_VALUES,
     JUNCTION_VALUES,
     detect_front,
@@ -43,7 +50,66 @@ def test_estimate_background_rejects_bad_input():
     with pytest.raises(DetectError):
         estimate_background([])
     with pytest.raises(DetectError):
+        estimate_background(iter([]))
+    with pytest.raises(DetectError):
         estimate_background([np.zeros((4, 4)), np.zeros((5, 5))])
+    with pytest.raises(DetectError):
+        estimate_background(np.zeros(s) for s in ((4, 4), (4, 4), (4, 5)))
+
+
+@st.composite
+def low_cardinality_images(draw, max_side=40):
+    """uint8 images drawn from a few grey levels, so ties are common."""
+    levels = draw(st.lists(st.integers(0, 255), min_size=1, max_size=4))
+    shape = (draw(st.integers(1, max_side)), draw(st.integers(1, max_side)))
+    return draw(arrays(np.uint8, shape, elements=st.sampled_from(levels),
+                       fill=st.nothing()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.data())
+def test_estimate_background_equals_sorted_median(n, data):
+    first = data.draw(low_cardinality_images(max_side=12))
+    frames = [first] + [
+        data.draw(arrays(np.uint8, first.shape,
+                         elements=st.integers(0, 255)))
+        for _ in range(n - 1)]
+    want = np.sort(np.stack(frames), axis=0)[(n - 1) // 2]
+    got = estimate_background(frames)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, want)
+    # A generator gives the same result, and the inputs are not modified.
+    assert np.array_equal(estimate_background(f for f in frames), want)
+    assert np.array_equal(frames[0], first)
+
+
+@settings(max_examples=150, deadline=None)
+@given(low_cardinality_images())
+def test_median_5x5_equals_ndimage(img):
+    want = ndimage.median_filter(img, size=5, mode="nearest")
+    assert np.array_equal(_median_5x5(img), want)
+
+
+def test_median_network_selects_the_median_of_every_0_1_input():
+    # 0-1 principle: a comparator network that selects the median of every
+    # 0/1 input selects it for every input. Input m sets wire k to bit k of
+    # m; the 2**20 settings of wires 0-19 are bit-packed, & is min and | is
+    # max, and each of the 32 settings of wires 20-24 is one pass.
+    assert len(_MEDIAN25) == 113
+    low = np.arange(1 << 20, dtype=np.uint32)
+    low_wires = [np.packbits((low >> k) & 1) for k in range(20)]
+    ones_low = sum((low >> k) & 1 for k in range(20))
+    for high in range(1 << 5):
+        wires = low_wires + [np.full(low_wires[0].shape, 255 * (high >> k & 1),
+                                     dtype=np.uint8) for k in range(5)]
+        for lo, hi, keep_min, keep_max in _MEDIAN25:
+            a, b = wires[lo], wires[hi]
+            if keep_min:
+                wires[lo] = a & b
+            if keep_max:
+                wires[hi] = a | b
+        want = np.packbits(ones_low + bin(high).count("1") >= 13)
+        assert np.array_equal(wires[_MEDIAN25_OUT], want)
 
 
 def test_preprocess_identical_frames_zero():

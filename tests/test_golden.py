@@ -17,6 +17,7 @@ from stereomot.geometry import load_calibration
 
 DATA = Path(__file__).parent / "data"
 PIPELINE = json.loads((DATA / "pipeline_sha256.json").read_text())
+DETECT_FRAMES = json.loads((DATA / "detect_frames_sha256.json").read_text())
 
 
 def test_defaults_text_is_unchanged(capsys):
@@ -48,3 +49,19 @@ def test_pipeline_outputs_are_unchanged(name, tmp_path, capsys):
                             cfg.tank(), cfg.assoc_params(),
                             fps=cfg.get("fps"))
         assert len(graph.edges) > 0
+
+
+def test_frame_detector_output_is_unchanged(tmp_path):
+    # simulate --dump-frames, then detect --frames-dir on the dumped PGMs.
+    case = DETECT_FRAMES
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("".join(f"{k} = {v}\n"
+                                for k, v in case["config"].items()))
+    sim, det = tmp_path / "sim", tmp_path / "det"
+    assert main(["simulate", "--config", str(cfg_path), "--out-dir", str(sim),
+                 "--dump-frames", str(case["dump_frames"])]) == 0
+    assert main(["detect", "--config", str(cfg_path), "--out-dir", str(det),
+                 "--frames-dir", str(sim / "frames")]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(det.iterdir())}
+    assert got == case["sha256"]

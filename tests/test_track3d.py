@@ -1,8 +1,11 @@
 import logging
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stereomot import (
     StitchParams,
@@ -85,6 +88,51 @@ def test_select_initial_single_fish_takes_longest():
     mains, used = got
     assert used == {1}
     assert mains[0].fish_id == 1
+
+
+def select_initial_by_rule(tracklets, n_fish, params):
+    """The seed-set rule stated directly: of all pairwise-concurrent
+    combinations holding a seed, the highest median pairwise overlap, then
+    the highest total duration, then the smallest id tuple."""
+    def overlap(a, b):
+        return min(a.last_frame, b.last_frame) - max(a.first_frame,
+                                                     b.first_frame) + 1
+
+    def pair_ok(a, b):
+        return overlap(a, b) >= max(1.0, params.overlap_scale
+                                    * min(a.duration, b.duration))
+
+    by_len = sorted(tracklets, key=lambda t: (-t.duration, t.id))
+    n_seeds = max(1, math.ceil(params.top_fraction * len(tracklets)))
+    seeds = {t.id for t in by_len[:n_seeds]}
+    best = None
+    for combo in combinations(tracklets, n_fish):
+        ids = tuple(sorted(t.id for t in combo))
+        if seeds.isdisjoint(ids) or not all(
+                pair_ok(a, b) for a, b in combinations(combo, 2)):
+            continue
+        score = (float(combo[0].duration) if n_fish == 1 else float(
+            np.median([overlap(a, b) for a, b in combinations(combo, 2)])))
+        key = (-score, -sum(t.duration for t in combo), ids)
+        best = key if best is None or key < best else best
+    return None if best is None else set(best[2])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 30)),
+                min_size=1, max_size=8),
+       st.integers(1, 4), st.sampled_from([0.2, 0.5, 1.0]),
+       st.sampled_from([0.1, 0.2, 0.6, 1.0]))
+def test_select_initial_matches_the_rule(extents, n_fish, top, scale):
+    tracklets = [t3d(i, start, start + length)
+                 for i, (start, length) in enumerate(extents)]
+    params = StitchParams(top_fraction=top, overlap_scale=scale)
+    got = select_initial(tracklets, n_fish, params)
+    want = select_initial_by_rule(tracklets, n_fish, params)
+    assert (None if got is None else got[1]) == want
+    if got is not None:
+        mains, used = got
+        assert [m.sources for m in mains] == [[i] for i in sorted(used)]
 
 
 def test_gallery_rank_order_and_relegation():
