@@ -85,20 +85,28 @@ def node_weight(top: Tracklet2D, front: Tracklet2D, rig: StereoRig,
                                   np.asarray(fronts, dtype=float),
                                   rig.top, rig.front)
 
-    # Each frame's candidates form one contiguous slice of the rows.
-    bounds = np.cumsum([0] + counts).tolist()
+    # Each frame's candidates form one contiguous slice of the rows. Pad
+    # the slices with inf to one row per frame; argmin keeps the first of
+    # equal errors.
+    counts = np.array(counts)
+    slots = np.arange(counts.max()) < counts[:, None]
+    padded = np.full(slots.shape, np.inf)
+    padded[slots] = errs
+    best = np.cumsum(counts) - counts + padded.argmin(axis=1)
+    found = np.isfinite(errs[best])
+    inside = in_tank(pts[best], tank)
     points: dict[int, np.ndarray] = {}
     errors: dict[int, float] = {}
     chosen: dict[int, tuple[float, float]] = {}
     valid: dict[int, bool] = {}
-    for f, lo, hi in zip(common, bounds, bounds[1:]):
-        best = lo + int(np.argmin(errs[lo:hi]))
-        if not np.isfinite(errs[best]):
+    for f, b, ok, tank_ok in zip(common, best.tolist(), found.tolist(),
+                                 inside.tolist()):
+        if not ok:
             continue
-        points[f] = pts[best]
-        errors[f] = float(errs[best])
-        chosen[f] = tuple(fronts[best])
-        valid[f] = in_tank(pts[best], tank)
+        points[f] = pts[b]
+        errors[f] = float(errs[b])
+        chosen[f] = tuple(fronts[b])
+        valid[f] = tank_ok
 
     weights = [math.exp(-params.lambda_err * errors[f])
                for f, ok in sorted(valid.items()) if ok]

@@ -1,9 +1,20 @@
 """CSV / JSON / PGM serialization for every pipeline stage.
 
-All CSV files start with '# key: value' comment lines (tool version, seed,
-fps, ...) followed by an exact header row. Floats are written with repr()
-so values round-trip bit-for-bit; empty fields mean "absent". Malformed
-input is reported as path:line: message.
+Byte layout of every CSV file:
+
+- '# key: value' comment lines first (tool version, seed, fps, ...), each
+  ending in '\\n';
+- then the exact header row and the data rows, each ending in '\\r\\n'
+  (csv.writer's default);
+- a float is repr() of the Python float, so values round-trip bit for
+  bit; an int is str(); a flag is 1 or 0; an absent value is an empty
+  field.
+
+Readers and writers work a column at a time. A reader parses each column
+with Python's int() and float() and runs each check once per column.
+Malformed input is reported as path:line: message, naming the error a
+row-by-row reader would meet first: the earliest bad line, and on that
+line the first bad field in the reader's order.
 """
 
 from __future__ import annotations
@@ -36,6 +47,7 @@ TRACKS_HEADER = ("frame", "fish_id", "x", "y", "z")
 ANNOTATIONS_HEADER = ("frame", "fish_id", "view", "bbox_x", "bbox_y",
                       "bbox_w", "bbox_h", "head_x", "head_y", "occluded",
                       "x3d", "y3d", "z3d")
+_CANDIDATE_KEYS = ("c1x", "c1y", "c2x", "c2y", "c3x", "c3y")
 
 
 class FormatError(ValueError):
@@ -43,6 +55,8 @@ class FormatError(ValueError):
 
 
 def _fmt(v) -> str:
+    """One cell: blank for None, 1/0 for a flag, str for an int, repr of
+    the Python float for a float."""
     if v is None:
         return ""
     if isinstance(v, (bool, np.bool_)):
@@ -54,7 +68,22 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_rows(path, header, rows, meta: dict | None = None) -> None:
+def _cells(values) -> list[str]:
+    """One column's cells, each as _fmt writes it. Columns of floats, of
+    floats and blanks, or of ints and strings skip the per-value dispatch."""
+    kinds = set(map(type, values))
+    if kinds <= {float, np.float64}:
+        return list(map(repr, map(float, values)))
+    if kinds <= {float, np.float64, type(None)}:
+        return ["" if v is None else repr(float(v)) for v in values]
+    if kinds <= {int, str}:
+        return list(map(str, values))
+    return list(map(_fmt, values))
+
+
+def _write_columns(path, header, columns, meta: dict | None = None) -> None:
+    """Write the comment lines, the header and one row per index of the
+    equally long value lists in `columns`."""
     meta = dict(meta or {})
     meta.setdefault("generator", f"stereomot {__version__}")
     with open(path, "w", newline="") as fh:
@@ -62,8 +91,7 @@ def _write_rows(path, header, rows, meta: dict | None = None) -> None:
             fh.write(f"# {k}: {v}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(zip(*map(_cells, columns)))
 
 
 def read_meta(path) -> dict[str, str]:
@@ -79,83 +107,151 @@ def read_meta(path) -> dict[str, str]:
     return meta
 
 
-def _read_rows(path, header) -> list[tuple[int, dict[str, str]]]:
-    """Data rows as (line_no, column dict); validates the header exactly."""
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        expected = None
-        for line_no, row in enumerate(reader, start=1):
-            if not row or (row[0].startswith("#") and expected is None):
-                continue
-            if expected is None:
+def _not_int(key, text) -> str:
+    return f"field {key!r} must be an integer, got {text!r}"
+
+
+def _not_number(key, text) -> str:
+    return f"field {key!r} must be a number, got {text!r}"
+
+
+def _parse_cells(cells, parse, optional: bool) -> list:
+    if optional and "" in cells:
+        return [None if c == "" else parse(c) for c in cells]
+    return list(map(parse, cells))
+
+
+def _parses(parse, text: str) -> bool:
+    try:
+        parse(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _meta_number(path, meta, key, parse):
+    """The '# key:' value through int or float; an error at line 1 unless it
+    is a finite number."""
+    text = meta[key]
+    try:
+        value = parse(text)
+        if parse is int or math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    message = _not_int if parse is int else _not_number
+    raise FormatError(f"{path}:1: {message(key, text)}")
+
+
+class _Table:
+    """A CSV file's data rows as columns of cells, checked column by column.
+
+    A failed check records its first bad row, and later checks look only at
+    the rows before it (`n` rows stay in play). So `check()` raises the
+    error a row-by-row reader would meet first: the earliest bad line, and
+    on that line the first failed check in the order the checks ran.
+    """
+
+    def __init__(self, path, header):
+        self.path = path
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            for line_no, row in enumerate(reader, start=1):
+                if not row or row[0].startswith("#"):
+                    continue
                 if tuple(c.strip() for c in row) != tuple(header):
                     raise FormatError(
                         f"{path}:{line_no}: expected header "
                         f"{','.join(header)}, got {','.join(row)}")
-                expected = len(header)
-                continue
-            if len(row) != expected:
-                raise FormatError(
-                    f"{path}:{line_no}: expected {expected} fields, "
-                    f"got {len(row)}")
-            out.append((line_no, dict(zip(header, row))))
-    if expected is None:
-        raise FormatError(f"{path}:1: missing header row")
-    return out
+                break
+            else:
+                raise FormatError(f"{path}:1: missing header row")
+            rows = list(reader)
+        # Line numbers count csv rows; blank rows are skipped.
+        self.lines = range(line_no + 1, line_no + 1 + len(rows))
+        if [] in rows:
+            self.lines = [n for n, row in zip(self.lines, rows) if row]
+            rows = [row for row in rows if row]
+        if set(map(len, rows)) - {len(header)}:
+            i = next(i for i, row in enumerate(rows) if len(row) != len(header))
+            raise FormatError(f"{path}:{self.lines[i]}: expected "
+                              f"{len(header)} fields, got {len(rows[i])}")
+        self.cells = dict(zip(header, list(zip(*rows)) or [()] * len(header)))
+        self.n = len(rows)
+        self.error: str | None = None
+
+    def fail(self, i: int, message: str) -> None:
+        self.n = i
+        self.error = f"{self.path}:{self.lines[i]}: {message}"
+
+    def check(self) -> None:
+        if self.error is not None:
+            raise FormatError(self.error)
+
+    def expect(self, values, ok, message) -> None:
+        """Fail at the first row in play whose value fails ok(value);
+        message(i) says why."""
+        i = next((i for i, v in enumerate(values[:self.n]) if not ok(v)),
+                 None)
+        if i is not None:
+            self.fail(i, message(i))
+
+    def unique(self, keys, message) -> None:
+        """Fail at the first row in play whose key an earlier row has;
+        message(key) says why."""
+        keys = keys[:self.n]
+        if len(set(keys)) < len(keys):
+            seen: set = set()
+            i = next(i for i, k in enumerate(keys) if k in seen or seen.add(k))
+            self.fail(i, message(keys[i]))
+
+    def parse(self, key, parse, message, optional=False) -> list:
+        """The column through `parse` (None for a blank cell if optional);
+        a cell it refuses fails its row."""
+        cells = self.cells[key][:self.n]
+        try:
+            return _parse_cells(cells, parse, optional)
+        except ValueError:
+            i = next(i for i, c in enumerate(cells)
+                     if not (optional and c == "") and not _parses(parse, c))
+            self.fail(i, message(key, cells[i]))
+            return _parse_cells(cells[:i], parse, optional)
+
+    def ints(self, key, optional=False) -> list:
+        return self.parse(key, int, _not_int, optional)
+
+    def floats(self, key, optional=False) -> list:
+        """Finite floats; a non-finite value fails its row too."""
+        values = self.parse(key, float, _not_number, optional)
+        if not all(map(math.isfinite, _present(values))):
+            self.expect(values, lambda v: v is None or math.isfinite(v),
+                        lambda i: _not_number(key, self.cells[key][i]))
+        return values
+
+    def views(self) -> list:
+        views = self.cells["view"][:self.n]
+        if not set(views) <= set(VIEWS):
+            self.expect(views, VIEWS.__contains__, lambda i: (
+                f"view must be 'top' or 'front', got {views[i]!r}"))
+        return views
+
+    def box(self, optional=False) -> list[list]:
+        """bbox_x..bbox_h as floats; a negative width or height is an
+        error."""
+        box = [self.floats(k, optional)
+               for k in ("bbox_x", "bbox_y", "bbox_w", "bbox_h")]
+        for key, size in zip(("bbox_w", "bbox_h"), box[2:]):
+            if min(_present(size[:self.n]), default=0) < 0:
+                self.expect(size, lambda v: v is None or v >= 0,
+                            lambda i, key=key: f"field {key!r} must be >= 0, "
+                                               f"got {self.cells[key][i]!r}")
+        return box
 
 
-def _req_int(path, line_no, row, key) -> int:
-    try:
-        return int(row[key])
-    except ValueError:
-        raise FormatError(
-            f"{path}:{line_no}: field {key!r} must be an integer, "
-            f"got {row[key]!r}") from None
-
-
-def _req_float(path, line_no, row, key) -> float:
-    try:
-        value = float(row[key])
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise FormatError(
-            f"{path}:{line_no}: field {key!r} must be a number, "
-            f"got {row[key]!r}")
-    return value
-
-
-def _opt_float(path, line_no, row, key) -> float | None:
-    if row[key] == "":
-        return None
-    return _req_float(path, line_no, row, key)
-
-
-def _opt_int(path, line_no, row, key) -> int | None:
-    if row[key] == "":
-        return None
-    return _req_int(path, line_no, row, key)
-
-
-def _read_bbox(path, line_no, row, parse) -> list:
-    """bbox_x..bbox_h through `parse`; a negative width or height is an
-    error."""
-    box = [parse(path, line_no, row, k)
-           for k in ("bbox_x", "bbox_y", "bbox_w", "bbox_h")]
-    for key, size in zip(("bbox_w", "bbox_h"), box[2:]):
-        if size is not None and size < 0:
-            raise FormatError(f"{path}:{line_no}: field {key!r} must be "
-                              f">= 0, got {row[key]!r}")
-    return box
-
-
-def _req_view(path, line_no, row) -> str:
-    view = row["view"]
-    if view not in VIEWS:
-        raise FormatError(
-            f"{path}:{line_no}: view must be 'top' or 'front', got {view!r}")
-    return view
+def _present(values: list) -> list:
+    """The values that are not None."""
+    return values if None not in values else [v for v in values
+                                              if v is not None]
 
 
 def _cand_cells(det: Detection) -> list:
@@ -164,15 +260,18 @@ def _cand_cells(det: Detection) -> list:
     return cells + [None] * (6 - len(cells))
 
 
-def _read_cands(path, line_no, row, head) -> tuple:
-    """Head candidates from the c1x..c3y cells; the head alone when none."""
-    cands = []
-    for i in (1, 2, 3):
-        cx = _opt_float(path, line_no, row, f"c{i}x")
-        cy = _opt_float(path, line_no, row, f"c{i}y")
-        if cx is not None and cy is not None:
-            cands.append((cx, cy))
-    return tuple(cands) if cands else (head,)
+def _candidates(heads: list, cells: list[list]) -> list[tuple]:
+    """Each row's head candidates from its c1x..c3y values, the pairs with
+    both values present, or its head alone when it has none."""
+    slots = [(cx, cy) for cx, cy in zip(cells[::2], cells[1::2])
+             if cx.count(None) < len(cx) and cy.count(None) < len(cy)]
+    if not slots:
+        return [(h,) for h in heads]
+    rows = list(zip(*(zip(cx, cy) for cx, cy in slots)))
+    if all(None not in cx and None not in cy for cx, cy in slots):
+        return rows
+    return [tuple(c for c in row if None not in c) or (h,)
+            for h, row in zip(heads, rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -181,31 +280,32 @@ def _read_cands(path, line_no, row, head) -> tuple:
 
 def write_detections_csv(path, detections: dict[str, dict[int, list[Detection]]],
                          meta: dict | None = None) -> None:
-    rows = []
-    for view in VIEWS:
-        for f in sorted(detections.get(view, {})):
-            for det in detections[view][f]:
-                row = [det.frame, det.view, det.head[0], det.head[1]]
-                row += list(det.bbox) if det.bbox is not None else [None] * 4
-                row.append(det.confidence)
-                rows.append(row + _cand_cells(det))
-    _write_rows(path, DETECTIONS_HEADER, rows, meta)
+    dets = [det for view in VIEWS for f in sorted(detections.get(view, {}))
+            for det in detections[view][f]]
+    boxes = [(None,) * 4 if d.bbox is None else d.bbox for d in dets]
+    _write_columns(path, DETECTIONS_HEADER, [
+        [d.frame for d in dets], [d.view for d in dets],
+        [d.head[0] for d in dets], [d.head[1] for d in dets],
+        *zip(*boxes), [d.confidence for d in dets],
+        *zip(*map(_cand_cells, dets))], meta)
 
 
 def read_detections_csv(path) -> list[tuple[int, Detection]]:
-    out = []
-    for line_no, row in _read_rows(path, DETECTIONS_HEADER):
-        frame = _req_int(path, line_no, row, "frame")
-        view = _req_view(path, line_no, row)
-        head = (_req_float(path, line_no, row, "x"),
-                _req_float(path, line_no, row, "y"))
-        box = _read_bbox(path, line_no, row, _opt_float)
-        bbox = tuple(box) if None not in box else None
-        out.append((line_no, Detection(
-            frame=frame, view=view, head=head,
-            candidates=_read_cands(path, line_no, row, head), bbox=bbox,
-            confidence=_opt_float(path, line_no, row, "confidence"))))
-    return out
+    t = _Table(path, DETECTIONS_HEADER)
+    frames = t.ints("frame")
+    views = t.views()
+    x, y = t.floats("x"), t.floats("y")
+    box = t.box(optional=True)
+    cands = [t.floats(k, optional=True) for k in _CANDIDATE_KEYS]
+    confidence = t.floats("confidence", optional=True)
+    t.check()
+    heads = list(zip(x, y))
+    boxes = [None if None in b else b for b in zip(*box)]
+    return [(line_no, Detection(frame=f, view=v, head=h, candidates=c,
+                                bbox=b, confidence=conf))
+            for line_no, f, v, h, c, b, conf in zip(
+                t.lines, frames, views, heads, _candidates(heads, cands),
+                boxes, confidence)]
 
 
 def group_detections(rows: list[tuple[int, Detection]]
@@ -220,52 +320,54 @@ def group_detections(rows: list[tuple[int, Detection]]
 # 2D tracklets
 
 
+def _cov_cells(cov) -> tuple:
+    if cov is None:
+        return (None,) * 3
+    cov = np.asarray(cov)
+    return cov[0, 0], cov[0, 1], cov[1, 1]
+
+
 def write_tracklets_csv(path, tracklets: list[Tracklet2D],
                         meta: dict | None = None) -> None:
-    rows = []
-    for t in sorted(tracklets, key=lambda t: (t.view, t.id)):
-        for f in t.frames:
-            det = t.detections[f]
-            row = [t.id, t.view, f, det.head[0], det.head[1],
-                   *_cand_cells(det)]
-            if det.cov is not None:
-                cov = np.asarray(det.cov)
-                row += [cov[0, 0], cov[0, 1], cov[1, 1]]
-            else:
-                row += [None, None, None]
-            rows.append(row)
-    _write_rows(path, TRACKLETS_HEADER, rows, meta)
+    rows = [(t.id, t.view, f, t.detections[f])
+            for t in sorted(tracklets, key=lambda t: (t.view, t.id))
+            for f in t.frames]
+    dets = [r[3] for r in rows]
+    _write_columns(path, TRACKLETS_HEADER, [
+        [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows],
+        [d.head[0] for d in dets], [d.head[1] for d in dets],
+        *zip(*map(_cand_cells, dets)),
+        *zip(*(_cov_cells(d.cov) for d in dets))], meta)
 
 
 def read_tracklets_csv(path) -> list[Tracklet2D]:
+    t = _Table(path, TRACKLETS_HEADER)
+    ids = t.ints("tracklet_id")
+    views = t.views()
+    frames = t.ints("frame")
+    t.unique(list(zip(views, ids, frames)), lambda k: (
+        f"duplicate row for {k[0]} tracklet {k[1]} at frame {k[2]}"))
+    x, y = t.floats("x"), t.floats("y")
+    xx, xy, yy = (t.floats(k, optional=True)
+                  for k in ("covxx", "covxy", "covyy"))
+    cands = [t.floats(k, optional=True) for k in _CANDIDATE_KEYS]
+    t.check()
+    heads = list(zip(x, y))
+    covs = np.array([xx, xy, xy, yy], dtype=float).T.reshape(-1, 2, 2)
+    full = (~np.isnan(covs).any(axis=(1, 2))).tolist()  # NaN where blank
     staged: dict[tuple[str, int], dict[int, Detection]] = {}
-    for line_no, row in _read_rows(path, TRACKLETS_HEADER):
-        tid = _req_int(path, line_no, row, "tracklet_id")
-        view = _req_view(path, line_no, row)
-        frame = _req_int(path, line_no, row, "frame")
-        dets = staged.setdefault((view, tid), {})
-        if frame in dets:
-            raise FormatError(
-                f"{path}:{line_no}: duplicate row for {view} tracklet {tid} "
-                f"at frame {frame}")
-        head = (_req_float(path, line_no, row, "x"),
-                _req_float(path, line_no, row, "y"))
-        cov_vals = [_opt_float(path, line_no, row, k)
-                    for k in ("covxx", "covxy", "covyy")]
-        cov = None
-        if all(v is not None for v in cov_vals):
-            cov = np.array([[cov_vals[0], cov_vals[1]],
-                            [cov_vals[1], cov_vals[2]]])
-        dets[frame] = Detection(
-            frame=frame, view=view, head=head,
-            candidates=_read_cands(path, line_no, row, head),
+    for tid, view, frame, head, c, cov, has_cov in zip(
+            ids, views, frames, heads, _candidates(heads, cands), covs, full):
+        cov = cov if has_cov else None
+        staged.setdefault((view, tid), {})[frame] = Detection(
+            frame=frame, view=view, head=head, candidates=c,
             centroid=head if cov is not None else None, cov=cov)
     out = []
     for (view, tid), dets in sorted(staged.items()):
-        t = Tracklet2D(id=tid, view=view)
+        tracklet = Tracklet2D(id=tid, view=view)
         for frame in sorted(dets):
-            t.append(frame, dets[frame])
-        out.append(t)
+            tracklet.append(frame, dets[frame])
+        out.append(tracklet)
     return out
 
 
@@ -273,32 +375,40 @@ def read_tracklets_csv(path) -> list[Tracklet2D]:
 # 3D tracklets
 
 
+def _point_cells(p) -> tuple:
+    return (None,) * 3 if p is None else (p[0], p[1], p[2])
+
+
 def write_tracklets3d_csv(path, tracklets: list[Tracklet3D],
                           meta: dict | None = None) -> None:
-    rows = []
-    for t in sorted(tracklets, key=lambda t: t.id):
-        for f in t.frames:
-            p = t.points.get(f)
-            top_id, front_id = t.sources.get(f, (None, None))
-            rows.append([t.id, f,
-                         p[0] if p is not None else None,
-                         p[1] if p is not None else None,
-                         p[2] if p is not None else None,
-                         top_id, front_id])
-    _write_rows(path, TRACKLETS3D_HEADER, rows, meta)
+    rows = [(t.id, f, t.points.get(f), *t.sources.get(f, (None, None)))
+            for t in sorted(tracklets, key=lambda t: t.id) for f in t.frames]
+    _write_columns(path, TRACKLETS3D_HEADER, [
+        [r[0] for r in rows], [r[1] for r in rows],
+        *zip(*(_point_cells(r[2]) for r in rows)),
+        [r[3] for r in rows], [r[4] for r in rows]], meta)
 
 
 def read_tracklets3d_csv(path) -> list[Tracklet3D]:
+    t = _Table(path, TRACKLETS3D_HEADER)
+    ids = t.ints("tracklet_id")
+    frames = t.ints("frame")
+    t.unique(list(zip(ids, frames)), lambda k: (
+        f"duplicate row for 3D tracklet {k[0]} at frame {k[1]}"))
+    xyz = [t.floats(k, optional=True) for k in ("x", "y", "z")]
+    sources = [t.ints(k, optional=True)
+               for k in ("top_tracklet_id", "front_tracklet_id")]
+    t.check()
+    points = np.array(xyz, dtype=float).T.copy()
+    full = (~np.isnan(points).any(axis=1)).tolist()  # NaN where blank
     staged: dict[int, Tracklet3D] = {}
-    for line_no, row in _read_rows(path, TRACKLETS3D_HEADER):
-        tid = _req_int(path, line_no, row, "tracklet_id")
-        frame = _req_int(path, line_no, row, "frame")
-        coords = [_opt_float(path, line_no, row, k) for k in ("x", "y", "z")]
-        t = staged.setdefault(tid, Tracklet3D(id=tid))
-        if all(c is not None for c in coords):
-            t.points[frame] = np.array(coords)
-        t.sources[frame] = (_opt_int(path, line_no, row, "top_tracklet_id"),
-                            _opt_int(path, line_no, row, "front_tracklet_id"))
+    for tid, frame, p, has_p, source in zip(ids, frames, points, full,
+                                            zip(*sources)):
+        if tid not in staged:
+            staged[tid] = Tracklet3D(id=tid)
+        if has_p:
+            staged[tid].points[frame] = p
+        staged[tid].sources[frame] = source
     return [staged[tid] for tid in sorted(staged)]
 
 
@@ -308,22 +418,27 @@ def read_tracklets3d_csv(path) -> list[Tracklet3D]:
 
 def write_tracks_csv(path, tracks: list[Track3D],
                      meta: dict | None = None) -> None:
-    rows = []
-    for f in sorted({f for t in tracks for f in t.points}):
-        for t in sorted(tracks, key=lambda t: t.fish_id):
-            if f in t.points:
-                p = t.points[f]
-                rows.append([f, t.fish_id, p[0], p[1], p[2]])
-    _write_rows(path, TRACKS_HEADER, rows, meta)
+    # Rows by frame, then by fish id (stable for equal ids).
+    order = sorted(tracks, key=lambda t: t.fish_id)
+    keys = sorted((f, k) for k, t in enumerate(order) for f in t.points)
+    _write_columns(path, TRACKS_HEADER, [
+        [f for f, _ in keys], [order[k].fish_id for _, k in keys],
+        *zip(*(_point_cells(order[k].points[f]) for f, k in keys))], meta)
 
 
 def read_tracks_csv(path) -> list[Track3D]:
+    t = _Table(path, TRACKS_HEADER)
+    frames = t.ints("frame")
+    fish = t.ints("fish_id")
+    t.unique(list(zip(frames, fish)), lambda k: (
+        f"duplicate row for fish {k[1]} at frame {k[0]}"))
+    xyz = [t.floats(k) for k in ("x", "y", "z")]
+    t.check()
     staged: dict[int, Track3D] = {}
-    for line_no, row in _read_rows(path, TRACKS_HEADER):
-        frame = _req_int(path, line_no, row, "frame")
-        fish = _req_int(path, line_no, row, "fish_id")
-        p = np.array([_req_float(path, line_no, row, k) for k in "xyz"])
-        staged.setdefault(fish, Track3D(fish_id=fish)).points[frame] = p
+    for frame, fid, p in zip(frames, fish, np.array(xyz, dtype=float).T.copy()):
+        if fid not in staged:
+            staged[fid] = Track3D(fish_id=fid)
+        staged[fid].points[frame] = p
     return [staged[fid] for fid in sorted(staged)]
 
 
@@ -337,69 +452,79 @@ def write_annotations_csv(path, gt: GroundTruth,
     meta.setdefault("fps", _fmt(gt.fps))
     meta.setdefault("n_frames", gt.n_frames)
     meta.setdefault("n_fish", gt.n_fish)
-    points = [[[None] * 3 if math.isnan(p[0]) else p for p in row]
-              for row in gt.points3d.tolist()]
-    views = [(v, gt.boxes[v].tolist(), gt.heads[v].tolist(),
-              gt.occluded[v].tolist()) for v in VIEWS]
-    rows = []
+    # One row per annotated (frame, fish, view), in that order.
+    heads, boxes, occluded = (np.stack([field[view] for view in VIEWS], axis=2)
+                              for field in (gt.heads, gt.boxes, gt.occluded))
+    f, j, k = np.nonzero(~np.isnan(heads[..., 0]))
+    points = gt.points3d[f, j]
+    absent = np.isnan(points[:, 0]).tolist()
     ids = gt.fish_ids
-    for f in range(gt.n_frames):
-        for j, i in enumerate(ids):
-            for view, boxes, heads, occluded in views:
-                if not math.isnan(heads[f][j][0]):
-                    rows.append([f, i, view, *boxes[f][j], *heads[f][j],
-                                 occluded[f][j], *points[f][j]])
-    _write_rows(path, ANNOTATIONS_HEADER, rows, meta)
+    _write_columns(path, ANNOTATIONS_HEADER, [
+        f.tolist(), [ids[i] for i in j.tolist()],
+        [VIEWS[i] for i in k.tolist()], *boxes[f, j, k].T.tolist(),
+        *heads[f, j, k].T.tolist(), occluded[f, j, k].astype(int).tolist(),
+        *zip(*((None,) * 3 if a else p
+               for a, p in zip(absent, points.tolist())))], meta)
 
 
 def read_annotations_csv(path) -> GroundTruth:
     meta = read_meta(path)
     if "fps" not in meta:
         raise FormatError(f"{path}:1: missing '# fps:' header line")
-    fps = _req_float(path, 1, meta, "fps")
+    fps = _meta_number(path, meta, "fps", float)
     if fps <= 0:
         raise FormatError(
             f"{path}:1: '# fps:' must be positive, got {meta['fps']!r}")
-    rows = []
-    for line_no, row in _read_rows(path, ANNOTATIONS_HEADER):
-        frame = _req_int(path, line_no, row, "frame")
-        fish = _req_int(path, line_no, row, "fish_id")
-        view = _req_view(path, line_no, row)
-        bbox = _read_bbox(path, line_no, row, _req_float)
-        head = [_req_float(path, line_no, row, k) for k in ("head_x", "head_y")]
-        occluded = _req_int(path, line_no, row, "occluded")
-        if occluded not in (0, 1):
-            raise FormatError(
-                f"{path}:{line_no}: occluded must be 0 or 1, got {occluded}")
-        coords = [_opt_float(path, line_no, row, k)
-                  for k in ("x3d", "y3d", "z3d")]
-        rows.append((line_no, frame, fish, view, bbox, head, occluded, coords))
+    t = _Table(path, ANNOTATIONS_HEADER)
+    frames = t.ints("frame")
+    fish = t.ints("fish_id")
+    views = t.views()
+    box = t.box()
+    heads = [t.floats("head_x"), t.floats("head_y")]
+    occluded = t.ints("occluded")
+    if not set(occluded) <= {0, 1}:
+        t.expect(occluded, (0, 1).__contains__,
+                 lambda i: f"occluded must be 0 or 1, got {occluded[i]}")
+    coords = [t.floats(k, optional=True) for k in ("x3d", "y3d", "z3d")]
+    t.check()
     if "n_frames" in meta:
-        n_frames = _req_int(path, 1, meta, "n_frames")
+        n_frames = _meta_number(path, meta, "n_frames", int)
         if n_frames < 0:
             raise FormatError(f"{path}:1: '# n_frames:' must be >= 0, "
                               f"got {n_frames}")
     else:
-        n_frames = 1 + max((r[1] for r in rows), default=-1)
+        n_frames = 1 + max(frames, default=-1)
     try:
-        gt = GroundTruth(fps, n_frames, sorted({r[2] for r in rows}))
+        gt = GroundTruth(fps, n_frames, sorted(set(fish)))
     except (MemoryError, ValueError):  # numpy: too large, or too many dims
         raise FormatError(f"{path}:1: '# n_frames: {n_frames}' is too large "
                           f"to allocate") from None
+    if frames and not 0 <= min(frames) <= max(frames) < n_frames:
+        t.expect(frames, lambda f: 0 <= f < n_frames, lambda i: (
+            f"frame {frames[i]} outside [0, n_frames = {n_frames})"))
+    t.unique(list(zip(views, frames, fish)), lambda k: (
+        f"duplicate row for fish {k[2]} in view {k[0]} at frame {k[1]}"))
+    t.check()
+
     column = {i: j for j, i in enumerate(gt.fish_ids)}
-    for line_no, frame, fish, view, bbox, head, occluded, coords in rows:
-        if not 0 <= frame < n_frames:
-            raise FormatError(f"{path}:{line_no}: frame {frame} outside "
-                              f"[0, n_frames = {n_frames})")
-        j = column[fish]
-        if not np.isnan(gt.heads[view][frame, j, 0]):
-            raise FormatError(f"{path}:{line_no}: duplicate row for fish "
-                              f"{fish} in view {view} at frame {frame}")
-        gt.boxes[view][frame, j] = bbox
-        gt.heads[view][frame, j] = head
-        gt.occluded[view][frame, j] = occluded
-        if None not in coords:
-            gt.points3d[frame, j] = coords
+    f = np.array(frames, dtype=np.intp)
+    j = np.array([column[i] for i in fish], dtype=np.intp)
+    box = np.array(box, dtype=float).T
+    heads = np.array(heads, dtype=float).T
+    occluded = np.array(occluded, dtype=bool)
+    views = np.array(views, dtype=str)
+    for view in VIEWS:
+        m = views == view
+        gt.boxes[view][f[m], j[m]] = box[m]
+        gt.heads[view][f[m], j[m]] = heads[m]
+        gt.occluded[view][f[m], j[m]] = occluded[m]
+    # A (frame, fish) with 3D coordinates in both views' rows takes the
+    # later row's.
+    points = np.array(coords, dtype=float).T  # NaN where blank
+    rows = np.flatnonzero(~np.isnan(points).any(axis=1))
+    _, last = np.unique((f * gt.n_fish + j)[rows][::-1], return_index=True)
+    rows = rows[len(rows) - 1 - last]
+    gt.points3d[f[rows], j[rows]] = points[rows]
     return gt
 
 

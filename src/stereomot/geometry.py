@@ -50,10 +50,12 @@ class TankBounds:
         return np.array([self.x[1], self.y[1], self.z[1]])
 
 
-def in_tank(p, tank: TankBounds) -> bool:
-    """True iff p lies inside the closed tank box."""
+def in_tank(p, tank: TankBounds):
+    """Whether each (..., 3) point lies inside the closed tank box: a bool
+    array, or a Python bool for one point. NaN is outside."""
     p = np.asarray(p, dtype=float)
-    return bool(np.all(p >= tank.mins) and np.all(p <= tank.maxs))
+    inside = np.all((p >= tank.mins) & (p <= tank.maxs), axis=-1)
+    return bool(inside) if inside.ndim == 0 else inside
 
 
 @dataclass(frozen=True)

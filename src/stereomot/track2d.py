@@ -39,14 +39,20 @@ def hungarian(cost) -> list[tuple[int, int]]:
     return sorted(zip(rows.tolist(), cols.tolist()))
 
 
-def mahalanobis(p, center, cov) -> float:
-    """sqrt((p-center)^T cov^-1 (p-center)); cov is regularized by +1e-6*I
-    when singular."""
+def mahalanobis(p, center, cov):
+    """sqrt((p-center)^T cov^-1 (p-center)) over (..., 2) points and centers
+    and (..., 2, 2) covariances, broadcast together. A cov whose smallest
+    eigenvalue is below 1e-12 is regularized by +1e-6*I. One point gives a
+    float, a batch an array."""
     d = np.asarray(p, dtype=float) - np.asarray(center, dtype=float)
-    cov = np.asarray(cov, dtype=float).reshape(2, 2)
-    if np.linalg.eigvalsh(cov)[0] < 1e-12:
-        cov = cov + 1e-6 * np.eye(2)
-    return float(math.sqrt(d @ np.linalg.solve(cov, d)))
+    cov = np.asarray(cov, dtype=float)
+    singular = np.linalg.eigvalsh(cov)[..., 0] < 1e-12
+    cov = np.where(singular[..., None, None], cov + 1e-6 * np.eye(2), cov)
+    # b as explicit (..., 2, 1) columns, and the quadratic form as a
+    # stacked matmul: both give the same bits as the one-point products.
+    x = np.linalg.solve(cov, d[..., None])
+    dist = np.sqrt((d[..., None, :] @ x)[..., 0, 0])
+    return float(dist) if dist.ndim == 0 else dist
 
 
 @dataclass(frozen=True)
@@ -98,16 +104,31 @@ class Tracklet2D:
         self.detections[frame] = det
 
 
-def _distance(det: Detection, tracklet: Tracklet2D, mode: str) -> float:
-    last = tracklet.last_detection
+def gate_matrix(dets: list[Detection], lasts: list[Detection],
+                mode: str) -> np.ndarray:
+    """(len(dets), len(lasts)) distances from each detection to each live
+    tracklet's last detection.
+
+    Euclidean mode: head to head. Mahalanobis mode: centroid (else head) to
+    centroid (else head), under the last detection's covariance, else the
+    new detection's, else the identity.
+    """
     if mode == EUCLIDEAN_HEAD:
-        return math.hypot(det.head[0] - last.head[0], det.head[1] - last.head[1])
-    point = det.centroid if det.centroid is not None else det.head
-    center = last.centroid if last.centroid is not None else last.head
-    cov = last.cov if last.cov is not None else det.cov
-    if cov is None:
-        cov = np.eye(2)
-    return mahalanobis(point, center, cov)
+        return np.array([[math.hypot(d.head[0] - last.head[0],
+                                     d.head[1] - last.head[1])
+                          for last in lasts] for d in dets])
+    eye = np.eye(2)
+    points = np.array([d.head if d.centroid is None else d.centroid
+                       for d in dets], dtype=float)
+    centers = np.array([t.head if t.centroid is None else t.centroid
+                        for t in lasts], dtype=float)
+    own = np.array([eye if d.cov is None else d.cov for d in dets],
+                   dtype=float)
+    last = np.array([eye if t.cov is None else t.cov for t in lasts],
+                    dtype=float)
+    has_last = np.array([t.cov is not None for t in lasts])
+    cov = np.where(has_last[:, None, None], last, own[:, None])
+    return mahalanobis(points[:, None], centers, cov)
 
 
 def _box_cov(det: Detection) -> Detection:
@@ -156,11 +177,9 @@ def build_tracklets(frames_dets: dict[int, list[Detection]],
             dets = [_box_cov(d) for d in dets]
         assigned = [False] * len(dets)
         if active and dets:
-            cost = np.empty((len(dets), len(active)))
-            for i, det in enumerate(dets):
-                for j, t in enumerate(active):
-                    d = _distance(det, t, mode)
-                    cost[i, j] = d if d <= gate else GATE_SENTINEL
+            dist = gate_matrix(dets, [t.last_detection for t in active],
+                               mode)
+            cost = np.where(dist <= gate, dist, GATE_SENTINEL)
             for i, j in hungarian(cost):
                 if cost[i, j] <= gate:
                     active[j].append(f, dets[i])

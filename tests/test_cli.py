@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stereomot import Track3D
 from stereomot.cli import main
@@ -265,8 +269,8 @@ def test_errors_exit_2(tmp_path, capsys):
 
     # Inputs the readers must refuse at their line: fps <= 0, a non-integer
     # or unallocatable n_frames, a non-integer tracklet id, a frame outside
-    # [0, n_frames), a repeated (frame, fish_id, view) row, and a negative
-    # box size.
+    # [0, n_frames), a repeated (frame, fish_id, view) row, a negative box
+    # size, and a repeated (tracklet_id, frame) 3D tracklet row.
     good = ANNOTATIONS_ROWS.format(bad="60.0")
     for command, flag, text, line in [
         ("complexity", "--annotations", ANNOTATIONS_ROWS.format(bad="0"), 1),
@@ -286,6 +290,8 @@ def test_errors_exit_2(tmp_path, capsys):
          + "1,top,1.0,2.0,0.0,0.0,2.0,-2.0,,,,,,,\n", 4),
         ("stitch", "--tracklets3d", TRACKLETS3D_ROWS.format(bad="1.0")
          + "0,2,1.0,2.0,3.0,x,0\n", 4),
+        ("stitch", "--tracklets3d", TRACKLETS3D_ROWS.format(bad="1.0")
+         + "0,0,1.5,2.5,3.5,0,0\n", 4),
     ]:
         path = tmp_path / "input.csv"
         path.write_text(text)
@@ -293,6 +299,18 @@ def test_errors_exit_2(tmp_path, capsys):
                      "--out-dir", str(tmp_path / "out")]) == 2, text
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}:{line}:"), text
+
+    # A repeated (frame, fish_id) row in tracks.csv.
+    annotations = tmp_path / "annotations.csv"
+    annotations.write_text(good)
+    tracks = tmp_path / "tracks.csv"
+    tracks.write_text("frame,fish_id,x,y,z\n0,1,1.0,1.0,1.0\n"
+                      "1,1,1.0,1.0,1.0\n0,1,2.0,2.0,2.0\n")
+    assert main(["evaluate", "--annotations", str(annotations),
+                 "--tracks", str(tracks),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {tracks}:4: duplicate row")
 
 
 def test_track2d_subcommand_builds_tracklets(tmp_path):
@@ -306,6 +324,83 @@ def test_track2d_subcommand_builds_tracklets(tmp_path):
     for t in tracklets:
         if t.view == "front":
             assert t.detections[t.frames[0]].cov is not None
+
+
+# For each file a reader refuses a bad value in: the subcommand that reads
+# it, its required columns and its integer columns.
+READERS = {
+    "detections.csv": (["track2d", "--detections"],
+                       {"frame", "view", "x", "y"}, {"frame"}),
+    "tracklets.csv": (["associate", "--tracklets"],
+                      {"tracklet_id", "view", "frame", "x", "y"},
+                      {"tracklet_id", "frame"}),
+    "annotations.csv": (["complexity", "--annotations"],
+                        {"frame", "fish_id", "view", "bbox_x", "bbox_y",
+                         "bbox_w", "bbox_h", "head_x", "head_y", "occluded"},
+                        {"frame", "fish_id", "occluded"}),
+}
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("valid")
+    cfg = root / "run.cfg"
+    cfg.write_text("n_fish = 2\nduration_s = 0.25\n")
+    assert main(["pipeline", "--config", str(cfg), "--out-dir",
+                 str(root)]) == 0
+    return root
+
+
+@st.composite
+def planted_values(draw):
+    """A file name and one or two (data row, column, bad value) plants on
+    distinct rows, the rows as fractions of the file's row count."""
+    name = draw(st.sampled_from(sorted(READERS)))
+    plants = draw(st.lists(
+        st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                  st.integers(0, 99), st.integers(0, 99)),
+        min_size=1, max_size=2))
+    return name, plants
+
+
+@settings(max_examples=80, deadline=None)
+@given(planted_values())
+def test_reader_names_the_first_bad_field(valid_inputs, case):
+    name, plants = case
+    command, required, ints = READERS[name]
+    lines = (valid_inputs / name).read_bytes().decode().splitlines(True)
+    first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    header = lines[first].rstrip("\r\n").split(",")
+    rows = len(lines) - first - 1
+    bad = {}
+    for where, col, pick in plants:
+        row = first + 1 + int(where * rows)
+        key = header[col % len(header)]
+        values = ["x", "nan", "inf", "1e999"]
+        values += [""] * (key in required) + ["side"] * (key == "view")
+        bad.setdefault(row, (key, values[pick % len(values)]))
+    for row, (key, value) in bad.items():
+        cells = lines[row].rstrip("\r\n").split(",")
+        cells[header.index(key)] = value
+        lines[row] = ",".join(cells) + "\r\n"
+    path = valid_inputs / f"bad_{name}"
+    path.write_bytes("".join(lines).encode())
+
+    row = min(bad)
+    key, value = bad[row]
+    if key == "view":
+        message = f"view must be 'top' or 'front', got {value!r}"
+    elif key in ints:
+        message = f"field {key!r} must be an integer, got {value!r}"
+    else:
+        message = f"field {key!r} must be a number, got {value!r}"
+    args = [*command, str(path), "--out-dir", str(valid_inputs / "out")]
+    if name == "tracklets.csv":
+        args += ["--calibration", str(valid_inputs / "calibration.json")]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(args) == 2
+    assert err.getvalue() == f"error: {path}:{row + 1}: {message}\n"
 
 
 DETECTIONS_ROWS = """\

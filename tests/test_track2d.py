@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stereomot import Detection, Track2DParams, Tracklet2D, build_tracklets
-from stereomot.track2d import hungarian, mahalanobis
+from stereomot.track2d import (EUCLIDEAN_HEAD, MAHALANOBIS_CENTROID,
+                               _box_cov, gate_matrix, hungarian, mahalanobis)
 
 
 def det(frame, x, y, view="top", cov=None, centroid=None):
@@ -188,3 +189,86 @@ def test_partition_invariants(frames_spec):
             seen.add(key)
         for f in t.frames:
             assert t.detections[f] in frames[f]
+
+
+# The gate distances as build_tracklets used to compute them, one scalar
+# call per (detection, tracklet) pair: the reference for gate_matrix.
+
+
+def scalar_mahalanobis(p, center, cov) -> float:
+    d = np.asarray(p, dtype=float) - np.asarray(center, dtype=float)
+    cov = np.asarray(cov, dtype=float).reshape(2, 2)
+    if np.linalg.eigvalsh(cov)[0] < 1e-12:
+        cov = cov + 1e-6 * np.eye(2)
+    return float(math.sqrt(d @ np.linalg.solve(cov, d)))
+
+
+def scalar_distance(det, last, mode) -> float:
+    if mode == EUCLIDEAN_HEAD:
+        return math.hypot(det.head[0] - last.head[0],
+                          det.head[1] - last.head[1])
+    point = det.centroid if det.centroid is not None else det.head
+    center = last.centroid if last.centroid is not None else last.head
+    cov = last.cov if last.cov is not None else det.cov
+    if cov is None:
+        cov = np.eye(2)
+    return scalar_mahalanobis(point, center, cov)
+
+
+coords = st.floats(0.0, 800.0, allow_nan=False)
+point = st.tuples(coords, coords)
+
+
+@st.composite
+def gate_detection(draw):
+    """A detection as build_tracklets sees it: a head, maybe a centroid, and
+    a blob covariance, a box (whose surrogate may be singular: zero width
+    or height) or neither."""
+    head = draw(point)
+    kind = draw(st.sampled_from(["none", "box", "blob"]))
+    cov = bbox = None
+    if kind == "box":
+        bbox = (*head, float(draw(st.integers(0, 80))),
+                float(draw(st.integers(0, 80))))
+    elif kind == "blob":
+        a = draw(st.floats(0.5, 400.0))
+        c = draw(st.floats(0.5, 400.0))
+        b = draw(st.floats(-0.9, 0.9)) * math.sqrt(a * c)
+        cov = np.array([[a, b], [b, c]])
+    centroid = draw(st.one_of(st.none(), point))
+    det = Detection(frame=0, view="front", head=head, candidates=(head,),
+                    centroid=centroid, cov=cov, bbox=bbox)
+    return _box_cov(det)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(gate_detection(), min_size=1, max_size=6),
+       st.lists(gate_detection(), min_size=1, max_size=6),
+       st.sampled_from([EUCLIDEAN_HEAD, MAHALANOBIS_CENTROID]))
+def test_gate_matrix_equals_scalar_distances(dets, lasts, mode):
+    want = np.array([[scalar_distance(d, t, mode) for t in lasts]
+                     for d in dets])
+    got = gate_matrix(dets, lasts, mode)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_gate_matrix_covers_singular_and_missing_covariances():
+    # Zero-width and zero-height boxes give singular surrogates; a last
+    # detection without any covariance falls back to the new detection's,
+    # then to the identity.
+    flat = _box_cov(Detection(frame=0, view="front", head=(5.0, 6.0),
+                              candidates=((5.0, 6.0),),
+                              bbox=(0.0, 0.0, 0.0, 12.0)))
+    thin = _box_cov(Detection(frame=0, view="front", head=(7.0, 2.0),
+                              candidates=((7.0, 2.0),),
+                              bbox=(0.0, 0.0, 9.0, 0.0)))
+    bare = det(0, 3.0, 4.0, view="front")
+    assert np.linalg.eigvalsh(flat.cov)[0] < 1e-12
+    dets, lasts = [flat, thin, bare], [bare, flat, thin]
+    want = np.array([[scalar_distance(d, t, MAHALANOBIS_CENTROID)
+                      for t in lasts] for d in dets])
+    assert np.array_equal(gate_matrix(dets, lasts, MAHALANOBIS_CENTROID),
+                          want)
+    assert mahalanobis((1.0, 0.0), (0.0, 0.0), np.zeros((2, 2))) == \
+        scalar_mahalanobis((1.0, 0.0), (0.0, 0.0), np.zeros((2, 2)))
