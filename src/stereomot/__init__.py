@@ -8,20 +8,20 @@ as an exact oracle for the whole chain.
 
 __version__ = "0.1.0"
 
-from .geometry import (CameraModel, GeometryError, StereoRig, TankBounds,
-                       default_rig, in_tank, load_calibration, project,
-                       save_calibration, triangulate)
+from .geometry import (CameraModel, StereoRig, TankBounds, default_rig,
+                       in_tank, load_calibration, project_batch,
+                       save_calibration, triangulate_batch)
 from .detect import (DetectError, Detection, DetectParams, detect_front,
                      detect_top, estimate_background,
                      ingest_external_detections)
 from .track2d import (Track2DParams, Tracklet2D, build_tracklets, hungarian,
                       mahalanobis)
-from .crossview import (AssocParams, AssociationGraph, GraphNode,
-                        NodeCandidate, Tracklet3D, build_graph, edge_weight,
+from .crossview import (AssocParams, AssociationGraph, NodeCandidate,
+                        Tracklet3D, build_graph, edge_weight,
                         extract_3d_tracklets, extract_paths,
                         frame_intersection, node_weight)
 from .track3d import (StitchParams, Track3D, assignment_cost, associate,
-                      gallery_rank, internal_switch_cost, select_initial)
+                      gallery_rank, select_initial)
 from .metrics import (ComplexityReport, EvalReport, GroundTruth, clear_mot,
                       complexity_psi, complexity_report, complexity_stats,
                       evaluate_tracks, id_metrics, match_frames, mt_ml, mtbf,
@@ -32,18 +32,18 @@ from .config import ConfigError, PipelineConfig
 
 __all__ = [
     "__version__",
-    "CameraModel", "GeometryError", "StereoRig", "TankBounds", "default_rig",
-    "in_tank", "load_calibration", "project", "save_calibration",
-    "triangulate",
+    "CameraModel", "StereoRig", "TankBounds", "default_rig", "in_tank",
+    "load_calibration", "project_batch", "save_calibration",
+    "triangulate_batch",
     "DetectError", "Detection", "DetectParams", "detect_front", "detect_top",
     "estimate_background", "ingest_external_detections",
     "Track2DParams", "Tracklet2D", "build_tracklets", "hungarian",
     "mahalanobis",
-    "AssocParams", "AssociationGraph", "GraphNode", "NodeCandidate",
+    "AssocParams", "AssociationGraph", "NodeCandidate",
     "Tracklet3D", "build_graph", "edge_weight", "extract_3d_tracklets",
     "extract_paths", "frame_intersection", "node_weight",
     "StitchParams", "Track3D", "assignment_cost", "associate",
-    "gallery_rank", "internal_switch_cost", "select_initial",
+    "gallery_rank", "select_initial",
     "ComplexityReport", "EvalReport", "GroundTruth", "clear_mot",
     "complexity_psi", "complexity_report", "complexity_stats",
     "evaluate_tracks", "id_metrics", "match_frames", "mt_ml", "mtbf",

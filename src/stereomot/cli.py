@@ -27,7 +27,7 @@ from .formats import (FormatError, format_complexity_table,
                       write_detections_csv, write_pgm, write_report_json,
                       write_tracklets3d_csv, write_tracklets_csv,
                       write_tracks_csv)
-from .geometry import VIEWS, GeometryError, load_calibration, save_calibration
+from .geometry import VIEWS, load_calibration, save_calibration
 from .metrics import complexity_report, evaluate_tracks, tracks_to_pred
 from .simulator import annotate, degrade, perfect_detections, render, simulate
 from .track2d import build_tracklets
@@ -301,8 +301,7 @@ def main(argv=None) -> int:
                                  tracks_path=out / "tracks.csv"))
             print()
             print(stage_complexity(cfg, out / "annotations.csv", out))
-    except (ConfigError, FormatError, DetectError, GeometryError,
-            ValueError, OSError) as e:
+    except (ConfigError, FormatError, DetectError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     return 0

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import math
 from dataclasses import dataclass
 
 from .crossview import AssocParams
@@ -244,6 +245,10 @@ class PipelineConfig:
         return StitchParams(**self._args(StitchParams))
 
     def validate(self) -> None:
+        for name, v in self.values.items():
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ConfigError(f"parameter {name!r} must be finite, "
+                                  f"got {v!r}")
         try:
             self.tank()
             self.rig()

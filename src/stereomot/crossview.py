@@ -40,11 +40,8 @@ class NodeCandidate:
 
     top: Tracklet2D
     front: Tracklet2D
-    points: dict[int, np.ndarray]        # frame -> midpoint 3D estimate
-    errors: dict[int, float]             # frame -> mean reprojection error, px
-    chosen_front: dict[int, tuple[float, float]]  # frame -> picked candidate
-    valid: dict[int, bool]               # frame -> estimate inside the tank
-    weight: float                        # W
+    points: dict[int, np.ndarray]  # in-tank frame -> midpoint 3D estimate
+    weight: float                  # W
 
     @property
     def node_id(self) -> tuple[int, int]:
@@ -52,7 +49,7 @@ class NodeCandidate:
 
     @property
     def valid_frames(self) -> list[int]:
-        return sorted(f for f, ok in self.valid.items() if ok)
+        return sorted(self.points)
 
     @property
     def first_valid(self) -> int:
@@ -93,29 +90,15 @@ def node_weight(top: Tracklet2D, front: Tracklet2D, rig: StereoRig,
     padded = np.full(slots.shape, np.inf)
     padded[slots] = errs
     best = np.cumsum(counts) - counts + padded.argmin(axis=1)
-    found = np.isfinite(errs[best])
-    inside = in_tank(pts[best], tank)
-    points: dict[int, np.ndarray] = {}
-    errors: dict[int, float] = {}
-    chosen: dict[int, tuple[float, float]] = {}
-    valid: dict[int, bool] = {}
-    for f, b, ok, tank_ok in zip(common, best.tolist(), found.tolist(),
-                                 inside.tolist()):
-        if not ok:
-            continue
-        points[f] = pts[b]
-        errors[f] = float(errs[b])
-        chosen[f] = tuple(fronts[b])
-        valid[f] = tank_ok
-
-    weights = [math.exp(-params.lambda_err * errors[f])
-               for f, ok in sorted(valid.items()) if ok]
-    if not weights:
+    inside = np.isfinite(errs[best]) & in_tank(pts[best], tank)
+    if not inside.any():
         return None
+    best = best[inside]
+    points = dict(zip(np.array(common)[inside].tolist(), pts[best]))
+    weights = [math.exp(-params.lambda_err * e) for e in errs[best].tolist()]
     union = len(set(top.frames) | set(front.frames))
     w = float(np.median(weights)) * len(weights) / union
-    return NodeCandidate(top=top, front=front, points=points, errors=errors,
-                         chosen_front=chosen, valid=valid, weight=w)
+    return NodeCandidate(top=top, front=front, points=points, weight=w)
 
 
 def _extent_overlap(a: Tracklet2D, b: Tracklet2D) -> bool:
@@ -137,65 +120,36 @@ def edge_weight(src: NodeCandidate, dst: NodeCandidate,
 
 
 @dataclass
-class GraphNode:
-    node_id: object
-    weight: float
-    top_id: object = None
-    front_id: object = None
-    payload: NodeCandidate | None = None
-
-
-@dataclass
 class AssociationGraph:
-    """Weighted DAG over pairing candidates; also buildable synthetically."""
+    """Weighted DAG over pairing candidates, as `build_graph` makes it:
+    every edge runs strictly forward in time."""
 
-    nodes: dict = field(default_factory=dict)     # node_id -> GraphNode
+    nodes: dict = field(default_factory=dict)     # node_id -> NodeCandidate
     edges: dict = field(default_factory=dict)     # (src_id, dst_id) -> weight
     _succ: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self._succ = {nid: [] for nid in self.nodes}
-        for (a, b), w in self.edges.items():
-            if a not in self.nodes or b not in self.nodes:
-                raise ValueError(f"edge ({a}, {b}) references unknown node")
-            if w <= 0:
-                raise ValueError("edge weights must be positive")
+        for a, b in self.edges:
             self._succ[a].append(b)
         for nid in self._succ:
             self._succ[nid].sort()
-        if len(self._topo_order(set(self.nodes))) != len(self.nodes):
-            raise ValueError("association graph contains a cycle")
-
-    @classmethod
-    def from_weights(cls, node_weights: dict, edge_weights: dict) -> "AssociationGraph":
-        nodes = {}
-        for nid, w in node_weights.items():
-            if w <= 0:
-                raise ValueError("node weights must be positive")
-            nodes[nid] = GraphNode(node_id=nid, weight=float(w))
-        return cls(nodes=nodes, edges=dict(edge_weights))
 
     def successors(self, node_id) -> list:
         return self._succ[node_id]
 
     def _topo_order(self, alive: set) -> list:
-        indeg = {nid: 0 for nid in alive}
-        for (a, b) in self.edges:
+        indeg = dict.fromkeys(alive, 0)
+        for a, b in self.edges:
             if a in alive and b in alive:
                 indeg[b] += 1
-        queue = sorted((nid for nid, d in indeg.items() if d == 0), reverse=True)
-        order = []
-        while queue:
-            nid = queue.pop()
-            order.append(nid)
-            fresh = []
+        order = [nid for nid, d in indeg.items() if d == 0]
+        for nid in order:  # grows while it is walked
             for b in self._succ[nid]:
                 if b in alive:
                     indeg[b] -= 1
                     if indeg[b] == 0:
-                        fresh.append(b)
-            if fresh:
-                queue = sorted(set(queue) | set(fresh), reverse=True)
+                        order.append(b)
         return order
 
 
@@ -215,10 +169,6 @@ def build_graph(top_tracklets: list[Tracklet2D],
                 cands.append(cand)
     cands.sort(key=lambda c: c.node_id)
 
-    nodes = {c.node_id: GraphNode(node_id=c.node_id, weight=c.weight,
-                                  top_id=c.top.id, front_id=c.front.id,
-                                  payload=c)
-             for c in cands}
     edges = {}
     for src in cands:
         for dst in cands:
@@ -235,7 +185,8 @@ def build_graph(top_tracklets: list[Tracklet2D],
             if src.last_valid < dst.first_valid:
                 edges[(src.node_id, dst.node_id)] = edge_weight(
                     src, dst, params, fps)
-    return AssociationGraph(nodes=nodes, edges=edges)
+    return AssociationGraph(nodes={c.node_id: c for c in cands},
+                            edges=edges)
 
 
 def extract_paths(graph: AssociationGraph) -> list[list]:
@@ -266,12 +217,11 @@ def extract_paths(graph: AssociationGraph) -> list[list]:
             path.append(choice[path[-1]])
         paths.append(path)
 
-        used_tops = {graph.nodes[nid].top_id for nid in path} - {None}
-        used_fronts = {graph.nodes[nid].front_id for nid in path} - {None}
-        alive -= set(path)
-        alive -= {nid for nid in alive
-                  if graph.nodes[nid].top_id in used_tops
-                  or graph.nodes[nid].front_id in used_fronts}
+        used_tops = {graph.nodes[nid].top.id for nid in path}
+        used_fronts = {graph.nodes[nid].front.id for nid in path}
+        alive = {nid for nid in alive
+                 if graph.nodes[nid].top.id not in used_tops
+                 and graph.nodes[nid].front.id not in used_fronts}
     return paths
 
 
@@ -306,11 +256,9 @@ def extract_3d_tracklets(graph: AssociationGraph) -> list[Tracklet3D]:
     for tid, path in enumerate(extract_paths(graph)):
         tracklet = Tracklet3D(id=tid)
         for nid in path:
-            node = graph.nodes[nid].payload
-            if node is None:
-                raise ValueError("graph node lacks tracklet payload")
+            node = graph.nodes[nid]
             for f in sorted(set(node.top.frames) | set(node.front.frames)):
-                if f in node.points and node.valid[f] and f not in tracklet.points:
+                if f in node.points and f not in tracklet.points:
                     tracklet.points[f] = node.points[f]
                 if f not in tracklet.sources:
                     tracklet.sources[f] = (

@@ -54,31 +54,31 @@ class FormatError(ValueError):
     pass
 
 
-def _fmt(v) -> str:
-    """One cell: blank for None, 1/0 for a flag, str for an int, repr of
-    the Python float for a float."""
-    if v is None:
-        return ""
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
+def _cell_text(kind):
+    """How a value of type `kind` is written: blank for None, 1/0 for a
+    flag, str for an int, repr of the Python float for a float."""
+    if kind is type(None):
+        return lambda v: ""
+    if issubclass(kind, (bool, np.bool_)):
+        return lambda v: "1" if v else "0"
+    if issubclass(kind, int):
+        return int.__repr__
+    if issubclass(kind, float):  # numpy's float64 is a float too
+        return float.__repr__
+    if issubclass(kind, np.integer):
+        return lambda v: str(int(v))
+    if issubclass(kind, np.floating):
+        return lambda v: repr(float(v))
+    return str
 
 
 def _cells(values) -> list[str]:
-    """One column's cells, each as _fmt writes it. Columns of floats, of
-    floats and blanks, or of ints and strings skip the per-value dispatch."""
-    kinds = set(map(type, values))
-    if kinds <= {float, np.float64}:
-        return list(map(repr, map(float, values)))
-    if kinds <= {float, np.float64, type(None)}:
-        return ["" if v is None else repr(float(v)) for v in values]
-    if kinds <= {int, str}:
-        return list(map(str, values))
-    return list(map(_fmt, values))
+    """One column's cells. Each type in the column picks its formatter
+    once, so a column of one type is formatted by one map()."""
+    text = {kind: _cell_text(kind) for kind in set(map(type, values))}
+    if len(text) == 1:
+        return list(map(text.popitem()[1], values))
+    return [text[type(v)](v) for v in values]
 
 
 def _write_columns(path, header, columns, meta: dict | None = None) -> None:
@@ -449,7 +449,7 @@ def read_tracks_csv(path) -> list[Track3D]:
 def write_annotations_csv(path, gt: GroundTruth,
                           meta: dict | None = None) -> None:
     meta = dict(meta or {})
-    meta.setdefault("fps", _fmt(gt.fps))
+    meta.setdefault("fps", _cells([gt.fps])[0])
     meta.setdefault("n_frames", gt.n_frames)
     meta.setdefault("n_fish", gt.n_fish)
     # One row per annotated (frame, fish, view), in that order.

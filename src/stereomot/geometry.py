@@ -10,8 +10,7 @@ requires a calibration adapter producing the same JSON format.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,10 +21,6 @@ PARALLEL_TOL = 1e-12
 
 # The two camera views, in the order every file and loop uses them.
 VIEWS = ("top", "front")
-
-
-class GeometryError(ValueError):
-    """Raised for degenerate geometric inputs (behind camera, parallel rays)."""
 
 
 @dataclass(frozen=True)
@@ -51,11 +46,10 @@ class TankBounds:
 
 
 def in_tank(p, tank: TankBounds):
-    """Whether each (..., 3) point lies inside the closed tank box: a bool
-    array, or a Python bool for one point. NaN is outside."""
+    """Whether each (..., 3) point lies inside the closed tank box, as
+    numpy bools. NaN is outside."""
     p = np.asarray(p, dtype=float)
-    inside = np.all((p >= tank.mins) & (p <= tank.maxs), axis=-1)
-    return bool(inside) if inside.ndim == 0 else inside
+    return np.all((p >= tank.mins) & (p <= tank.maxs), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -89,20 +83,6 @@ class CameraModel:
         return -self.rotation.T @ self.translation
 
 
-def project(p, cam: CameraModel) -> tuple[float, float]:
-    """Project a 3D world point to pixel coordinates.
-
-    Raises GeometryError if the point is on or behind the camera plane.
-    """
-    p = np.asarray(p, dtype=float)
-    xc = cam.rotation @ p + cam.translation
-    if xc[2] <= 0:
-        raise GeometryError(f"point {tuple(p)} is behind camera {cam.view_id}")
-    u = cam.fx * xc[0] / xc[2] + cam.cx
-    v = cam.fy * xc[1] / xc[2] + cam.cy
-    return (float(u), float(v))
-
-
 def project_batch(points: np.ndarray, cam: CameraModel) -> np.ndarray:
     """Project an (N,3) array of world points; returns (N,2) pixels.
 
@@ -117,41 +97,6 @@ def project_batch(points: np.ndarray, cam: CameraModel) -> np.ndarray:
     out = np.stack([u, v], axis=1)
     out[z <= 0] = np.nan
     return out
-
-
-def back_project(pixel, cam: CameraModel) -> tuple[np.ndarray, np.ndarray]:
-    """Return (origin, unit direction) of the world-space ray through a pixel."""
-    u, v = float(pixel[0]), float(pixel[1])
-    d_cam = np.array([(u - cam.cx) / cam.fx, (v - cam.cy) / cam.fy, 1.0])
-    d = cam.rotation.T @ d_cam
-    d /= np.linalg.norm(d)
-    return cam.center, d
-
-
-def triangulate(p_top, p_front, cam_top: CameraModel, cam_front: CameraModel):
-    """Midpoint-of-closest-approach triangulation of one pixel pair.
-
-    Returns (point3d ndarray, reprojection error px). The reprojection
-    error is the mean L2 pixel distance between the inputs and the
-    re-projected 3D point in both views.
-    """
-    o1, d1 = back_project(p_top, cam_top)
-    o2, d2 = back_project(p_front, cam_front)
-    b = float(d1 @ d2)
-    denom = 1.0 - b * b  # a = c = 1 for unit directions
-    if denom < PARALLEL_TOL:
-        raise GeometryError("rays are parallel or nearly parallel")
-    w0 = o1 - o2
-    d = float(d1 @ w0)
-    e = float(d2 @ w0)
-    s = (b * e - d) / denom
-    t = (e - b * d) / denom
-    point = 0.5 * ((o1 + s * d1) + (o2 + t * d2))
-    r_top = project(point, cam_top)
-    r_front = project(point, cam_front)
-    err = 0.5 * (math.hypot(r_top[0] - p_top[0], r_top[1] - p_top[1])
-                 + math.hypot(r_front[0] - p_front[0], r_front[1] - p_front[1]))
-    return point, float(err)
 
 
 def triangulate_batch(pts_top: np.ndarray, pts_front: np.ndarray,
@@ -260,6 +205,11 @@ def _camera_from_dict(d: dict) -> CameraModel:
     missing = required - set(d)
     if missing:
         raise ValueError(f"calibration camera entry missing fields: {sorted(missing)}")
+    for key in ("fx", "fy", "cx", "cy", "rotation", "translation",
+                "image_size"):
+        if not np.isfinite(np.asarray(d[key], dtype=float)).all():
+            raise ValueError(f"calibration camera {d['view_id']!r}: field "
+                             f"{key!r} must be finite, got {d[key]!r}")
     return CameraModel(
         fx=float(d["fx"]), fy=float(d["fy"]),
         cx=float(d["cx"]), cy=float(d["cy"]),

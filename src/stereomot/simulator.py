@@ -200,41 +200,25 @@ def _paint_disk(img: np.ndarray, u: float, v: float, rho: float) -> None:
     img[y0:y1 + 1, x0:x1 + 1][mask] = _FISH_LEVEL
 
 
-def _noisy_frame(cam: CameraModel, rng: np.random.Generator,
-                 disks=()) -> np.ndarray:
-    """Bright background plus sensor noise with dark (u, v, radius) disks
-    painted on, as uint8 grayscale."""
-    img = _BG_LEVEL + rng.normal(0.0, _NOISE_SD, (cam.image_size[1],
-                                                  cam.image_size[0]))
-    for u, v, rho in disks:
-        _paint_disk(img, u, v, rho)
-    return np.clip(np.rint(img), 0, 255).astype(np.uint8)
-
-
 def render(seq: SyntheticSequence,
            frame: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rasterize one frame pair (top, front) as uint8 grayscale."""
+    """Rasterize one frame pair (top, front) as uint8 grayscale: a bright
+    background plus sensor noise, with every body sphere painted dark."""
     cfg = seq.config
     rng = np.random.default_rng([cfg.seed, 9001, frame])
     out = []
     for view in VIEWS:
         cam = seq.rig.camera(view)
-        disks = []
+        img = _BG_LEVEL + rng.normal(0.0, _NOISE_SD, (cam.image_size[1],
+                                                      cam.image_size[0]))
         for i in range(cfg.n_fish):
             centers, radii = body_spheres(cfg, seq.positions[frame, i],
                                           seq.headings[frame, i])
             uv, rho = _sphere_pixels(cam, centers, radii)
-            disks.extend(zip(uv[:, 0], uv[:, 1], rho))
-        out.append(_noisy_frame(cam, rng, disks))
+            for u, v, r in zip(uv[:, 0], uv[:, 1], rho):
+                _paint_disk(img, u, v, r)
+        out.append(np.clip(np.rint(img), 0, 255).astype(np.uint8))
     return out[0], out[1]
-
-
-def render_background(seq: SyntheticSequence,
-                      index: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fish-free frame pair with an independent noise stream."""
-    rng = np.random.default_rng([seq.config.seed, 417, index])
-    top, front = (_noisy_frame(seq.rig.camera(v), rng) for v in VIEWS)
-    return top, front
 
 
 def perfect_detections(gt: GroundTruth) -> dict[str, dict[int, list[Detection]]]:

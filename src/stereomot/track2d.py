@@ -42,8 +42,7 @@ def hungarian(cost) -> list[tuple[int, int]]:
 def mahalanobis(p, center, cov):
     """sqrt((p-center)^T cov^-1 (p-center)) over (..., 2) points and centers
     and (..., 2, 2) covariances, broadcast together. A cov whose smallest
-    eigenvalue is below 1e-12 is regularized by +1e-6*I. One point gives a
-    float, a batch an array."""
+    eigenvalue is below 1e-12 is regularized by +1e-6*I."""
     d = np.asarray(p, dtype=float) - np.asarray(center, dtype=float)
     cov = np.asarray(cov, dtype=float)
     singular = np.linalg.eigvalsh(cov)[..., 0] < 1e-12
@@ -51,8 +50,7 @@ def mahalanobis(p, center, cov):
     # b as explicit (..., 2, 1) columns, and the quadratic form as a
     # stacked matmul: both give the same bits as the one-point products.
     x = np.linalg.solve(cov, d[..., None])
-    dist = np.sqrt((d[..., None, :] @ x)[..., 0, 0])
-    return float(dist) if dist.ndim == 0 else dist
+    return np.sqrt((d[..., None, :] @ x)[..., 0, 0])
 
 
 @dataclass(frozen=True)

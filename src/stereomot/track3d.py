@@ -153,9 +153,10 @@ def gallery_rank(galleries: list[Tracklet3D],
     return [g for _, g in head] + [g for _, g in tail]
 
 
-def _switch_path(gallery, main) -> list[tuple[str, float]] | None:
+def _switch_path(gallery, main) -> list[float] | None:
     """Cheapest frame-by-frame walk over both tracklets' 3D points that
-    visits at least one node of each; returns its view-switch edges.
+    visits at least one node of each; returns the lengths of its edges
+    that switch between the two.
 
     Nodes live at every frame either tracklet has a point; consecutive
     occupied frames are fully connected with L2 edge weights. None when no
@@ -205,21 +206,8 @@ def _switch_path(gallery, main) -> list[tuple[str, float]] | None:
         (src_a, pa) = layers[k - 1][indices[k - 1]]
         (src_b, pb) = layers[k][indices[k]]
         if src_a != src_b:
-            kind = "in" if src_b == "g" else "out"
-            edges.append((kind, float(np.linalg.norm(pb - pa))))
+            edges.append(float(np.linalg.norm(pb - pa)))
     return edges
-
-
-def internal_switch_cost(gallery, main) -> tuple[float, float]:
-    """(mean cost of switching into the gallery, mean cost of switching
-    back to the main); inf when their extents never overlap."""
-    edges = _switch_path(gallery, main)
-    if edges is None:
-        return (math.inf, math.inf)
-    ins = [w for kind, w in edges if kind == "in"]
-    outs = [w for kind, w in edges if kind == "out"]
-    return (sum(ins) / len(ins) if ins else 0.0,
-            sum(outs) / len(outs) if outs else 0.0)
 
 
 def _endpoint_distance(gallery, main) -> float:
@@ -260,7 +248,7 @@ def assignment_cost(gallery: Tracklet3D, mains: list[Track3D],
             if edges is None:
                 continue
             idx.append(i)
-            switch.append(sum(w for _, w in edges) / len(edges) if edges else 0.0)
+            switch.append(sum(edges) / len(edges) if edges else 0.0)
             ov = float(_overlap_frames(gallery, m))
             inter.append(ov)
             ratio.append(ov / gallery.duration)

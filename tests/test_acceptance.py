@@ -19,9 +19,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from reference import graph_from_weights, project, triangulate
 from stereomot import (
     AssocParams,
-    AssociationGraph,
     DegradeModel,
     Detection,
     GroundTruth,
@@ -68,9 +68,7 @@ from stereomot.formats import read_annotations_csv
 from stereomot.geometry import (
     TankBounds,
     in_tank,
-    project,
     project_batch,
-    triangulate,
     triangulate_batch,
 )
 from stereomot.metrics import ViewComplexity
@@ -214,7 +212,7 @@ def test_criterion_04_first_path_matches_exhaustive_search():
             edges = {(i, j): float(rng.uniform(0.1, 5.0))
                      for i in range(n) for j in range(i + 1, n)
                      if rng.random() < 0.3}
-            graph = AssociationGraph.from_weights(nodes, edges)
+            graph = graph_from_weights(nodes, edges)
             first = extract_paths(graph)[0]
             best_score, best_path = exhaustive_best_path(nodes, edges)
             assert set(first) == set(best_path)
@@ -296,8 +294,7 @@ def synth_node(tid, fid, f0, f1, rng, weight):
         top=Tracklet2D(id=tid, view="top", frames=frames),
         front=Tracklet2D(id=fid, view="front", frames=frames),
         points={f: pts[k] for k, f in enumerate(frames)},
-        errors={f: 0.0 for f in frames}, chosen_front={},
-        valid={f: True for f in frames}, weight=weight)
+        weight=weight)
 
 
 def test_criterion_06_weights_match_scratch_evaluation():

@@ -312,6 +312,39 @@ def test_errors_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         f"error: {tracks}:4: duplicate row")
 
+    # Non-finite config values, from a config file or from --fps.
+    for text, name in [("fps = inf\n", "fps"),
+                       ("track2d.delta_top = nan\n", "track2d.delta_top"),
+                       ("eval.dist_3d = inf\n", "eval.dist_3d")]:
+        cfg = write_cfg(tmp_path, text, "nonfinite.cfg")
+        assert main(["pipeline", "--config", cfg,
+                     "--out-dir", str(tmp_path / "out")]) == 2, text
+        assert capsys.readouterr().err.startswith(
+            f"error: parameter {name!r} must be finite"), text
+    assert main(["simulate", "--fps", "inf",
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: parameter 'fps' must be finite")
+
+    # Non-finite calibration numbers, named by camera and field.
+    tracklets = tmp_path / "tracklets.csv"
+    tracklets.write_text("tracklet_id,view,frame,x,y,c1x,c1y,c2x,c2y,c3x,"
+                         "c3y,covxx,covxy,covyy\n")
+    for view, key, value in [("top", "fx", float("inf")),
+                             ("front", "translation", [0.0, float("nan"), 0.0])]:
+        calibration = tmp_path / "calibration.json"
+        save_calibration(default_rig(), calibration)
+        doc = json.loads(calibration.read_text())
+        camera = next(c for c in doc["cameras"] if c["view_id"] == view)
+        camera[key] = value
+        calibration.write_text(json.dumps(doc))
+        assert main(["associate", "--tracklets", str(tracklets),
+                     "--calibration", str(calibration),
+                     "--out-dir", str(tmp_path / "out")]) == 2, key
+        assert capsys.readouterr().err.startswith(
+            f"error: calibration camera {view!r}: field {key!r} must be "
+            f"finite"), key
+
 
 def test_track2d_subcommand_builds_tracklets(tmp_path):
     cfg = write_cfg(tmp_path)

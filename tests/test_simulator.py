@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reference import project
 from stereomot import (
     DegradeModel,
     SimConfig,
@@ -12,8 +13,7 @@ from stereomot import (
     render,
     simulate,
 )
-from stereomot.geometry import project
-from stereomot.simulator import body_spheres, render_background
+from stereomot.simulator import body_spheres
 
 
 def short_cfg(**kw):
@@ -145,15 +145,6 @@ def test_render_paints_fish_dark():
         assert top[int(round(v)), int(round(u))] < 100
     again, _ = render(seq, 0)
     assert np.array_equal(top, again)
-
-
-def test_render_background_is_blank():
-    seq = simulate(short_cfg(duration_s=1.0))
-    top, front = render_background(seq, 0)
-    assert top.min() > 150
-    assert front.min() > 150
-    other, _ = render_background(seq, 1)
-    assert not np.array_equal(top, other)  # fresh noise per sample
 
 
 def test_perfect_detections_mirror_annotations():

@@ -14,7 +14,6 @@ from stereomot import (
     assignment_cost,
     associate,
     gallery_rank,
-    internal_switch_cost,
     select_initial,
 )
 from stereomot.cli import main
@@ -151,24 +150,30 @@ def test_gallery_rank_stable_on_ties():
     assert gallery_rank([b, a], mains) == [b, a]
 
 
-def test_internal_switch_cost_hand_geometry():
-    main = main3d(1, 0, 9)
+def test_switch_cost_hand_geometry():
+    # The cheapest walk switches into the gallery and back out once, over
+    # 5 cm for main 1 and 13 cm for main 2; both overlap all 4 frames.
+    mains = [main3d(1, 0, 9), main3d(2, 0, 9, pos=(0.0, 0.0, 12.0))]
     gallery = t3d(10, 4, 7, pos=(3.0, 4.0, 0.0))
-    cost_in, cost_out = internal_switch_cost(gallery, main)
-    assert cost_in == pytest.approx(5.0)
-    assert cost_out == pytest.approx(5.0)
+    costs = assignment_cost(gallery, mains)
+    assert costs[0] == pytest.approx((5.0 / 18.0 + 0.5 + 0.5) / 3.0)
+    assert costs[1] == pytest.approx((13.0 / 18.0 + 0.5 + 0.5) / 3.0)
 
 
-def test_internal_switch_cost_zero_when_coincident():
-    main = main3d(1, 0, 9)
+def test_switch_cost_zero_when_coincident():
+    mains = [main3d(1, 0, 9), main3d(2, 0, 9, pos=(0.0, 0.0, 12.0))]
     gallery = t3d(10, 3, 6)
-    assert internal_switch_cost(gallery, main) == (0.0, 0.0)
+    costs = assignment_cost(gallery, mains)
+    assert costs[0] == pytest.approx((0.0 + 0.5 + 0.5) / 3.0)
+    assert costs[1] == pytest.approx((1.0 + 0.5 + 0.5) / 3.0)
 
 
-def test_internal_switch_cost_disjoint_is_infinite():
-    main = main3d(1, 0, 9)
-    gallery = t3d(10, 20, 30)
-    assert internal_switch_cost(gallery, main) == (math.inf, math.inf)
+def test_switch_cost_none_when_no_walk_joins():
+    # Main 1 and the gallery share their single frame: no walk over
+    # consecutive frames visits both, so main 1 cannot take the gallery.
+    mains = [main3d(1, 5, 5), main3d(2, 0, 9)]
+    gallery = t3d(10, 5, 5, pos=(1.0, 0.0, 0.0))
+    assert assignment_cost(gallery, mains) == [None, 1.0]
 
 
 def test_assignment_cost_disjoint_mains():
