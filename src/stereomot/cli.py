@@ -9,6 +9,7 @@ manual chain of subcommands.
 from __future__ import annotations
 
 import argparse
+import itertools
 import re
 import sys
 from pathlib import Path
@@ -109,13 +110,17 @@ def stage_detect_frames(cfg: PipelineConfig, frames_dir: Path,
         numbers, paths = _frame_paths(frames_dir, view)
         n_bg = min(params.n_bg, len(paths))
         sample = np.unique(np.linspace(0, len(paths) - 1, n_bg).astype(int))
-        # Only the sampled frames are held at once; detection then reads
-        # one frame at a time.
-        bg = estimate_background(_read_frames(paths[i] for i in sample))
+        # Only the sampled frames, on the detection grid, are held at once;
+        # detection then reads one frame at a time.
+        frames = _read_frames(paths[i] for i in sample)
+        first = next(frames)
+        d = params.downsample
+        bg = estimate_background(img[::d, ::d]
+                                 for img in itertools.chain([first], frames))
         detector = detect_top if view == "top" else detect_front
         dets[view] = {f: detector(img, bg, params, frame_index=f)
                       for f, img in zip(numbers,
-                                        _read_frames(paths, bg.shape))}
+                                        _read_frames(paths, first.shape))}
     write_detections_csv(out / "detections.csv", dets, _meta(cfg))
 
 

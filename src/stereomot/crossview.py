@@ -9,6 +9,7 @@ resulting DAG are extracted greedily and merged into 3D tracklets.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -51,13 +52,14 @@ class NodeCandidate:
     def valid_frames(self) -> list[int]:
         return sorted(self.points)
 
-    @property
+    # Read for every pair of nodes; `points` is fixed once the node is built.
+    @functools.cached_property
     def first_valid(self) -> int:
-        return self.valid_frames[0]
+        return min(self.points)
 
-    @property
+    @functools.cached_property
     def last_valid(self) -> int:
-        return self.valid_frames[-1]
+        return max(self.points)
 
 
 def node_weight(top: Tracklet2D, front: Tracklet2D, rig: StereoRig,

@@ -22,17 +22,6 @@ from scipy import ndimage
 ENDPOINT_VALUES = frozenset({116, 117, 118, 131})
 JUNCTION_VALUES = frozenset({148, 149, 150, 151})
 
-# Center weight dominates, 8-neighbours mid-weight, outer ring low weight:
-# the response value encodes the local skeleton topology uniquely enough
-# to separate line ends from junctions.
-KEYPOINT_KERNEL = np.array([
-    [1, 1, 1, 1, 1],
-    [1, 15, 15, 15, 1],
-    [1, 15, 100, 15, 1],
-    [1, 15, 15, 15, 1],
-    [1, 1, 1, 1, 1],
-], dtype=np.int64)
-
 _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=int)
 _BOX8 = np.ones((3, 3), dtype=int)
 
@@ -139,9 +128,11 @@ def estimate_background(frames) -> np.ndarray:
     """Per-pixel median of the frames (lower median when even), as uint8.
 
     `frames` is any iterable of equally sized images, such as a generator
-    that reads them one at a time. Each is copied into one uint8 stack
-    owned here, which grows by doubling, and the median is selected in
-    place with `partition`; no sorted copy is made.
+    that reads them one at a time; the detectors take it on their grid,
+    `frame[::downsample, ::downsample]`. Each frame is copied into one
+    uint8 stack, which grows by doubling. The median is selected from the
+    high bit down: a bit stays set when at most k = (n-1)//2 frames lie
+    below the value so far.
     """
     stack = np.empty((0, 0, 0), dtype=np.uint8)
     n = 0
@@ -161,8 +152,12 @@ def estimate_background(frames) -> np.ndarray:
         raise DetectError("estimate_background needs at least one frame")
     k = (n - 1) // 2
     stack = stack[:n]
-    stack.partition(k, axis=0)
-    return stack[k].copy()
+    med = np.zeros(stack.shape[1:], dtype=np.uint8)
+    for bit in (128, 64, 32, 16, 8, 4, 2, 1):
+        cand = med | bit
+        below = (stack < cand).sum(axis=0, dtype=np.min_scalar_type(n))
+        np.copyto(med, cand, where=below <= k)
+    return med
 
 
 def preprocess(frame: np.ndarray, bg: np.ndarray) -> np.ndarray:
@@ -253,38 +248,45 @@ def entropy_threshold(hist) -> int:
     return int(k[np.argmax(e)])
 
 
+def _zhang_suen_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Removal rules of the two Zhang-Suen subiterations (Zhang & Suen,
+    1984), indexed by the neighbour code: bit i-2 holds p_i, from p2 =
+    north clockwise to p9 = north-west."""
+    p = np.arange(256)[:, None] >> np.arange(8) & 1
+    a = (p < np.roll(p, -1, axis=1)).sum(axis=1)  # 0 -> 1 steps round the ring
+    b = p.sum(axis=1)
+    p2, _, p4, _, p6, _, p8, _ = p.T
+    both = (a == 1) & (b >= 2) & (b <= 6)
+    return (both & (p2 * p4 * p6 == 0) & (p4 * p6 * p8 == 0),
+            both & (p2 * p4 * p8 == 0) & (p2 * p6 * p8 == 0))
+
+
+_ZHANG_SUEN = _zhang_suen_tables()
+
+
 def skeletonize(binary: np.ndarray) -> np.ndarray:
-    """Zhang-Suen two-subiteration thinning to convergence (0/255 output)."""
-    img = np.asarray(binary) > 0
-    img = np.pad(img, 1, constant_values=False)
-    # Removal masks for the two subiterations; see Zhang & Suen (1984).
-    while True:
+    """Zhang-Suen two-subiteration thinning to convergence (0/255 output).
+
+    Each subiteration looks up the neighbour code of the pixels still on
+    and clears those its rule removes, all at once.
+    """
+    img = np.pad(np.asarray(binary) > 0, 1).astype(np.uint8)
+    w = img.shape[1]
+    flat = img.ravel()
+    # p2..p9 as offsets into the flattened, zero-padded image
+    ring = np.array([-w, 1 - w, 1, w + 1, w, w - 1, -1, -w - 1])
+    on = np.flatnonzero(flat)
+    changed = True
+    while changed:
         changed = False
-        for step in (0, 1):
-            c = img[1:-1, 1:-1]
-            p2 = img[:-2, 1:-1]
-            p3 = img[:-2, 2:]
-            p4 = img[1:-1, 2:]
-            p5 = img[2:, 2:]
-            p6 = img[2:, 1:-1]
-            p7 = img[2:, :-2]
-            p8 = img[1:-1, :-2]
-            p9 = img[:-2, :-2]
-            ring = [p2, p3, p4, p5, p6, p7, p8, p9]
-            bsum = sum(p.astype(np.int8) for p in ring)
-            a = sum((~ring[i] & ring[(i + 1) % 8]).astype(np.int8)
-                    for i in range(8))
-            if step == 0:
-                extra = ~(p2 & p4 & p6) & ~(p4 & p6 & p8)
-            else:
-                extra = ~(p2 & p4 & p8) & ~(p2 & p6 & p8)
-            remove = c & (a == 1) & (bsum >= 2) & (bsum <= 6) & extra
+        for table in _ZHANG_SUEN:
+            code = flat[on[:, None] + ring] @ (1 << np.arange(8))
+            remove = table[code]
             if remove.any():
-                img[1:-1, 1:-1] &= ~remove
+                flat[on[remove]] = 0
+                on = on[~remove]
                 changed = True
-        if not changed:
-            break
-    return img[1:-1, 1:-1].astype(np.uint8) * 255
+    return img[1:-1, 1:-1] * np.uint8(255)
 
 
 @dataclass(frozen=True)
@@ -295,9 +297,19 @@ class Keypoint:
 
 
 def kernel_response(skel: np.ndarray) -> np.ndarray:
-    """5x5 kernel response of the 0/1 skeleton at every pixel."""
-    skel01 = (np.asarray(skel) > 0).astype(np.int64)
-    return ndimage.convolve(skel01, KEYPOINT_KERNEL, mode="constant", cval=0)
+    """5x5 kernel response of the 0/1 skeleton at every pixel, as uint8.
+
+    The kernel (centre 100, 8 neighbours 15, outer ring 1) tells line ends
+    from junctions. It is the 5x5 box plus 14 times the 3x3 box plus 85 at
+    the centre, summed exactly over the zero-padded skeleton: at most 236.
+    """
+    s = np.pad(np.asarray(skel) > 0, 2).astype(np.uint8)
+    h, w = s.shape[0] - 4, s.shape[1] - 4
+    rows3 = s[:, 1:w + 1] + s[:, 2:w + 2] + s[:, 3:w + 3]
+    rows5 = rows3 + s[:, :w] + s[:, 4:]
+    box3 = rows3[1:h + 1] + rows3[2:h + 2] + rows3[3:h + 3]
+    box5 = sum(rows5[i:i + h] for i in range(5))
+    return box5 + 14 * box3 + 85 * s[2:-2, 2:-2]
 
 
 def _window_weight(blob: np.ndarray, x: int, y: int) -> float:
@@ -399,9 +411,10 @@ def _select_head_keypoints(kps: list[Keypoint]) -> list[Keypoint]:
 def detect_top(frame: np.ndarray, bg: np.ndarray,
                params: DetectParams = DetectParams(),
                frame_index: int = 0) -> list[Detection]:
-    """Skeleton-keypoint head detector for the top view."""
+    """Skeleton-keypoint head detector for the top view; `bg` is the
+    background on the detection grid, `frame[::downsample, ::downsample]`."""
     f = params.downsample
-    pre = preprocess(np.asarray(frame)[::f, ::f], np.asarray(bg)[::f, ::f])
+    pre = preprocess(np.asarray(frame)[::f, ::f], bg)
     hist = np.bincount(pre.ravel(), minlength=256)
     try:
         t = intermodes_threshold(hist)
@@ -432,10 +445,11 @@ def detect_front(frame: np.ndarray, bg: np.ndarray,
     """Entropy-threshold blob detector for the front view.
 
     Emits up to 2*n_fish blobs (largest first, minimum area applied), each
-    with centroid, pixel covariance, and two edge proxy points.
+    with centroid, pixel covariance, and two edge proxy points. `bg` is the
+    background on the detection grid, as for `detect_top`.
     """
     f = params.downsample
-    pre = preprocess(np.asarray(frame)[::f, ::f], np.asarray(bg)[::f, ::f])
+    pre = preprocess(np.asarray(frame)[::f, ::f], bg)
     hist = np.bincount(pre.ravel(), minlength=256)
     try:
         t = entropy_threshold(hist)

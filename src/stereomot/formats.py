@@ -595,10 +595,13 @@ def write_pgm(path, img: np.ndarray) -> None:
 def read_pgm(path) -> np.ndarray:
     with open(path, "rb") as fh:
         data = fh.read()
-    m = re.match(rb"P5\s+(?:#.*\s+)?(\d+)\s+(\d+)\s+(\d+)\s", data)
+    # whitespace and any number of `#` comment lines between the fields
+    m = re.match(rb"P5" + rb"\s+(?:#.*\s+)*(\d+)" * 3 + rb"\s", data)
     if not m:
         raise FormatError(f"{path}: not a binary PGM (P5) file")
     w, h, maxval = (int(m.group(i)) for i in (1, 2, 3))
+    if w == 0 or h == 0:
+        raise FormatError(f"{path}: image is {w}x{h} px, with no pixels")
     if maxval != 255:
         raise FormatError(f"{path}: only maxval 255 supported, got {maxval}")
     pixels = np.frombuffer(data[m.end():], dtype=np.uint8)

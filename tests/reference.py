@@ -5,11 +5,16 @@ the plain textbook form. The library only has the batched forms
 (`project_batch`, `triangulate_batch`); the gates check them against
 these. `graph_from_weights` builds an association graph from bare
 weights, for tests of path extraction on hand-made or random DAGs.
+`skeletonize` and `kernel_response` are the whole-image forms of the
+detector's thinning and keypoint response: every pass of the thinning
+sums the neighbours of every pixel, and the response is a 5x5
+convolution.
 """
 
 import math
 
 import numpy as np
+from scipy import ndimage
 
 from stereomot import AssociationGraph, NodeCandidate, Tracklet2D
 from stereomot.geometry import PARALLEL_TOL, CameraModel
@@ -78,3 +83,52 @@ def graph_from_weights(node_weights: dict,
                                 points={}, weight=float(w))
              for nid, w in node_weights.items()}
     return AssociationGraph(nodes=nodes, edges=dict(edge_weights))
+
+
+def skeletonize(binary: np.ndarray) -> np.ndarray:
+    """Zhang-Suen two-subiteration thinning to convergence (0/255 output)."""
+    img = np.asarray(binary) > 0
+    img = np.pad(img, 1, constant_values=False)
+    # Removal masks for the two subiterations; see Zhang & Suen (1984).
+    while True:
+        changed = False
+        for step in (0, 1):
+            c = img[1:-1, 1:-1]
+            p2 = img[:-2, 1:-1]
+            p3 = img[:-2, 2:]
+            p4 = img[1:-1, 2:]
+            p5 = img[2:, 2:]
+            p6 = img[2:, 1:-1]
+            p7 = img[2:, :-2]
+            p8 = img[1:-1, :-2]
+            p9 = img[:-2, :-2]
+            ring = [p2, p3, p4, p5, p6, p7, p8, p9]
+            bsum = sum(p.astype(np.int8) for p in ring)
+            a = sum((~ring[i] & ring[(i + 1) % 8]).astype(np.int8)
+                    for i in range(8))
+            if step == 0:
+                extra = ~(p2 & p4 & p6) & ~(p4 & p6 & p8)
+            else:
+                extra = ~(p2 & p4 & p8) & ~(p2 & p6 & p8)
+            remove = c & (a == 1) & (bsum >= 2) & (bsum <= 6) & extra
+            if remove.any():
+                img[1:-1, 1:-1] &= ~remove
+                changed = True
+        if not changed:
+            break
+    return img[1:-1, 1:-1].astype(np.uint8) * 255
+
+
+KEYPOINT_KERNEL = np.array([
+    [1, 1, 1, 1, 1],
+    [1, 15, 15, 15, 1],
+    [1, 15, 100, 15, 1],
+    [1, 15, 15, 15, 1],
+    [1, 1, 1, 1, 1],
+], dtype=np.int64)
+
+
+def kernel_response(skel: np.ndarray) -> np.ndarray:
+    """5x5 kernel response of the 0/1 skeleton at every pixel."""
+    skel01 = (np.asarray(skel) > 0).astype(np.int64)
+    return ndimage.convolve(skel01, KEYPOINT_KERNEL, mode="constant", cval=0)

@@ -256,6 +256,32 @@ def test_detect_frames_numbers_frames_by_file_name(tmp_path, capsys):
         bad.rmdir()
 
 
+def test_detect_frames_pgm_headers(tmp_path, capsys):
+    # Frames whose headers carry two comment lines give the same
+    # detections; a 0x0 frame is refused, naming the file.
+    cfg = write_cfg(tmp_path, SMALL.replace("n_fish = 2", "n_fish = 1"))
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--out-dir", str(sim),
+                 "--dump-frames", "6"]) == 0
+    frames = sim / "frames"
+    assert main(["detect", "--config", cfg, "--out-dir", str(tmp_path / "a"),
+                 "--frames-dir", str(frames)]) == 0
+    for path in frames.iterdir():
+        path.write_bytes(path.read_bytes().replace(
+            b"P5\n", b"P5\n# rendered frame\n# second comment\n", 1))
+    assert main(["detect", "--config", cfg, "--out-dir", str(tmp_path / "b"),
+                 "--frames-dir", str(frames)]) == 0
+    assert ((tmp_path / "a" / "detections.csv").read_bytes()
+            == (tmp_path / "b" / "detections.csv").read_bytes())
+
+    (frames / "top_000009.pgm").write_bytes(b"P5\n0 0\n255\n")
+    assert main(["detect", "--config", cfg, "--out-dir", str(tmp_path / "c"),
+                 "--frames-dir", str(frames)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "top_000009.pgm: image is 0x0 px" in err
+
+
 def test_errors_exit_2(tmp_path, capsys):
     assert main(["track2d", "--detections",
                  str(tmp_path / "missing.csv")]) == 2

@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
+import reference
 from stereomot import Detection, DetectParams
 from stereomot.detect import (
     _MEDIAN25,
     _MEDIAN25_OUT,
+    _ZHANG_SUEN,
     DetectError,
     _median_5x5,
     ENDPOINT_VALUES,
@@ -110,6 +112,22 @@ def test_median_network_selects_the_median_of_every_0_1_input():
                 wires[hi] = a | b
         want = np.packbits(ones_low + bin(high).count("1") >= 13)
         assert np.array_equal(wires[_MEDIAN25_OUT], want)
+
+
+@pytest.mark.parametrize("n", [2, 254, 255, 256, 257])
+def test_estimate_background_frame_counts_past_a_byte(n):
+    # The per-pixel count of frames below a candidate reaches n, which
+    # passes 255 from 256 frames on. Pixel (0, 0) is 0 in every frame and
+    # (0, 1) is 255 in every frame: every count there is 0 or n.
+    r = np.random.default_rng(n)
+    frames = r.integers(0, 256, (n, 3, 5), dtype=np.uint8)
+    frames[:, 0, 0] = 0
+    frames[:, 0, 1] = 255
+    frames[:, 1, :] = r.integers(0, 2, (n, 5)) * 255
+    want = np.sort(frames, axis=0)[(n - 1) // 2]
+    got = estimate_background(iter(frames))
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, want)
 
 
 def test_preprocess_identical_frames_zero():
@@ -225,6 +243,86 @@ def test_skeletonize_keeps_thin_structures():
     assert skeletonize(np.zeros((8, 8), dtype=np.uint8)).max() == 0
 
 
+def zhang_suen_removes(p: dict[int, int], step: int) -> bool:
+    """The rule of Zhang & Suen (1984) for an on pixel P1 with neighbours
+    p[2] (north) clockwise to p[9] (north-west)."""
+    b = sum(p[i] for i in range(2, 10))
+    seq = [p[i] for i in range(2, 10)] + [p[2]]
+    a = sum(1 for i in range(8) if (seq[i], seq[i + 1]) == (0, 1))
+    if step == 0:
+        c = p[2] * p[4] * p[6] == 0
+        d = p[4] * p[6] * p[8] == 0
+    else:
+        c = p[2] * p[4] * p[8] == 0
+        d = p[2] * p[6] * p[8] == 0
+    return 2 <= b <= 6 and a == 1 and c and d
+
+
+def test_zhang_suen_tables_hold_the_rule_for_every_neighbourhood():
+    for step in (0, 1):
+        for code in range(256):
+            p = {i + 2: code >> i & 1 for i in range(8)}
+            assert bool(_ZHANG_SUEN[step][code]) == zhang_suen_removes(
+                p, step), (step, code)
+
+
+@st.composite
+def binary_masks(draw, max_side=24):
+    """0/255 masks: pixel noise, or a union of filled rectangles, which
+    takes several thinning passes."""
+    shape = (draw(st.integers(1, max_side)), draw(st.integers(1, max_side)))
+    if draw(st.booleans()):
+        return draw(arrays(np.uint8, shape,
+                           elements=st.sampled_from([0, 255])))
+    mask = np.zeros(shape, dtype=np.uint8)
+    for _ in range(draw(st.integers(0, 4))):
+        y0 = draw(st.integers(0, shape[0] - 1))
+        x0 = draw(st.integers(0, shape[1] - 1))
+        y1 = draw(st.integers(y0 + 1, shape[0]))
+        x1 = draw(st.integers(x0 + 1, shape[1]))
+        mask[y0:y1, x0:x1] = 255
+    return mask
+
+
+EDGE_MASKS = [
+    np.zeros((1, 1), dtype=np.uint8),
+    np.full((1, 1), 255, dtype=np.uint8),
+    np.zeros((6, 9), dtype=np.uint8),
+    np.full((6, 9), 255, dtype=np.uint8),
+    np.full((20, 20), 255, dtype=np.uint8),
+    np.full((1, 12), 255, dtype=np.uint8),
+    np.full((12, 1), 255, dtype=np.uint8),
+    np.eye(7, dtype=np.uint8) * 255,
+    np.pad(np.full((3, 5), 255, dtype=np.uint8), ((0, 2), (3, 0))),
+]
+
+
+def with_examples(masks):
+    def decorate(test):
+        for mask in masks:
+            test = example(mask)(test)
+        return test
+    return decorate
+
+
+@settings(max_examples=200, deadline=None)
+@with_examples(EDGE_MASKS)
+@given(binary_masks())
+def test_skeletonize_equals_whole_image_reference(mask):
+    got = skeletonize(mask)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, reference.skeletonize(mask))
+
+
+@settings(max_examples=200, deadline=None)
+@with_examples(EDGE_MASKS)
+@given(binary_masks())
+def test_kernel_response_equals_convolution(mask):
+    got = kernel_response(mask)
+    assert got.shape == mask.shape
+    assert np.array_equal(got, reference.kernel_response(mask))
+
+
 def test_kernel_response_endpoint_values():
     img = np.zeros((16, 16), dtype=np.uint8)
     img[8, 3:12] = 255
@@ -294,7 +392,7 @@ def make_top_scene():
 
 def test_detect_top_picks_wide_end():
     img, bg = make_top_scene()
-    dets = detect_top(img, bg, DetectParams(n_fish=1))
+    dets = detect_top(img, bg[::2, ::2], DetectParams(n_fish=1))
     assert dets
     best = dets[0]
     assert best.view == "top"
@@ -306,7 +404,7 @@ def test_detect_top_picks_wide_end():
 
 def test_detect_top_empty_when_blank():
     bg = np.full((64, 64), BG, dtype=np.uint8)
-    assert detect_top(bg, bg) == []
+    assert detect_top(bg, bg[::2, ::2]) == []
 
 
 def make_front_scene():
@@ -321,7 +419,7 @@ def make_front_scene():
 
 def test_detect_front_blobs():
     img, bg = make_front_scene()
-    dets = detect_front(img, bg, DetectParams(n_fish=2))
+    dets = detect_front(img, bg[::2, ::2], DetectParams(n_fish=2))
     assert len(dets) == 2
     centers = sorted(d.centroid for d in dets)
     assert abs(centers[0][0] - 50) < 6 and abs(centers[0][1] - 60) < 6
@@ -339,11 +437,11 @@ def test_detect_front_area_filter_and_cap():
     img = np.full((200, 200), BG, dtype=np.uint8)
     bg = img.copy()
     paint_disk(img, 30, 30, 3, FISH)  # ~28 px at full res, <20 downsampled
-    assert detect_front(img, bg, DetectParams(n_fish=2)) == []
+    assert detect_front(img, bg[::2, ::2], DetectParams(n_fish=2)) == []
     img2 = np.full((300, 300), BG, dtype=np.uint8)
     for k in range(5):
         paint_disk(img2, 40 + 50 * k, 150, 14, FISH)
-    dets = detect_front(img2, np.full((300, 300), BG, dtype=np.uint8),
+    dets = detect_front(img2, np.full((150, 150), BG, dtype=np.uint8),
                         DetectParams(n_fish=2))
     assert len(dets) == 4  # capped at 2 per expected fish
 

@@ -210,3 +210,21 @@ def test_pgm_rejects_bad_input(tmp_path):
     path.write_bytes(truncated)
     with pytest.raises(FormatError):
         read_pgm(path)
+
+
+def test_pgm_header_comment_lines(tmp_path):
+    # Netpbm allows any number of `#` comment lines between header fields.
+    path = tmp_path / "img.pgm"
+    img = np.arange(6, dtype=np.uint8).reshape(2, 3)
+    for header in (b"P5\n# one\n# two\n3 2\n255\n",
+                   b"P5 # first\n#\n3\n# width above\n2 255\n"):
+        path.write_bytes(header + img.tobytes())
+        assert np.array_equal(read_pgm(path), img)
+
+
+@pytest.mark.parametrize("size", [b"0 0", b"0 3", b"3 0"])
+def test_pgm_rejects_zero_size(tmp_path, size):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(b"P5\n" + size + b"\n255\n")
+    with pytest.raises(FormatError, match="img.pgm: image is"):
+        read_pgm(path)

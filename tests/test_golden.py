@@ -52,16 +52,20 @@ def test_pipeline_outputs_are_unchanged(name, tmp_path, capsys):
 
 
 def test_frame_detector_output_is_unchanged(tmp_path):
-    # simulate --dump-frames, then detect --frames-dir on the dumped PGMs.
-    case = DETECT_FRAMES
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text("".join(f"{k} = {v}\n"
-                                for k, v in case["config"].items()))
-    sim, det = tmp_path / "sim", tmp_path / "det"
-    assert main(["simulate", "--config", str(cfg_path), "--out-dir", str(sim),
-                 "--dump-frames", str(case["dump_frames"])]) == 0
-    assert main(["detect", "--config", str(cfg_path), "--out-dir", str(det),
-                 "--frames-dir", str(sim / "frames")]) == 0
-    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-           for p in sorted(det.iterdir())}
-    assert got == case["sha256"]
+    # simulate --dump-frames, then detect --frames-dir on the dumped PGMs,
+    # for every case: the default grid, a sampled background (n_bg below
+    # the frame count) and a grid step that does not divide the frame.
+    got = {}
+    for name, case in DETECT_FRAMES.items():
+        cfg_path = tmp_path / f"{name}.cfg"
+        cfg_path.write_text("".join(f"{k} = {v}\n"
+                                    for k, v in case["config"].items()))
+        sim, det = tmp_path / name / "sim", tmp_path / name / "det"
+        assert main(["simulate", "--config", str(cfg_path), "--out-dir",
+                     str(sim), "--dump-frames", str(case["dump_frames"])]) == 0
+        assert main(["detect", "--config", str(cfg_path), "--out-dir",
+                     str(det), "--frames-dir", str(sim / "frames")]) == 0
+        got[name] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                     for p in sorted(det.iterdir())}
+    assert got == {name: case["sha256"]
+                   for name, case in DETECT_FRAMES.items()}
