@@ -48,10 +48,6 @@ class NodeCandidate:
     def node_id(self) -> tuple[int, int]:
         return (self.top.id, self.front.id)
 
-    @property
-    def valid_frames(self) -> list[int]:
-        return sorted(self.points)
-
     # Read for every pair of nodes; `points` is fixed once the node is built.
     @functools.cached_property
     def first_valid(self) -> int:

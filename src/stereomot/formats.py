@@ -4,14 +4,16 @@ Byte layout of every CSV file:
 
 - '# key: value' comment lines first (tool version, seed, fps, ...), each
   ending in '\\n';
-- then the exact header row and the data rows, each ending in '\\r\\n'
-  (csv.writer's default);
+- then the exact header row and the data rows, cells joined by ',' and
+  each row ending in '\\r\\n': the bytes csv.writer's default dialect
+  writes, as no cell holds a character it quotes;
 - a float is repr() of the Python float, so values round-trip bit for
   bit; an int is str(); a flag is 1 or 0; an absent value is an empty
   field.
 
-Readers and writers work a column at a time. A reader parses each column
-with Python's int() and float() and runs each check once per column.
+Readers and writers work a column at a time. A reader takes csv.reader's
+rows in blocks, parses each column with Python's int() and float() and
+runs each check once per column.
 Malformed input is reported as path:line: message, naming the error a
 row-by-row reader would meet first: the earliest bad line, and on that
 line the first bad field in the reader's order.
@@ -23,6 +25,7 @@ import csv
 import json
 import math
 import re
+from itertools import groupby, islice, repeat
 
 import numpy as np
 
@@ -48,6 +51,7 @@ ANNOTATIONS_HEADER = ("frame", "fish_id", "view", "bbox_x", "bbox_y",
                       "bbox_w", "bbox_h", "head_x", "head_y", "occluded",
                       "x3d", "y3d", "z3d")
 _CANDIDATE_KEYS = ("c1x", "c1y", "c2x", "c2y", "c3x", "c3y")
+_QUOTED = frozenset(',"\r\n')  # csv.writer quotes a cell holding one
 
 
 class FormatError(ValueError):
@@ -74,11 +78,17 @@ def _cell_text(kind):
 
 def _cells(values) -> list[str]:
     """One column's cells. Each type in the column picks its formatter
-    once, so a column of one type is formatted by one map()."""
+    once, so a column of one type is formatted by one map(). Only str can
+    write a character csv.writer quotes, and such a cell is refused."""
     text = {kind: _cell_text(kind) for kind in set(map(type, values))}
     if len(text) == 1:
-        return list(map(text.popitem()[1], values))
-    return [text[type(v)](v) for v in values]
+        cells = list(map(next(iter(text.values())), values))
+    else:
+        cells = [text[type(v)](v) for v in values]
+    if str in text.values() and not _QUOTED.isdisjoint("".join(cells)):
+        cell = next(c for c in cells if not _QUOTED.isdisjoint(c))
+        raise FormatError(f"cell {cell!r} would need csv quoting")
+    return cells
 
 
 def _write_columns(path, header, columns, meta: dict | None = None) -> None:
@@ -86,12 +96,12 @@ def _write_columns(path, header, columns, meta: dict | None = None) -> None:
     equally long value lists in `columns`."""
     meta = dict(meta or {})
     meta.setdefault("generator", f"stereomot {__version__}")
+    cells = list(map(_cells, columns))  # a refused cell leaves no file
     with open(path, "w", newline="") as fh:
         for k, v in meta.items():
             fh.write(f"# {k}: {v}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*map(_cells, columns)))
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(row) + "\r\n" for row in zip(*cells))
 
 
 def read_meta(path) -> dict[str, str]:
@@ -166,18 +176,25 @@ class _Table:
                 break
             else:
                 raise FormatError(f"{path}:1: missing header row")
-            rows = list(reader)
-        # Line numbers count csv rows; blank rows are skipped.
-        self.lines = range(line_no + 1, line_no + 1 + len(rows))
-        if [] in rows:
-            self.lines = [n for n, row in zip(self.lines, rows) if row]
-            rows = [row for row in rows if row]
-        if set(map(len, rows)) - {len(header)}:
-            i = next(i for i, row in enumerate(rows) if len(row) != len(header))
-            raise FormatError(f"{path}:{self.lines[i]}: expected "
-                              f"{len(header)} fields, got {len(rows[i])}")
-        self.cells = dict(zip(header, list(zip(*rows)) or [()] * len(header)))
-        self.n = len(rows)
+            # Rows become columns a block at a time, so the garbage
+            # collector never holds a whole file of row lists.
+            self.lines: list[int] = []  # csv row numbers, blank rows skipped
+            columns: list[list[str]] = [[] for _ in header]
+            while block := list(islice(reader, 512)):
+                self.lines += [n for n, row in enumerate(block, line_no + 1)
+                               if row]
+                line_no += len(block)
+                block = [row for row in block if row]
+                if set(map(len, block)) - {len(header)}:
+                    i = next(i for i, row in enumerate(block)
+                             if len(row) != len(header))
+                    raise FormatError(
+                        f"{path}:{self.lines[i - len(block)]}: expected "
+                        f"{len(header)} fields, got {len(block[i])}")
+                for column, cells in zip(columns, zip(*block)):
+                    column.extend(cells)
+        self.cells = dict(zip(header, columns))
+        self.n = len(self.lines)
         self.error: str | None = None
 
     def fail(self, i: int, message: str) -> None:
@@ -254,10 +271,23 @@ def _present(values: list) -> list:
                                               if v is not None]
 
 
-def _cand_cells(det: Detection) -> list:
-    """The c1x..c3y cells: up to three head candidates, blank when absent."""
-    cells = [v for c in det.candidates[:3] for v in c]
-    return cells + [None] * (6 - len(cells))
+def _cand_columns(dets: list[Detection]) -> list[list]:
+    """The c1x..c3y columns: each detection's first three head candidates,
+    blank where it has fewer."""
+    cands = [d.candidates for d in dets]
+    return [[c[k][i] if len(c) > k else None for c in cands]
+            for k in range(3) for i in range(2)]
+
+
+def _fields(items: list, keys) -> list[list]:
+    """A column of item[key] per key; blank where an item is None."""
+    return [[None if x is None else x[k] for x in items] for k in keys]
+
+
+def _groups(keys: list):
+    """(key, row indices) in key order; each key's rows in file order."""
+    return groupby(sorted(range(len(keys)), key=keys.__getitem__),
+                   key=keys.__getitem__)
 
 
 def _candidates(heads: list, cells: list[list]) -> list[tuple]:
@@ -282,12 +312,12 @@ def write_detections_csv(path, detections: dict[str, dict[int, list[Detection]]]
                          meta: dict | None = None) -> None:
     dets = [det for view in VIEWS for f in sorted(detections.get(view, {}))
             for det in detections[view][f]]
-    boxes = [(None,) * 4 if d.bbox is None else d.bbox for d in dets]
     _write_columns(path, DETECTIONS_HEADER, [
         [d.frame for d in dets], [d.view for d in dets],
         [d.head[0] for d in dets], [d.head[1] for d in dets],
-        *zip(*boxes), [d.confidence for d in dets],
-        *zip(*map(_cand_cells, dets))], meta)
+        *_fields([d.bbox for d in dets], range(4)),
+        [d.confidence for d in dets],
+        *_cand_columns(dets)], meta)
 
 
 def read_detections_csv(path) -> list[tuple[int, Detection]]:
@@ -300,12 +330,12 @@ def read_detections_csv(path) -> list[tuple[int, Detection]]:
     confidence = t.floats("confidence", optional=True)
     t.check()
     heads = list(zip(x, y))
-    boxes = [None if None in b else b for b in zip(*box)]
-    return [(line_no, Detection(frame=f, view=v, head=h, candidates=c,
-                                bbox=b, confidence=conf))
-            for line_no, f, v, h, c, b, conf in zip(
-                t.lines, frames, views, heads, _candidates(heads, cands),
-                boxes, confidence)]
+    # Detection's fields in order: frame, view, head, candidates, centroid,
+    # cov, bbox, confidence.
+    return list(zip(t.lines, map(
+        Detection, frames, views, heads, _candidates(heads, cands),
+        repeat(None), repeat(None),
+        (None if None in b else b for b in zip(*box)), confidence)))
 
 
 def group_detections(rows: list[tuple[int, Detection]]
@@ -320,24 +350,17 @@ def group_detections(rows: list[tuple[int, Detection]]
 # 2D tracklets
 
 
-def _cov_cells(cov) -> tuple:
-    if cov is None:
-        return (None,) * 3
-    cov = np.asarray(cov)
-    return cov[0, 0], cov[0, 1], cov[1, 1]
-
-
 def write_tracklets_csv(path, tracklets: list[Tracklet2D],
                         meta: dict | None = None) -> None:
-    rows = [(t.id, t.view, f, t.detections[f])
-            for t in sorted(tracklets, key=lambda t: (t.view, t.id))
-            for f in t.frames]
-    dets = [r[3] for r in rows]
+    order = sorted(tracklets, key=lambda t: (t.view, t.id))
+    dets = [t.detections[f] for t in order for f in t.frames]
     _write_columns(path, TRACKLETS_HEADER, [
-        [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows],
+        [t.id for t in order for _ in t.frames],
+        [t.view for t in order for _ in t.frames],
+        [f for t in order for f in t.frames],
         [d.head[0] for d in dets], [d.head[1] for d in dets],
-        *zip(*map(_cand_cells, dets)),
-        *zip(*(_cov_cells(d.cov) for d in dets))], meta)
+        *_cand_columns(dets),
+        *_fields([d.cov for d in dets], ((0, 0), (0, 1), (1, 1)))], meta)
 
 
 def read_tracklets_csv(path) -> list[Tracklet2D]:
@@ -355,19 +378,16 @@ def read_tracklets_csv(path) -> list[Tracklet2D]:
     heads = list(zip(x, y))
     covs = np.array([xx, xy, xy, yy], dtype=float).T.reshape(-1, 2, 2)
     full = (~np.isnan(covs).any(axis=(1, 2))).tolist()  # NaN where blank
-    staged: dict[tuple[str, int], dict[int, Detection]] = {}
-    for tid, view, frame, head, c, cov, has_cov in zip(
-            ids, views, frames, heads, _candidates(heads, cands), covs, full):
-        cov = cov if has_cov else None
-        staged.setdefault((view, tid), {})[frame] = Detection(
-            frame=frame, view=view, head=head, candidates=c,
-            centroid=head if cov is not None else None, cov=cov)
+    # Fields in order: frame, view, head, candidates, centroid, cov.
+    dets = list(map(Detection, frames, views, heads, _candidates(heads, cands),
+                    [h if f else None for h, f in zip(heads, full)],
+                    [covs[i] if f else None for i, f in enumerate(full)]))
     out = []
-    for (view, tid), dets in sorted(staged.items()):
-        tracklet = Tracklet2D(id=tid, view=view)
-        for frame in sorted(dets):
-            tracklet.append(frame, dets[frame])
-        out.append(tracklet)
+    for (view, tid), rows in _groups(list(zip(views, ids))):
+        rows = sorted(rows, key=frames.__getitem__)
+        out.append(Tracklet2D(
+            id=tid, view=view, frames=[frames[i] for i in rows],
+            detections={frames[i]: dets[i] for i in rows}))
     return out
 
 
@@ -375,18 +395,14 @@ def read_tracklets_csv(path) -> list[Tracklet2D]:
 # 3D tracklets
 
 
-def _point_cells(p) -> tuple:
-    return (None,) * 3 if p is None else (p[0], p[1], p[2])
-
-
 def write_tracklets3d_csv(path, tracklets: list[Tracklet3D],
                           meta: dict | None = None) -> None:
-    rows = [(t.id, f, t.points.get(f), *t.sources.get(f, (None, None)))
-            for t in sorted(tracklets, key=lambda t: t.id) for f in t.frames]
+    rows = [(t, f) for t in sorted(tracklets, key=lambda t: t.id)
+            for f in t.frames]
     _write_columns(path, TRACKLETS3D_HEADER, [
-        [r[0] for r in rows], [r[1] for r in rows],
-        *zip(*(_point_cells(r[2]) for r in rows)),
-        [r[3] for r in rows], [r[4] for r in rows]], meta)
+        [t.id for t, _ in rows], [f for _, f in rows],
+        *_fields([t.points.get(f) for t, f in rows], range(3)),
+        *_fields([t.sources.get(f) for t, f in rows], range(2))], meta)
 
 
 def read_tracklets3d_csv(path) -> list[Tracklet3D]:
@@ -401,15 +417,14 @@ def read_tracklets3d_csv(path) -> list[Tracklet3D]:
     t.check()
     points = np.array(xyz, dtype=float).T.copy()
     full = (~np.isnan(points).any(axis=1)).tolist()  # NaN where blank
-    staged: dict[int, Tracklet3D] = {}
-    for tid, frame, p, has_p, source in zip(ids, frames, points, full,
-                                            zip(*sources)):
-        if tid not in staged:
-            staged[tid] = Tracklet3D(id=tid)
-        if has_p:
-            staged[tid].points[frame] = p
-        staged[tid].sources[frame] = source
-    return [staged[tid] for tid in sorted(staged)]
+    sources = list(zip(*sources))
+    out = []
+    for tid, rows in _groups(ids):
+        rows = list(rows)
+        out.append(Tracklet3D(
+            id=tid, points={frames[i]: points[i] for i in rows if full[i]},
+            sources={frames[i]: sources[i] for i in rows}))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +438,7 @@ def write_tracks_csv(path, tracks: list[Track3D],
     keys = sorted((f, k) for k, t in enumerate(order) for f in t.points)
     _write_columns(path, TRACKS_HEADER, [
         [f for f, _ in keys], [order[k].fish_id for _, k in keys],
-        *zip(*(_point_cells(order[k].points[f]) for f, k in keys))], meta)
+        *_fields([order[k].points[f] for f, k in keys], range(3))], meta)
 
 
 def read_tracks_csv(path) -> list[Track3D]:
@@ -434,12 +449,9 @@ def read_tracks_csv(path) -> list[Track3D]:
         f"duplicate row for fish {k[1]} at frame {k[0]}"))
     xyz = [t.floats(k) for k in ("x", "y", "z")]
     t.check()
-    staged: dict[int, Track3D] = {}
-    for frame, fid, p in zip(frames, fish, np.array(xyz, dtype=float).T.copy()):
-        if fid not in staged:
-            staged[fid] = Track3D(fish_id=fid)
-        staged[fid].points[frame] = p
-    return [staged[fid] for fid in sorted(staged)]
+    points = np.array(xyz, dtype=float).T.copy()
+    return [Track3D(fish_id=fid, points={frames[i]: points[i] for i in rows})
+            for fid, rows in _groups(fish)]
 
 
 # ---------------------------------------------------------------------------
@@ -506,9 +518,8 @@ def read_annotations_csv(path) -> GroundTruth:
         f"duplicate row for fish {k[2]} in view {k[0]} at frame {k[1]}"))
     t.check()
 
-    column = {i: j for j, i in enumerate(gt.fish_ids)}
     f = np.array(frames, dtype=np.intp)
-    j = np.array([column[i] for i in fish], dtype=np.intp)
+    j = np.searchsorted(gt.fish_ids, fish)
     box = np.array(box, dtype=float).T
     heads = np.array(heads, dtype=float).T
     occluded = np.array(occluded, dtype=bool)

@@ -10,6 +10,7 @@ per-frame gated matching with match persistence.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -93,15 +94,10 @@ def complexity_stats(gt: GroundTruth, view: str) -> ViewComplexity:
     oc = len(flat) / gt.duration
     ol = (sum(e - s + 1 for s, e in flat) / len(flat) / gt.fps) if flat else 0.0
 
-    gaps: list[float] = []
-    for evs in events.values():
-        if not evs:
-            gaps.append(float(gt.n_frames))
-            continue
-        gaps.append(float(evs[0][0]))
-        for (s1, e1), (s2, e2) in zip(evs, evs[1:]):
-            gaps.append(float(s2 - e1 - 1))
-        gaps.append(float(gt.n_frames - 1 - evs[-1][1]))
+    # Each fish's gaps before, between and after its events.
+    gaps = [float(s - e - 1) for evs in events.values()
+            for e, s in zip([-1] + [e for _, e in evs],
+                            [s for s, _ in evs] + [gt.n_frames])]
     tbo = (sum(gaps) / len(gaps) / gt.fps) if gaps else 0.0
 
     # Overlap with the other flagged boxes of the frame as a fraction of the
@@ -174,6 +170,31 @@ def _gt_positions(gt: GroundTruth, space: str,
     return pos, ~np.isnan(pos[..., 0])
 
 
+def _pred_offsets(pred: dict[int, dict[int, np.ndarray]], pids: list,
+                  pos: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Every predicted point by frame, then by track: (its index into
+    `pids`, its frame, each fish's ground truth minus the point (K, N, d)),
+    NaN where the frame holds no ground truth."""
+    tracks = [pred[p] for p in pids]
+    track = np.repeat(np.arange(len(pids)), list(map(len, tracks)))
+    frame = np.array([f for t in tracks for f in t], dtype=np.intp)
+    point = np.array([p for t in tracks for p in t.values()],
+                     dtype=float).reshape(len(frame), pos.shape[-1])
+    order = np.lexsort((track, frame))
+    track, frame = track[order], frame[order]
+    gt = np.full((len(frame),) + pos.shape[1:], np.nan)
+    inside = (frame >= 0) & (frame < len(pos))
+    gt[inside] = pos[frame[inside]]
+    return track, frame, gt - point[order, None]
+
+
+def _norms(d: np.ndarray) -> np.ndarray:
+    """np.linalg.norm over the last axis, with the bits of one call per
+    vector: the stacked row-times-column matmul takes the same dot product
+    (np.linalg.norm(d, axis=-1) and einsum round differently)."""
+    return np.sqrt(d[..., None, :] @ d[..., :, None])[..., 0, 0]
+
+
 def match_frames(pred: dict[int, dict[int, np.ndarray]], gt: GroundTruth,
                  dist_thresh: float, space: str = "3d",
                  view: str | None = None) -> MatchSequence:
@@ -186,37 +207,41 @@ def match_frames(pred: dict[int, dict[int, np.ndarray]], gt: GroundTruth,
     pos, present = _gt_positions(gt, space, view)
     ids = gt.fish_ids
     column = {i: j for j, i in enumerate(ids)}
+    pids = sorted(pred)
+    track, frame, diff = _pred_offsets(pred, pids, pos)
+    dist, sq = _norms(diff), (diff ** 2).sum(-1)  # (point, fish)
+    track = track.tolist()
     frames = sorted(set(np.flatnonzero(present.any(axis=1)).tolist())
-                    | {f for track in pred.values() for f in track})
+                    | set(frame.tolist()))
+    bounds = zip(np.searchsorted(frame, frames).tolist(),
+                 np.searchsorted(frame, frames, side="right").tolist())
     gt_present = {f: ([ids[j] for j in np.flatnonzero(present[f])]
                       if 0 <= f < gt.n_frames else [])
                   for f in frames}
-    pred_present = {
-        f: sorted(pid for pid, track in pred.items() if f in track)
-        for f in frames}
+    pred_present: dict[int, list[int]] = {}
 
     matches: dict[int, dict[int, tuple[int, float]]] = {}
     prev: dict[int, int] = {}
-    for f in frames:
-        gids, pids = gt_present[f], pred_present[f]
+    for f, (start, end) in zip(frames, bounds):
+        row = {pids[b]: r for r, b in enumerate(track[start:end], start)}
+        pred_present[f] = list(row)
+        gids = gt_present[f]
         here: dict[int, tuple[int, float]] = {}
         taken: set[int] = set()
         for g in gids:
             p = prev.get(g)
-            if p is None or p not in pids or p in taken:
+            if p is None or p not in row or p in taken:
                 continue
-            d = float(np.linalg.norm(pos[f, column[g]] - pred[p][f]))
+            d = float(dist[row[p], column[g]])
             if d <= dist_thresh:
                 here[g] = (p, d)
                 taken.add(p)
         rest_g = [g for g in gids if g not in here]
-        rest_p = [p for p in pids if p not in taken]
+        rest_p = [p for p in row if p not in taken]
         if rest_g and rest_p:
-            cost = np.empty((len(rest_g), len(rest_p)))
-            for a, g in enumerate(rest_g):
-                for b, p in enumerate(rest_p):
-                    d2 = float(np.sum((pos[f, column[g]] - pred[p][f]) ** 2))
-                    cost[a, b] = d2 if d2 <= dist_thresh ** 2 else _SENTINEL
+            d2 = sq[np.ix_([row[p] for p in rest_p],
+                           [column[g] for g in rest_g])].T
+            cost = np.where(d2 <= dist_thresh ** 2, d2, _SENTINEL)
             for a, b in hungarian(cost):
                 if cost[a, b] <= dist_thresh ** 2:
                     here[rest_g[a]] = (rest_p[b], math.sqrt(cost[a, b]))
@@ -284,13 +309,12 @@ def id_metrics(pred: dict[int, dict[int, np.ndarray]], gt: GroundTruth,
     """(IDP, IDR, IDF1) from the optimal whole-track identity mapping."""
     pos, present = _gt_positions(gt, space, view)
     pids = sorted(pred)
-    binned = np.zeros((gt.n_fish, len(pids)), dtype=int)
-    for j in range(gt.n_fish):
-        gt_frames = set(np.flatnonzero(present[:, j]).tolist())
-        for b, p in enumerate(pids):
-            for f in gt_frames & set(pred[p]):
-                if float(np.linalg.norm(pos[f, j] - pred[p][f])) <= dist_thresh:
-                    binned[j, b] += 1
+    track, _, diff = _pred_offsets(pred, pids, pos)
+    # Each track's frames within the gate of each fish, counted at once.
+    k, j = np.nonzero(_norms(diff) <= dist_thresh)
+    binned = np.bincount(j * len(pids) + track[k],
+                         minlength=gt.n_fish * len(pids)
+                         ).reshape(gt.n_fish, len(pids))
     # Maximizing the matched counts minimizes T_g + T_p - 2 * IDTP.
     rows, cols = linear_sum_assignment(binned, maximize=True)
     idtp = int(binned[rows, cols].sum())
@@ -306,21 +330,11 @@ def id_metrics(pred: dict[int, dict[int, np.ndarray]], gt: GroundTruth,
 def mt_ml(seq: MatchSequence) -> tuple[int, int]:
     """Counts of mostly-tracked (coverage >= 0.8) and mostly-lost (<= 0.2)
     ground-truth tracks."""
-    present: dict[int, int] = {}
-    covered: dict[int, int] = {}
-    for f in seq.frames:
-        for g in seq.gt_present[f]:
-            present[g] = present.get(g, 0) + 1
-            if g in seq.matches[f]:
-                covered[g] = covered.get(g, 0) + 1
-    mt = ml = 0
-    for g, n in present.items():
-        cov = covered.get(g, 0) / n
-        if cov >= 0.8:
-            mt += 1
-        if cov <= 0.2:
-            ml += 1
-    return mt, ml
+    present = Counter(g for f in seq.frames for g in seq.gt_present[f])
+    covered = Counter(g for f in seq.frames for g in seq.gt_present[f]
+                      if g in seq.matches[f])
+    cov = [covered[g] / n for g, n in present.items()]
+    return sum(c >= 0.8 for c in cov), sum(c <= 0.2 for c in cov)
 
 
 def mtbf(seq: MatchSequence) -> tuple[float, float]:
@@ -332,31 +346,17 @@ def mtbf(seq: MatchSequence) -> tuple[float, float]:
     maximal miss gap (leading, interior, and trailing).
     """
     total = failures = gaps = 0
-    gids = sorted({g for f in seq.frames for g in seq.gt_present[f]})
-    for g in gids:
-        timeline = [f for f in seq.frames if g in seq.gt_present[f]]
-        seg_len = 0
-        seg_pid = None
-        in_gap = False
-        for f in timeline:
-            entry = seq.matches[f].get(g)
-            if entry is None:
-                if seg_len:
-                    failures += 1  # segment ended before the track did
-                    seg_len, seg_pid = 0, None
-                if not in_gap:
-                    gaps += 1
-                    in_gap = True
-                continue
-            in_gap = False
-            pid, _ = entry
-            if seg_pid is not None and pid != seg_pid:
-                failures += 1  # identity switch terminates the segment
-                seg_len = 0
-            seg_pid = pid
-            seg_len += 1
-            total += 1
-        # a segment alive at the end of the timeline is not a failure
+    for g in {g for f in seq.frames for g in seq.gt_present[f]}:
+        # The matched id at each frame of the track's timeline, None for a
+        # miss. A segment fails when a miss or another id ends it; a gap of
+        # misses starts at the first frame or after a match.
+        pids = [seq.matches[f][g][0] if g in seq.matches[f] else None
+                for f in seq.frames if g in seq.gt_present[f]]
+        total += len(pids) - pids.count(None)
+        failures += sum(a is not None and b != a
+                        for a, b in zip(pids, pids[1:]))
+        gaps += sum(a is not None and b is None
+                    for a, b in zip([0] + pids, pids))
     if total == 0:
         return (0.0, 0.0)
     return (total / max(1, failures), total / max(1, failures + gaps))

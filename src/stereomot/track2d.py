@@ -10,7 +10,7 @@ terminated, yielding short, conservative fragments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -135,9 +135,11 @@ def _box_cov(det: Detection) -> Detection:
     if det.cov is not None or det.bbox is None:
         return det
     w, h = det.bbox[2], det.bbox[3]
-    centroid = det.centroid if det.centroid is not None else det.head
-    return replace(det, cov=np.diag([w * w / 12.0, h * h / 12.0]),
-                   centroid=centroid)
+    return Detection(
+        frame=det.frame, view=det.view, head=det.head,
+        candidates=det.candidates, bbox=det.bbox, confidence=det.confidence,
+        centroid=det.head if det.centroid is None else det.centroid,
+        cov=np.array([[w * w / 12.0, 0.0], [0.0, h * h / 12.0]]))
 
 
 def build_tracklets(frames_dets: dict[int, list[Detection]],

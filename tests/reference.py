@@ -8,16 +8,24 @@ weights, for tests of path extraction on hand-made or random DAGs.
 `skeletonize` and `kernel_response` are the whole-image forms of the
 detector's thinning and keypoint response: every pass of the thinning
 sums the neighbours of every pixel, and the response is a 5x5
-convolution.
+convolution. `match_frames` and `id_metrics` score one (ground truth,
+prediction) pair at a time with `np.linalg.norm`; `mt_ml`, `mtbf` and
+`time_between_occlusions` walk each track frame by frame. `csv_rows`
+writes data rows through `csv.writer`.
 """
 
+import csv
+import io
 import math
 
 import numpy as np
 from scipy import ndimage
+from scipy.optimize import linear_sum_assignment
 
 from stereomot import AssociationGraph, NodeCandidate, Tracklet2D
 from stereomot.geometry import PARALLEL_TOL, CameraModel
+from stereomot.metrics import MatchSequence, _gt_positions, occlusion_events
+from stereomot.track2d import hungarian
 
 
 class GeometryError(ValueError):
@@ -132,3 +140,141 @@ def kernel_response(skel: np.ndarray) -> np.ndarray:
     """5x5 kernel response of the 0/1 skeleton at every pixel."""
     skel01 = (np.asarray(skel) > 0).astype(np.int64)
     return ndimage.convolve(skel01, KEYPOINT_KERNEL, mode="constant", cval=0)
+
+
+def match_frames(pred, gt, dist_thresh, space="3d", view=None):
+    """Greedy-persistent gated matching, one pair at a time: a kept pair's
+    distance is np.linalg.norm of the pair, a solver pair's the square root
+    of np.sum of its squared differences."""
+    pos, present = _gt_positions(gt, space, view)
+    ids = gt.fish_ids
+    column = {i: j for j, i in enumerate(ids)}
+    frames = sorted(set(np.flatnonzero(present.any(axis=1)).tolist())
+                    | {f for track in pred.values() for f in track})
+    gt_present = {f: ([ids[j] for j in np.flatnonzero(present[f])]
+                      if 0 <= f < gt.n_frames else [])
+                  for f in frames}
+    pred_present = {
+        f: sorted(pid for pid, track in pred.items() if f in track)
+        for f in frames}
+    matches = {}
+    prev = {}
+    for f in frames:
+        gids, pids = gt_present[f], pred_present[f]
+        here = {}
+        taken = set()
+        for g in gids:
+            p = prev.get(g)
+            if p is None or p not in pids or p in taken:
+                continue
+            d = float(np.linalg.norm(pos[f, column[g]] - pred[p][f]))
+            if d <= dist_thresh:
+                here[g] = (p, d)
+                taken.add(p)
+        rest_g = [g for g in gids if g not in here]
+        rest_p = [p for p in pids if p not in taken]
+        if rest_g and rest_p:
+            cost = np.empty((len(rest_g), len(rest_p)))
+            for a, g in enumerate(rest_g):
+                for b, p in enumerate(rest_p):
+                    d2 = float(np.sum((pos[f, column[g]] - pred[p][f]) ** 2))
+                    cost[a, b] = d2 if d2 <= dist_thresh ** 2 else 1e18
+            for a, b in hungarian(cost):
+                if cost[a, b] <= dist_thresh ** 2:
+                    here[rest_g[a]] = (rest_p[b], math.sqrt(cost[a, b]))
+        matches[f] = here
+        prev = {g: p for g, (p, _) in here.items()}
+    return MatchSequence(frames=frames, gt_present=gt_present,
+                         pred_present=pred_present, matches=matches)
+
+
+def id_metrics(pred, gt, dist_thresh, space="3d", view=None):
+    """(IDP, IDR, IDF1), counting each fish's gated frames with each track
+    one frame at a time."""
+    pos, present = _gt_positions(gt, space, view)
+    pids = sorted(pred)
+    binned = np.zeros((gt.n_fish, len(pids)), dtype=int)
+    for j in range(gt.n_fish):
+        gt_frames = set(np.flatnonzero(present[:, j]).tolist())
+        for b, p in enumerate(pids):
+            for f in gt_frames & set(pred[p]):
+                d = float(np.linalg.norm(pos[f, j] - pred[p][f]))
+                if d <= dist_thresh:
+                    binned[j, b] += 1
+    rows, cols = linear_sum_assignment(binned, maximize=True)
+    idtp = int(binned[rows, cols].sum())
+    idfn = int(present.sum()) - idtp
+    idfp = sum(len(v) for v in pred.values()) - idtp
+    idp = 100.0 * idtp / (idtp + idfp) if idtp + idfp else 0.0
+    idr = 100.0 * idtp / (idtp + idfn) if idtp + idfn else 0.0
+    idf1 = (100.0 * 2 * idtp / (2 * idtp + idfp + idfn)
+            if 2 * idtp + idfp + idfn else 0.0)
+    return (idp, idr, idf1)
+
+
+def mt_ml(seq):
+    """Counts of mostly-tracked (coverage >= 0.8) and mostly-lost (<= 0.2)
+    ground-truth tracks."""
+    present, covered = {}, {}
+    for f in seq.frames:
+        for g in seq.gt_present[f]:
+            present[g] = present.get(g, 0) + 1
+            if g in seq.matches[f]:
+                covered[g] = covered.get(g, 0) + 1
+    mt = ml = 0
+    for g, n in present.items():
+        cov = covered.get(g, 0) / n
+        if cov >= 0.8:
+            mt += 1
+        if cov <= 0.2:
+            ml += 1
+    return mt, ml
+
+
+def mtbf(seq):
+    """(MTBF_strict, MTBF_monotone), walking each track's timeline."""
+    total = failures = gaps = 0
+    for g in sorted({g for f in seq.frames for g in seq.gt_present[f]}):
+        seg_len, seg_pid, in_gap = 0, None, False
+        for f in [f for f in seq.frames if g in seq.gt_present[f]]:
+            entry = seq.matches[f].get(g)
+            if entry is None:
+                if seg_len:
+                    failures += 1
+                    seg_len, seg_pid = 0, None
+                if not in_gap:
+                    gaps += 1
+                    in_gap = True
+                continue
+            in_gap = False
+            if seg_pid is not None and entry[0] != seg_pid:
+                failures += 1
+                seg_len = 0
+            seg_pid = entry[0]
+            seg_len += 1
+            total += 1
+    if total == 0:
+        return (0.0, 0.0)
+    return (total / max(1, failures), total / max(1, failures + gaps))
+
+
+def time_between_occlusions(gt, view):
+    """Mean gap before, between and after each fish's occlusion events, in
+    seconds."""
+    gaps = []
+    for evs in occlusion_events(gt, view).values():
+        if not evs:
+            gaps.append(float(gt.n_frames))
+            continue
+        gaps.append(float(evs[0][0]))
+        for (s1, e1), (s2, e2) in zip(evs, evs[1:]):
+            gaps.append(float(s2 - e1 - 1))
+        gaps.append(float(gt.n_frames - 1 - evs[-1][1]))
+    return (sum(gaps) / len(gaps) / gt.fps) if gaps else 0.0
+
+
+def csv_rows(rows) -> str:
+    """Data rows as csv.writer writes them (default dialect)."""
+    out = io.StringIO(newline="")
+    csv.writer(out).writerows(rows)
+    return out.getvalue()

@@ -51,8 +51,8 @@ def test_node_weight_partial_overlap(rig, tank):
     assert node is not None
     # perfect projections: every overlap frame triangulates with ~zero error
     assert node.weight == pytest.approx(50.0 / 150.0, abs=1e-9)
-    assert node.valid_frames == list(range(50, 100))
-    for f in node.valid_frames:
+    assert sorted(node.points) == list(range(50, 100))
+    for f in sorted(node.points):
         assert np.linalg.norm(node.points[f] - wave_path(f)) < 1e-8
 
 
@@ -74,7 +74,7 @@ def test_node_weight_picks_best_candidate(rig, tank):
                                decoys=((40.0, 0.0), (-55.0, 10.0)))
     node = node_weight(top, front, rig, tank)
     assert node is not None
-    assert node.valid_frames == list(range(0, 40))
+    assert sorted(node.points) == list(range(0, 40))
     for f in range(0, 40):
         assert np.linalg.norm(node.points[f] - wave_path(f)) < 1e-8
 

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from stereomot import GroundTruth, Track3D, Tracklet2D, Tracklet3D
+import reference
+from stereomot import GroundTruth, Track3D, Tracklet2D, Tracklet3D, __version__
 from stereomot.detect import Detection
 from stereomot.formats import (
     FormatError,
+    _cells,
+    _write_columns,
     group_detections,
     read_annotations_csv,
     read_detections_csv,
@@ -161,6 +166,23 @@ def test_field_count_mismatch_reports_line(tmp_path):
         read_tracks_csv(path)
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("1700,1,2.0,3.0", "expected 5 fields, got 4"),
+    ("1700,1,oops,2.0,3.0", "field 'x' must be a number")])
+def test_line_numbers_hold_across_read_blocks(tmp_path, bad, message):
+    # Readers take rows in blocks of a few hundred; blank rows in earlier
+    # blocks still count as lines.
+    rows = [f"{f},1,1.0,2.0,3.0" for f in range(2000)]
+    for f in (3, 700, 1500):
+        rows[f] = ""
+    rows[1700] = bad
+    path = tmp_path / "tracks.csv"
+    path.write_text("# fps: 60.0\nframe,fish_id,x,y,z\n"
+                    + "\n".join(rows) + "\n")
+    with pytest.raises(FormatError, match=rf"{path}:1703: {message}"):
+        read_tracks_csv(path)
+
+
 def test_bad_value_reports_field(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("frame,fish_id,x,y,z\nzero,1,1.0,2.0,3.0\n")
@@ -228,3 +250,42 @@ def test_pgm_rejects_zero_size(tmp_path, size):
     path.write_bytes(b"P5\n" + size + b"\n255\n")
     with pytest.raises(FormatError, match="img.pgm: image is"):
         read_pgm(path)
+
+
+# Every kind of value a writer formats; text without the characters that
+# csv.writer quotes (and without NUL, which Python 3.10's csv.writer
+# refuses).
+PLAIN = st.characters(exclude_categories=("Cs",),
+                      exclude_characters=',"\r\n\x00')
+CELLS = st.one_of(
+    st.none(), st.booleans(), st.builds(np.bool_, st.booleans()),
+    st.integers(), st.builds(np.int64, st.integers(-2**63, 2**63 - 1)),
+    st.builds(np.int32, st.integers(-2**31, 2**31 - 1)),
+    st.floats(), st.builds(np.float64, st.floats()),
+    st.builds(np.float32, st.floats(width=32)), st.text(PLAIN))
+# Every file has at least five columns; csv.writer quotes the one blank
+# field of a one-field row.
+TABLES = st.integers(2, 6).flatmap(lambda k: st.lists(
+    st.lists(CELLS, min_size=k, max_size=k), max_size=8))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(TABLES)
+def test_rows_have_the_bytes_csv_writer_gives(tmp_path, rows):
+    header = [f"h{i}" for i in range(len(rows[0]) if rows else 2)]
+    columns = [list(c) for c in zip(*rows)] or [[] for _ in header]
+    _write_columns(tmp_path / "t.csv", header, columns, {"seed": 1})
+    want = (f"# seed: 1\n# generator: stereomot {__version__}\n"
+            + reference.csv_rows([header, *zip(*map(_cells, columns))]))
+    assert (tmp_path / "t.csv").read_bytes() == want.encode()
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.text(PLAIN), st.sampled_from(',"\r\n'), st.text(PLAIN))
+def test_a_cell_csv_writer_would_quote_is_refused(tmp_path, a, special, b):
+    with pytest.raises(FormatError, match="quoting"):
+        _write_columns(tmp_path / "t.csv", ["x", "y"],
+                       [[1.5, 2], ["top", a + special + b]])
+    assert not (tmp_path / "t.csv").exists()

@@ -1,9 +1,13 @@
 """Metamorphic relations of the tracking chain on a degraded scene.
 
-Each test edits `detections.csv` in a way whose effect on the outputs is
-known in advance, runs `track2d`, `associate` and `stitch` on both files,
-and compares what they write.
+Each test edits one input in a way whose effect on the outputs is known in
+advance, runs the stages that read it on both files, and compares what
+they write: `detections.csv` through `track2d`, `associate` and `stitch`,
+and `tracks.csv` or `annotations.csv` through `evaluate` and
+`complexity`.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -28,6 +32,25 @@ def run_chain(cfg, calibration, detections, out):
                  ["stitch", "--tracklets3d", str(out / "tracklets3d.csv")]):
         assert main([*args, "--config", str(cfg), "--out-dir", str(out)]) == 0
     return {name: (out / name).read_bytes() for name in OUTPUTS}
+
+
+def score(cfg, annotations, tracks, out):
+    """report.json and complexity.json of `tracks` against `annotations`."""
+    for args in (["evaluate", "--annotations", str(annotations),
+                  "--tracks", str(tracks)],
+                 ["complexity", "--annotations", str(annotations)]):
+        assert main([*args, "--config", str(cfg), "--out-dir", str(out)]) == 0
+    return {name: (out / name).read_bytes()
+            for name in ("report.json", "complexity.json")}
+
+
+def relabel(data: bytes, column: str, new_id) -> bytes:
+    """The CSV file with every id in `column` replaced by new_id(id)."""
+    comments, header, rows = split_csv(data)
+    j = header.index(column)
+    for row in rows:
+        row[j] = str(new_id(int(row[j])))
+    return join_csv(comments, header, rows)
 
 
 def split_csv(data: bytes):
@@ -102,3 +125,31 @@ def test_shuffling_rows_within_a_frame_relabels_tracklets_only(scene,
     assert without_ids(got["tracklets.csv"]) == without_ids(
         base["tracklets.csv"])
     assert got["tracks.csv"] == base["tracks.csv"]
+
+
+def test_permuting_track_ids_changes_no_score(scene, tmp_path):
+    root, cfg, base = scene
+    tracks = root / "base" / "tracks.csv"
+    want = score(cfg, root / "annotations.csv", tracks, tmp_path)
+    assert json.loads(want["report.json"])["n_matches"] > 0
+    _, header, rows = split_csv(base["tracks.csv"])
+    ids = sorted({int(row[header.index("fish_id")]) for row in rows})
+    assert len(ids) > 1
+    shift = dict(zip(ids, ids[1:] + ids[:1]))
+    permuted = tmp_path / "tracks.csv"
+    permuted.write_bytes(relabel(base["tracks.csv"], "fish_id",
+                                 shift.__getitem__))
+    got = score(cfg, root / "annotations.csv", permuted, tmp_path)
+    assert got == want
+
+
+def test_increasing_fish_relabel_changes_no_score(scene, tmp_path):
+    root, cfg, base = scene
+    tracks = root / "base" / "tracks.csv"
+    want = score(cfg, root / "annotations.csv", tracks, tmp_path)
+    annotations = tmp_path / "annotations.csv"
+    annotations.write_bytes(relabel(
+        (root / "annotations.csv").read_bytes(), "fish_id",
+        lambda i: 3 * i + 10))
+    got = score(cfg, annotations, tracks, tmp_path)
+    assert got == want

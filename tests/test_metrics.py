@@ -2,6 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import reference
 
 from stereomot import (
     GroundTruth,
@@ -305,3 +310,71 @@ def test_tracks_to_pred_adapter():
     pred = tracks_to_pred([track])
     assert set(pred) == {4}
     assert np.array_equal(pred[4][1], np.ones(3))
+
+
+@st.composite
+def scored_tracks(draw):
+    """(pred, gt, gates, space, view): ground truth with absent fish,
+    tracks with frames before and past it that mostly follow one fish, and
+    gates that are the distances themselves. Points on an integer grid give
+    exact distances; normal ones differ in the last bit between ways of
+    summing."""
+    space, view = draw(st.sampled_from(
+        [("3d", None), ("2d", "top"), ("2d", "front")]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = draw(st.booleans())
+    n_frames = int(rng.integers(1, 21))
+    gt = GroundTruth(fps=30.0, n_frames=n_frames, ids=sorted(
+        rng.choice(100, rng.integers(0, 5), replace=False)))
+    pos = gt.points3d if space == "3d" else gt.heads[view]
+    pos[:] = (rng.integers(-20, 21, pos.shape) if grid
+              else rng.normal(0.0, 10.0, pos.shape))
+    pos[rng.random(pos.shape[:2]) < 0.2] = np.nan
+    pred, dists = {}, []
+    for pid in rng.choice(100, rng.integers(1, 6), replace=False).tolist():
+        pred[pid], j = {}, rng.integers(max(gt.n_fish, 1))
+        first = rng.integers(-2, n_frames + 1)
+        for f in range(first, first + rng.integers(1, 21)):
+            if rng.random() < 0.2:
+                continue
+            if rng.random() < 0.2:
+                j = rng.integers(max(gt.n_fish, 1))
+            inside = 0 <= f < n_frames and gt.n_fish
+            base = np.nan_to_num(pos[f, j]) if inside else 0.0
+            pred[pid][f] = base + (
+                rng.choice([0.0, 3.0, -4.0], pos.shape[-1]) if grid
+                else rng.normal(0.0, 1.5, pos.shape[-1]))
+            if inside:
+                dists.append(np.linalg.norm(pos[f, j] - pred[pid][f]))
+    gates = [5.0] + [float(d) for d in dists if 0 < d < 8][:10]
+    return pred, gt, gates, space, view
+
+
+@settings(max_examples=150, deadline=None)
+@given(scored_tracks())
+def test_match_frames_equals_the_pairwise_reference(case):
+    pred, gt, gates, space, view = case
+    for gate in gates:
+        seq = reference.match_frames(pred, gt, gate, space, view)
+        assert match_frames(pred, gt, gate, space, view) == seq
+        assert mt_ml(seq) == reference.mt_ml(seq)
+        assert mtbf(seq) == reference.mtbf(seq)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scored_tracks())
+def test_id_metrics_equals_the_pairwise_reference(case):
+    pred, gt, gates, space, view = case
+    for gate in gates:
+        assert (id_metrics(pred, gt, gate, space, view)
+                == reference.id_metrics(pred, gt, gate, space, view))
+
+
+@settings(max_examples=100, deadline=None)
+@given(arrays(bool, st.tuples(st.integers(1, 30), st.integers(0, 4))),
+       st.sampled_from(["top", "front"]))
+def test_time_between_occlusions_equals_the_reference(flags, view):
+    gt = GroundTruth(fps=30.0, n_frames=len(flags), ids=range(flags.shape[1]))
+    gt.occluded[view][:] = flags
+    assert (complexity_stats(gt, view).tbo
+            == reference.time_between_occlusions(gt, view))
