@@ -39,12 +39,6 @@ def _meta(cfg: PipelineConfig) -> dict:
     return {"seed": cfg.get("seed"), "fps": cfg.get("fps")}
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # stage implementations (shared by the per-stage subcommands and `pipeline`)
 
@@ -126,12 +120,8 @@ def stage_detect_frames(cfg: PipelineConfig, frames_dir: Path,
 
 def stage_detect_external(cfg: PipelineConfig, external: Path,
                           out: Path) -> None:
-    per_frame = ingest_external_detections(
+    dets = ingest_external_detections(
         external, min_confidence=cfg.get("detect.min_confidence"))
-    dets: dict[str, dict[int, list[Detection]]] = {v: {} for v in VIEWS}
-    for f, items in per_frame.items():
-        for det in items:
-            dets[det.view].setdefault(f, []).append(det)
     write_detections_csv(out / "detections.csv", dets, _meta(cfg))
 
 
@@ -272,7 +262,8 @@ def main(argv=None) -> int:
             print(describe_defaults(), end="")
             return 0
         cfg = _load_cfg(args)
-        out = _out_dir(args)
+        out = Path(args.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
         if args.command == "simulate":
             stage_simulate(cfg, out, args.dump_frames)
         elif args.command == "detect":

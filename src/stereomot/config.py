@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .crossview import AssocParams
 from .detect import DetectParams, ingest_external_detections
+from .formats import read_text
 from .geometry import StereoRig, TankBounds, default_rig
 from .simulator import DegradeModel, SimConfig
 from .track2d import EUCLIDEAN_HEAD, Track2DParams
@@ -186,8 +187,7 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
-        with open(path) as fh:
-            return cls.from_text(fh.read(), source=str(path))
+        return cls.from_text(read_text(path), source=str(path))
 
     def get(self, name: str):
         return self.values[name]

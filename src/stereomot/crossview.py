@@ -124,31 +124,6 @@ class AssociationGraph:
 
     nodes: dict = field(default_factory=dict)     # node_id -> NodeCandidate
     edges: dict = field(default_factory=dict)     # (src_id, dst_id) -> weight
-    _succ: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        self._succ = {nid: [] for nid in self.nodes}
-        for a, b in self.edges:
-            self._succ[a].append(b)
-        for nid in self._succ:
-            self._succ[nid].sort()
-
-    def successors(self, node_id) -> list:
-        return self._succ[node_id]
-
-    def _topo_order(self, alive: set) -> list:
-        indeg = dict.fromkeys(alive, 0)
-        for a, b in self.edges:
-            if a in alive and b in alive:
-                indeg[b] += 1
-        order = [nid for nid, d in indeg.items() if d == 0]
-        for nid in order:  # grows while it is walked
-            for b in self._succ[nid]:
-                if b in alive:
-                    indeg[b] -= 1
-                    if indeg[b] == 0:
-                        order.append(b)
-        return order
 
 
 def build_graph(top_tracklets: list[Tracklet2D],
@@ -191,25 +166,38 @@ def extract_paths(graph: AssociationGraph) -> list[list]:
     """Repeatedly peel off the maximal-score path (lexicographically
     smallest node-id sequence on ties), removing its nodes and every node
     that shares a 2D tracklet with it."""
+    succ = {nid: [] for nid in graph.nodes}  # ascending successor ids
+    indeg = dict.fromkeys(graph.nodes, 0)
+    for a, b in sorted(graph.edges):
+        succ[a].append(b)
+        indeg[b] += 1
+    # One topological order (Kahn's) of the whole graph; it stays one of
+    # every subgraph, so each pass below walks it and skips dead nodes.
+    order = [nid for nid, d in indeg.items() if d == 0]
+    for nid in order:  # grows while it is walked
+        for b in succ[nid]:
+            indeg[b] -= 1
+            if indeg[b] == 0:
+                order.append(b)
+
     alive = set(graph.nodes)
     paths = []
     while alive:
-        order = graph._topo_order(alive)
         g: dict = {}
         choice: dict = {}
         for nid in reversed(order):
+            if nid not in alive:
+                continue
             best, best_succ = 0.0, None
-            for b in graph.successors(nid):
-                if b not in alive:
-                    continue
-                cand = graph.edges[(nid, b)] + g[b]
-                if cand > best or (cand == best and best_succ is not None
-                                   and b < best_succ):
-                    best, best_succ = cand, b
+            for b in succ[nid]:  # ascending: ties keep the smaller
+                if b in alive:
+                    cand = graph.edges[(nid, b)] + g[b]
+                    if cand > best:
+                        best, best_succ = cand, b
             g[nid] = graph.nodes[nid].weight + best
             choice[nid] = best_succ
 
-        start = min((nid for nid in alive), key=lambda n: (-g[n], n))
+        start = min(alive, key=lambda n: (-g[n], n))
         path = [start]
         while choice[path[-1]] is not None:
             path.append(choice[path[-1]])
@@ -223,8 +211,25 @@ def extract_paths(graph: AssociationGraph) -> list[list]:
     return paths
 
 
+class Extent3D:
+    """The frame extent of the 3D points in `points`, a frame -> point
+    dict: of a 3D tracklet and of a stitched track alike."""
+
+    @property
+    def first_frame(self) -> int:
+        return min(self.points)
+
+    @property
+    def last_frame(self) -> int:
+        return max(self.points)
+
+    @property
+    def duration(self) -> int:
+        return self.last_frame - self.first_frame + 1
+
+
 @dataclass
-class Tracklet3D:
+class Tracklet3D(Extent3D):
     """3D tracklet: per-frame in-tank points plus the 2D tracklet ids behind
     every frame, including frames only one view covers."""
 
@@ -235,18 +240,6 @@ class Tracklet3D:
     @property
     def frames(self) -> list[int]:
         return sorted(set(self.sources) | set(self.points))
-
-    @property
-    def first_frame(self) -> int:  # 3D extent start
-        return min(self.points)
-
-    @property
-    def last_frame(self) -> int:   # 3D extent end
-        return max(self.points)
-
-    @property
-    def duration(self) -> int:
-        return self.last_frame - self.first_frame + 1
 
 
 def extract_3d_tracklets(graph: AssociationGraph) -> list[Tracklet3D]:

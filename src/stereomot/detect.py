@@ -15,6 +15,7 @@ internal 2x decimation never leaks downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 from scipy import ndimage
@@ -391,17 +392,12 @@ def _select_head_keypoints(kps: list[Keypoint]) -> list[Keypoint]:
     heavier one, then keep the heavier half of the remainder."""
     if len(kps) <= 1:
         return list(kps)
-    best_pair = (0, 1)
-    best_d = -1.0
-    for i in range(len(kps)):
-        for j in range(i + 1, len(kps)):
-            dx = kps[i].point[0] - kps[j].point[0]
-            dy = kps[i].point[1] - kps[j].point[1]
-            d = dx * dx + dy * dy
-            if d > best_d:
-                best_d = d
-                best_pair = (i, j)
-    a, b = best_pair
+
+    def span(pair):  # squared distance; max() keeps the first farthest
+        (xa, ya), (xb, yb) = kps[pair[0]].point, kps[pair[1]].point
+        return (xa - xb) ** 2 + (ya - yb) ** 2
+
+    a, b = max(combinations(range(len(kps)), 2), key=span)
     winner = kps[a] if kps[a].weight >= kps[b].weight else kps[b]
     rest = [k for idx, k in enumerate(kps) if idx not in (a, b)]
     rest.sort(key=lambda k: (-k.weight, k.point[1], k.point[0]))
@@ -484,8 +480,6 @@ def detect_front(frame: np.ndarray, bg: np.ndarray,
         else:
             proxies = ((mean_x, min_y), (mean_x, max_y))
         cov = np.cov(np.stack([xs.astype(float), ys.astype(float)]), bias=True)
-        if cov.ndim == 0:  # single-pixel blob
-            cov = np.zeros((2, 2))
         centroid = (mean_x * f, mean_y * f)
         out.append(Detection(
             frame=frame_index, view="front", head=centroid,
@@ -493,21 +487,22 @@ def detect_front(frame: np.ndarray, bg: np.ndarray,
                         (proxies[0][0] * f, proxies[0][1] * f),
                         (proxies[1][0] * f, proxies[1][1] * f)),
             centroid=centroid,
-            cov=np.asarray(cov, dtype=float) * (f * f),
+            cov=cov * (f * f),
             bbox=(min_x * f, min_y * f, w_px * f, h_px * f),
         ))
     return out
 
 
 def ingest_external_detections(path, min_confidence: float = 95.0,
-                               ) -> dict[int, list[Detection]]:
+                               ) -> dict[str, dict[int, list[Detection]]]:
     """Read a detection CSV, keep rows with confidence >= min_confidence,
-    and reduce each box to its center point."""
-    from .formats import read_detections_csv
+    and reduce each box to its center point. Returns view -> frame ->
+    [Detection], in file order within a frame: the shape every detection
+    producer returns."""
+    from .formats import group_detections, read_detections_csv
 
-    rows = read_detections_csv(path)
-    per_frame: dict[int, list[Detection]] = {}
-    for line_no, det in rows:
+    kept = []
+    for line_no, det in read_detections_csv(path):
         if det.confidence is None or det.bbox is None:
             raise DetectError(
                 f"{path}:{line_no}: external detection rows need bbox and "
@@ -516,8 +511,7 @@ def ingest_external_detections(path, min_confidence: float = 95.0,
             continue
         bx, by, bw, bh = det.bbox
         head = (bx + bw / 2.0, by + bh / 2.0)
-        kept = Detection(frame=det.frame, view=det.view, head=head,
-                         candidates=(head,), bbox=det.bbox,
-                         confidence=det.confidence)
-        per_frame.setdefault(det.frame, []).append(kept)
-    return per_frame
+        kept.append((line_no, Detection(
+            frame=det.frame, view=det.view, head=head, candidates=(head,),
+            bbox=det.bbox, confidence=det.confidence)))
+    return group_detections(kept)

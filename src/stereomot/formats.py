@@ -104,11 +104,44 @@ def _write_columns(path, header, columns, meta: dict | None = None) -> None:
         fh.writelines(",".join(row) + "\r\n" for row in zip(*cells))
 
 
+def read_text(path) -> str:
+    """The whole file as UTF-8 text; a byte that is not UTF-8 is an error
+    at its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode()
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise FormatError(f"{path}:{line}: not UTF-8 text: byte "
+                          f"0x{data[e.start]:02x}") from None
+
+
+def _lines(path, fh):
+    """The lines of the open text file `path`; a byte that is not UTF-8 is
+    an error at its line."""
+    try:
+        yield from fh
+    except UnicodeDecodeError:
+        read_text(path)  # raises at the line of the first bad byte
+        raise
+
+
+def _rows(path, fh):
+    """csv.reader's rows of the open file `path`; a row it refuses is an
+    error at its line."""
+    reader = csv.reader(_lines(path, fh))
+    try:
+        yield from reader
+    except csv.Error as e:
+        raise FormatError(f"{path}:{reader.line_num}: {e}") from None
+
+
 def read_meta(path) -> dict[str, str]:
     """The '# key: value' comment lines at the top of a CSV file."""
     meta = {}
     with open(path, newline="") as fh:
-        for line in fh:
+        for line in _lines(path, fh):
             if not line.startswith("#"):
                 break
             m = re.match(r"#\s*([^:]+):\s*(.*)", line.strip())
@@ -165,7 +198,7 @@ class _Table:
     def __init__(self, path, header):
         self.path = path
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
+            reader = _rows(path, fh)
             for line_no, row in enumerate(reader, start=1):
                 if not row or row[0].startswith("#"):
                     continue
@@ -235,7 +268,14 @@ class _Table:
             return _parse_cells(cells[:i], parse, optional)
 
     def ints(self, key, optional=False) -> list:
-        return self.parse(key, int, _not_int, optional)
+        """64-bit integers; a larger one fails its row too."""
+        values = self.parse(key, int, _not_int, optional)
+        present = _present(values)
+        if present and not -2**63 <= min(present) <= max(present) < 2**63:
+            self.expect(values, lambda v: v is None or -2**63 <= v < 2**63,
+                        lambda i: f"field {key!r} must be a 64-bit integer, "
+                                  f"got {self.cells[key][i]!r}")
+        return values
 
     def floats(self, key, optional=False) -> list:
         """Finite floats; a non-finite value fails its row too."""

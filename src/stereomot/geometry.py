@@ -186,37 +186,39 @@ def default_rig(image_size: tuple[int, int] = (800, 800),
     return StereoRig(top=top, front=front)
 
 
+# The numeric fields of a camera in the calibration JSON, in file order,
+# and the shape of each; a scalar's is ().
+_CAMERA_SHAPES = {"fx": (), "fy": (), "cx": (), "cy": (), "rotation": (3, 3),
+                  "translation": (3,), "image_size": (2,)}
+
+
 def _camera_to_dict(cam: CameraModel) -> dict:
-    return {
-        "view_id": cam.view_id,
-        "fx": cam.fx,
-        "fy": cam.fy,
-        "cx": cam.cx,
-        "cy": cam.cy,
-        "rotation": cam.rotation.tolist(),
-        "translation": cam.translation.tolist(),
-        "image_size": list(cam.image_size),
-    }
+    return {"view_id": cam.view_id,
+            **{key: np.asarray(getattr(cam, key)).tolist()
+               for key in _CAMERA_SHAPES}}
 
 
 def _camera_from_dict(d: dict) -> CameraModel:
-    required = {"view_id", "fx", "fy", "cx", "cy", "rotation", "translation",
-                "image_size"}
-    missing = required - set(d)
+    missing = ({"view_id"} | set(_CAMERA_SHAPES)) - set(d)
     if missing:
         raise ValueError(f"calibration camera entry missing fields: {sorted(missing)}")
-    for key in ("fx", "fy", "cx", "cy", "rotation", "translation",
-                "image_size"):
-        if not np.isfinite(np.asarray(d[key], dtype=float)).all():
+    values = {}
+    for key, shape in _CAMERA_SHAPES.items():
+        try:
+            values[key] = np.array(d[key], dtype=float)
+            ok = values[key].shape == shape and np.isfinite(values[key]).all()
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
             raise ValueError(f"calibration camera {d['view_id']!r}: field "
-                             f"{key!r} must be finite, got {d[key]!r}")
+                             f"{key!r} must be finite, of shape {shape}, "
+                             f"got {d[key]!r}")
     return CameraModel(
-        fx=float(d["fx"]), fy=float(d["fy"]),
-        cx=float(d["cx"]), cy=float(d["cy"]),
-        rotation=np.array(d["rotation"], dtype=float),
-        translation=np.array(d["translation"], dtype=float),
+        fx=float(values["fx"]), fy=float(values["fy"]),
+        cx=float(values["cx"]), cy=float(values["cy"]),
+        rotation=values["rotation"], translation=values["translation"],
         view_id=str(d["view_id"]),
-        image_size=(int(d["image_size"][0]), int(d["image_size"][1])),
+        image_size=tuple(int(v) for v in values["image_size"]),
     )
 
 
@@ -228,15 +230,26 @@ def save_calibration(rig: StereoRig, path) -> None:
 
 
 def load_calibration(path) -> StereoRig:
-    """Load and validate the two-camera calibration JSON."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    cams = {}
-    for entry in payload.get("cameras", []):
-        cam = _camera_from_dict(entry)
-        cams[cam.view_id] = cam
-    if set(cams) != set(VIEWS):
-        raise ValueError(
-            f"calibration must define exactly a 'top' and a 'front' camera, "
-            f"got {sorted(cams)}")
+    """Load and validate the two-camera calibration JSON; every fault in
+    it is an error that starts with the file's path."""
+    from .formats import read_text  # formats imports this module
+
+    try:
+        payload = json.loads(read_text(path))
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{path}:{e.lineno}: {e.msg} (column {e.colno})"
+                         ) from None
+    cameras = payload.get("cameras") if isinstance(payload, dict) else None
+    if not (isinstance(cameras, list)
+            and all(isinstance(c, dict) for c in cameras)):
+        raise ValueError(f"{path}: calibration must be an object with a "
+                         f"'cameras' list of objects")
+    try:
+        cams = {cam.view_id: cam for cam in map(_camera_from_dict, cameras)}
+        if set(cams) != set(VIEWS):
+            raise ValueError(
+                f"calibration must define exactly a 'top' and a 'front' "
+                f"camera, got {sorted(cams)}")
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
     return StereoRig(**cams)

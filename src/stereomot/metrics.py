@@ -51,10 +51,6 @@ class GroundTruth:
         return self.points3d.shape[1]
 
     @property
-    def duration(self) -> float:
-        return self.n_frames / self.fps
-
-    @property
     def fish_ids(self) -> tuple[int, ...]:
         return self._fish_ids
 
@@ -91,7 +87,7 @@ def pair_overlap(boxes: np.ndarray) -> np.ndarray:
 def complexity_stats(gt: GroundTruth, view: str) -> ViewComplexity:
     events = occlusion_events(gt, view)
     flat = [ev for evs in events.values() for ev in evs]
-    oc = len(flat) / gt.duration
+    oc = len(flat) / (gt.n_frames / gt.fps)
     ol = (sum(e - s + 1 for s, e in flat) / len(flat) / gt.fps) if flat else 0.0
 
     # Each fish's gaps before, between and after its events.
@@ -268,8 +264,7 @@ class ClearMot:
 def clear_mot(seq: MatchSequence) -> ClearMot:
     fp = fn = idsw = frag = n_match = 0
     dists: list[float] = []
-    last_pred: dict[int, int] = {}
-    was_matched: dict[int, bool] = {}
+    last_pred: dict[int, int] = {}  # matched gt id -> its last pred id
     in_gap: dict[int, bool] = {}
     gt_total = 0
     for f in seq.frames:
@@ -285,12 +280,11 @@ def clear_mot(seq: MatchSequence) -> ClearMot:
                 dists.append(d)
                 if g in last_pred and last_pred[g] != p:
                     idsw += 1
-                if was_matched.get(g) and in_gap.get(g):
+                if in_gap.get(g):
                     frag += 1
                 last_pred[g] = p
-                was_matched[g] = True
                 in_gap[g] = False
-            elif was_matched.get(g):
+            elif g in last_pred:
                 in_gap[g] = True
     if gt_total == 0:
         raise ValueError("ground truth contains no object presence")
@@ -343,7 +337,7 @@ def mtbf(seq: MatchSequence) -> tuple[float, float]:
     A segment is a maximal run of matched frames with a constant predicted
     id along one track's presence timeline; it fails unless it reaches the
     track's final present frame. The monotone variant also charges every
-    maximal miss gap (leading, interior, and trailing).
+    maximal miss gap (at the start, in between and at the end).
     """
     total = failures = gaps = 0
     for g in {g for f in seq.frames for g in seq.gt_present[f]}:
@@ -362,35 +356,18 @@ def mtbf(seq: MatchSequence) -> tuple[float, float]:
     return (total / max(1, failures), total / max(1, failures + gaps))
 
 
-def oracle_tracks(gt: GroundTruth, space: str = "3d", view: str | None = None,
-                  same_id: bool = True) -> dict[int, dict[int, np.ndarray]]:
+def oracle_tracks(gt: GroundTruth, space: str = "3d", view: str | None = None
+                  ) -> dict[int, dict[int, np.ndarray]]:
     """Perfect tracks from the ground truth with occluded frames dropped.
 
-    In 3D a frame is dropped when the fish is occluded in either view. With
-    same_id=False every contiguous visible run gets a fresh track id.
+    In 3D a frame is dropped when the fish is occluded in either view.
     """
     pos, present = _gt_positions(gt, space, view)
     occluded = (np.logical_or.reduce([gt.occluded[v] for v in VIEWS])
                 if space == "3d" else gt.occluded[view])
     visible = present & ~occluded
-    out: dict[int, dict[int, np.ndarray]] = {}
-    next_id = 1
-    for j, i in enumerate(gt.fish_ids):
-        frames = np.flatnonzero(visible[:, j]).tolist()
-        if same_id:
-            out[i] = {f: pos[f, j] for f in frames}
-            continue
-        run: list[int] = []
-        for f in frames:
-            if run and f != run[-1] + 1:
-                out[next_id] = {ff: pos[ff, j] for ff in run}
-                next_id += 1
-                run = []
-            run.append(f)
-        if run:
-            out[next_id] = {ff: pos[ff, j] for ff in run}
-            next_id += 1
-    return out
+    return {i: {f: pos[f, j] for f in np.flatnonzero(visible[:, j]).tolist()}
+            for j, i in enumerate(gt.fish_ids)}
 
 
 def tracks_to_pred(tracks) -> dict[int, dict[int, np.ndarray]]:

@@ -57,10 +57,6 @@ class SimConfig:
     def n_frames(self) -> int:
         return int(round(self.duration_s * self.fps))
 
-    @property
-    def velocity_sigma(self) -> float:
-        return self.speed_mean / _MAXWELL_MEAN
-
 
 @dataclass
 class SyntheticSequence:
@@ -106,7 +102,7 @@ def simulate(cfg: SimConfig, rig: StereoRig | None = None) -> SyntheticSequence:
         rig = default_rig(tank=cfg.tank)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     lows, highs = _fish_bounds(cfg)
-    a = cfg.velocity_sigma
+    a = cfg.speed_mean / _MAXWELL_MEAN  # per-axis velocity sigma
     dt = 1.0 / cfg.fps
     decay = math.exp(-cfg.reversion_rate * dt)
     noise_sd = a * math.sqrt(1.0 - decay * decay)

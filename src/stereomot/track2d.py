@@ -33,8 +33,6 @@ def hungarian(cost) -> list[tuple[int, int]]:
     reject them afterwards.
     """
     cost = np.atleast_2d(np.asarray(cost, dtype=float))
-    if cost.size == 0:
-        return []
     rows, cols = linear_sum_assignment(cost)
     return sorted(zip(rows.tolist(), cols.tolist()))
 
@@ -143,31 +141,21 @@ def _box_cov(det: Detection) -> Detection:
 
 
 def build_tracklets(frames_dets: dict[int, list[Detection]],
-                    params: Track2DParams = Track2DParams(),
-                    view: str | None = None,
-                    start_id: int = 0) -> list[Tracklet2D]:
-    """Build tracklets for one view from per-frame detection lists.
+                    params: Track2DParams, view: str) -> list[Tracklet2D]:
+    """Build tracklets for one view from per-frame detection lists; their
+    ids count from 0 in the order the tracklets start.
 
     Termination is strict: a tracklet may still receive a detection at
     frame f iff f - last_assigned_frame <= tau_k. In Mahalanobis mode a
     detection with a box but no covariance gets the uniform-box surrogate
     diag(w^2/12, h^2/12), centered on its head if it has no centroid.
     """
-    frames = sorted(frames_dets)
-    if view is None:
-        for f in frames:
-            if frames_dets[f]:
-                view = frames_dets[f][0].view
-                break
-    if view is None:
-        return []
     gate = params.gate(view)
     mode = params.mode(view)
-
-    next_id = start_id
+    next_id = 0
     active: list[Tracklet2D] = []
     done: list[Tracklet2D] = []
-    for f in frames:
+    for f in sorted(frames_dets):
         still = []
         for t in active:
             (still if f - t.last_frame <= params.tau_k else done).append(t)

@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .crossview import Tracklet3D
+from .crossview import Extent3D, Tracklet3D
 
 log = logging.getLogger(__name__)
 
@@ -38,31 +38,16 @@ class StitchParams:
 
 
 @dataclass
-class Track3D:
+class Track3D(Extent3D):
     fish_id: int
     points: dict[int, np.ndarray] = field(default_factory=dict)
     sources: list[int] = field(default_factory=list)
 
-    @property
-    def first_frame(self) -> int:
-        return min(self.points)
-
-    @property
-    def last_frame(self) -> int:
-        return max(self.points)
-
-    @property
-    def duration(self) -> int:
-        return self.last_frame - self.first_frame + 1
-
-
-def _extent(t) -> tuple[int, int]:
-    return (t.first_frame, t.last_frame)
-
 
 def _overlap_frames(a, b) -> int:
-    (fa, la), (fb, lb) = _extent(a), _extent(b)
-    return min(la, lb) - max(fa, fb) + 1
+    """Frames the two extents share; 1 - the gap between them when none."""
+    return (min(a.last_frame, b.last_frame)
+            - max(a.first_frame, b.first_frame) + 1)
 
 
 def _overlaps(a, b) -> bool:
@@ -71,10 +56,7 @@ def _overlaps(a, b) -> bool:
 
 def temporal_gap(a, b) -> int:
     """Frames separating two extents; 0 when they intersect."""
-    if _overlaps(a, b):
-        return 0
-    (fa, la), (fb, lb) = _extent(a), _extent(b)
-    return fb - la if fb > la else fa - lb
+    return max(0, 1 - _overlap_frames(a, b))
 
 
 def select_initial(tracklets: list[Tracklet3D], n_fish: int,
@@ -172,42 +154,27 @@ def _switch_path(gallery, main) -> list[float] | None:
             layer.append(("g", gallery.points[f]))
         layers.append(layer)
 
-    # state: (node index, saw gallery, saw main) -> (cost, parent state)
-    states = {}
-    for i, (src, _) in enumerate(layers[0]):
-        states[(i, src == "g", src == "m")] = (0.0, None)
-    trail = [states]
+    # state: (node index, saw gallery, saw main) -> (cost, lengths of the
+    # switch edges on the cheapest walk to it)
+    states = {(i, src == "g", src == "m"): (0.0, [])
+              for i, (src, _) in enumerate(layers[0])}
     for layer_prev, layer in zip(layers, layers[1:]):
         nxt = {}
-        for (i, sg, sm), (cost, _) in states.items():
+        for (i, sg, sm), (cost, edges) in states.items():
+            src_prev, prev = layer_prev[i]
             for j, (src, p) in enumerate(layer):
-                c = cost + float(np.linalg.norm(p - layer_prev[i][1]))
+                step = float(np.linalg.norm(p - prev))
+                c = cost + step
                 key = (j, sg or src == "g", sm or src == "m")
                 if key not in nxt or c < nxt[key][0]:
-                    nxt[key] = (c, (i, sg, sm))
+                    nxt[key] = (c, edges if src == src_prev else edges + [step])
         states = nxt
-        trail.append(states)
 
-    finals = [(cost, key) for key, (cost, _) in states.items()
-              if key[1] and key[2]]
+    finals = [(cost, edges) for (_, sg, sm), (cost, edges) in states.items()
+              if sg and sm]
     if not finals:
         return None
-    _, key = min(finals, key=lambda item: item[0])
-    indices = []
-    for states in reversed(trail):
-        indices.append(key[0])
-        key = states[key][1]
-        if key is None:
-            break
-    indices.reverse()
-
-    edges = []
-    for k in range(1, len(indices)):
-        (src_a, pa) = layers[k - 1][indices[k - 1]]
-        (src_b, pb) = layers[k][indices[k]]
-        if src_a != src_b:
-            edges.append(float(np.linalg.norm(pb - pa)))
-    return edges
+    return min(finals, key=lambda item: item[0])[1]
 
 
 def _endpoint_distance(gallery, main) -> float:
@@ -278,17 +245,12 @@ def associate(tracklets: list[Tracklet3D], n_fish: int,
         gallery = gallery_rank(galleries, mains)[0]
         galleries.remove(gallery)
         costs = assignment_cost(gallery, mains, params)
-        valid = [i for i, c in enumerate(costs) if c is not None]
-        if not valid:
+        ranked = sorted((c, i) for i, c in enumerate(costs) if c is not None)
+        if not ranked:
             continue
-        if len(valid) == 1:
-            target = valid[0]
-        else:
-            ranked = sorted((costs[i], i) for i in valid)
-            if ranked[1][0] - ranked[0][0] < params.beta:
-                continue  # ambiguous: drop rather than risk an ID switch
-            target = ranked[0][1]
-        main = mains[target]
+        if len(ranked) > 1 and ranked[1][0] - ranked[0][0] < params.beta:
+            continue  # ambiguous: drop rather than risk an ID switch
+        main = mains[ranked[0][1]]
         for f, p in gallery.points.items():
             if f not in main.points:
                 main.points[f] = p

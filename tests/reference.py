@@ -11,7 +11,9 @@ sums the neighbours of every pixel, and the response is a 5x5
 convolution. `match_frames` and `id_metrics` score one (ground truth,
 prediction) pair at a time with `np.linalg.norm`; `mt_ml`, `mtbf` and
 `time_between_occlusions` walk each track frame by frame. `csv_rows`
-writes data rows through `csv.writer`.
+writes data rows through `csv.writer`. `switch_path` is the stitcher's
+cheapest-walk search that keeps every layer's parent pointers and walks
+them back to find the switch edges.
 """
 
 import csv
@@ -278,3 +280,57 @@ def csv_rows(rows) -> str:
     out = io.StringIO(newline="")
     csv.writer(out).writerows(rows)
     return out.getvalue()
+
+
+def switch_path(gallery, main):
+    """The lengths of the switch edges on the cheapest frame-by-frame walk
+    over both tracklets' points that visits each, found by backtracking;
+    None when no such walk exists."""
+    if not (gallery.first_frame <= main.last_frame
+            and main.first_frame <= gallery.last_frame):
+        return None
+    layers = []
+    for f in sorted(set(gallery.points) | set(main.points)):
+        layer = []
+        if f in main.points:
+            layer.append(("m", main.points[f]))
+        if f in gallery.points:
+            layer.append(("g", gallery.points[f]))
+        layers.append(layer)
+
+    # state: (node index, saw gallery, saw main) -> (cost, parent state)
+    states = {}
+    for i, (src, _) in enumerate(layers[0]):
+        states[(i, src == "g", src == "m")] = (0.0, None)
+    trail = [states]
+    for layer_prev, layer in zip(layers, layers[1:]):
+        nxt = {}
+        for (i, sg, sm), (cost, _) in states.items():
+            for j, (src, p) in enumerate(layer):
+                c = cost + float(np.linalg.norm(p - layer_prev[i][1]))
+                key = (j, sg or src == "g", sm or src == "m")
+                if key not in nxt or c < nxt[key][0]:
+                    nxt[key] = (c, (i, sg, sm))
+        states = nxt
+        trail.append(states)
+
+    finals = [(cost, key) for key, (cost, _) in states.items()
+              if key[1] and key[2]]
+    if not finals:
+        return None
+    _, key = min(finals, key=lambda item: item[0])
+    indices = []
+    for states in reversed(trail):
+        indices.append(key[0])
+        key = states[key][1]
+        if key is None:
+            break
+    indices.reverse()
+
+    edges = []
+    for k in range(1, len(indices)):
+        (src_a, pa) = layers[k - 1][indices[k - 1]]
+        (src_b, pb) = layers[k][indices[k]]
+        if src_a != src_b:
+            edges.append(float(np.linalg.norm(pb - pa)))
+    return edges

@@ -338,6 +338,24 @@ def test_errors_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         f"error: {tracks}:4: duplicate row")
 
+    # A field longer than the csv module reads, and bytes that are not
+    # UTF-8, in tracks.csv and in a config file.
+    for text, line in [("frame,fish_id,x,y,z\n0,1,1.0,1.0,1.0\n"
+                        f"1,1,{'1' * 200_000},1.0,1.0\n", 3),
+                       ("frame,fish_id,x,y,z\n0,1,1.0,1.0,1.0\n1,1,\udcff"
+                        "1.0,1.0,1.0\n", 3)]:
+        tracks.write_bytes(text.encode(errors="surrogateescape"))
+        assert main(["evaluate", "--annotations", str(annotations),
+                     "--tracks", str(tracks),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {tracks}:{line}:")
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"n_fish = 2\n# caf\xe9\n")
+    assert main(["simulate", "--config", str(cfg),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {cfg}:2: not UTF-8 text")
+
     # Non-finite config values, from a config file or from --fps.
     for text, name in [("fps = inf\n", "fps"),
                        ("track2d.delta_top = nan\n", "track2d.delta_top"),
@@ -368,8 +386,23 @@ def test_errors_exit_2(tmp_path, capsys):
                      "--calibration", str(calibration),
                      "--out-dir", str(tmp_path / "out")]) == 2, key
         assert capsys.readouterr().err.startswith(
-            f"error: calibration camera {view!r}: field {key!r} must be "
-            f"finite"), key
+            f"error: {calibration}: calibration camera {view!r}: field "
+            f"{key!r} must be finite"), key
+
+    # Calibration files that are not the calibration JSON: each is named,
+    # at its line when the JSON parser knows it.
+    camera = json.loads(calibration.read_text())["cameras"][0]
+    del camera["fx"]
+    for text, where in [('{"cameras": 3}', ""), ("[]", ""),
+                        ('{"cameras": [', ":1"),
+                        (json.dumps({"cameras": [camera]}), ""),
+                        ('{"cameras": []}\n\xff', ":2")]:
+        calibration.write_bytes(text.encode("latin-1"))
+        assert main(["associate", "--tracklets", str(tracklets),
+                     "--calibration", str(calibration),
+                     "--out-dir", str(tmp_path / "out")]) == 2, text
+        assert capsys.readouterr().err.startswith(
+            f"error: {calibration}{where}: "), text
 
 
 def test_track2d_subcommand_builds_tracklets(tmp_path):

@@ -458,9 +458,9 @@ def test_ingest_external_detections(tmp_path):
     }
     path = tmp_path / "detections.csv"
     write_detections_csv(path, rows, {"seed": 0})
-    per_frame = ingest_external_detections(path, min_confidence=95.0)
-    assert list(per_frame) == [0]
-    (det,) = per_frame[0]
+    per_view = ingest_external_detections(path, min_confidence=95.0)
+    assert per_view["front"] == {} and list(per_view["top"]) == [0]
+    (det,) = per_view["top"][0]
     assert det.head == (12.0, 23.0)  # box center replaces the stored head
     assert det.confidence == 99.0
 

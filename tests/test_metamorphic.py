@@ -4,13 +4,18 @@ Each test edits one input in a way whose effect on the outputs is known in
 advance, runs the stages that read it on both files, and compares what
 they write: `detections.csv` through `track2d`, `associate` and `stitch`,
 and `tracks.csv` or `annotations.csv` through `evaluate` and
-`complexity`.
+`complexity`. The last relation varies the configuration instead: on
+small random scenes, `pipeline` writes the bytes the chained stages write.
 """
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stereomot.cli import main
 
@@ -153,3 +158,51 @@ def test_increasing_fish_relabel_changes_no_score(scene, tmp_path):
         lambda i: 3 * i + 10))
     got = score(cfg, annotations, tracks, tmp_path)
     assert got == want
+
+
+@st.composite
+def small_configs(draw) -> str:
+    """A config file for a scene of at most 3 fish and 30 frames, with
+    random degradation and tracker settings."""
+    values = {
+        "seed": draw(st.integers(0, 2**31 - 1)),
+        "n_fish": draw(st.integers(1, 3)),
+        "duration_s": draw(st.sampled_from([0.25, 0.5])),
+        "degrade.jitter_px": draw(st.sampled_from([0.0, 1.0, 3.0])),
+        "degrade.drop_rate": draw(st.sampled_from([0.0, 0.1, 0.3])),
+        "degrade.ghost_rate": draw(st.sampled_from([0.0, 0.5])),
+        "track2d.tau_k": draw(st.integers(1, 10)),
+        "track2d.front_mode": draw(st.sampled_from(
+            ["mahalanobis-centroid", "euclidean-head"])),
+        "assoc.alpha": draw(st.integers(1, 10)),
+        "stitch.top_fraction": draw(st.sampled_from([0.2, 0.5, 1.0])),
+    }
+    return "".join(f"{k} = {v}\n" for k, v in values.items())
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(small_configs())
+def test_pipeline_equals_the_chained_stages(tmp_path_factory, text):
+    root = tmp_path_factory.mktemp("config")
+    cfg = root / "run.cfg"
+    cfg.write_text(text)
+    whole, parts = root / "whole", root / "parts"
+    d = str(parts)
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        assert main(["pipeline", "--config", str(cfg),
+                     "--out-dir", str(whole)]) == 0
+        for args in (["simulate"],
+                     ["track2d", "--detections", f"{d}/detections.csv"],
+                     ["associate", "--tracklets", f"{d}/tracklets.csv",
+                      "--calibration", f"{d}/calibration.json"],
+                     ["stitch", "--tracklets3d", f"{d}/tracklets3d.csv"],
+                     ["evaluate", "--annotations", f"{d}/annotations.csv",
+                      "--tracks", f"{d}/tracks.csv"],
+                     ["complexity", "--annotations", f"{d}/annotations.csv"]):
+            assert main([*args, "--config", str(cfg), "--out-dir", d]) == 0
+    names = sorted(p.name for p in whole.iterdir())
+    assert names == sorted(p.name for p in parts.iterdir())
+    for name in names:
+        assert (whole / name).read_bytes() == (parts / name).read_bytes(), (
+            name, text)

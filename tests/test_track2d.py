@@ -121,12 +121,6 @@ def test_new_tracklets_in_input_order():
     assert [t.id for t in out] == [0, 1, 2]
 
 
-def test_start_id_offset():
-    frames = {0: [det(0, 10, 10)]}
-    out = build_tracklets(frames, Track2DParams(), view="top", start_id=7)
-    assert out[0].id == 7
-
-
 def test_mahalanobis_mode_direction_sensitive():
     cov = np.array([[100.0, 0.0], [0.0, 1.0]])
     params = Track2DParams(front_mode="mahalanobis-centroid", delta_front=0.5)

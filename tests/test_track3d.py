@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
+
 from stereomot import (
     StitchParams,
     Track3D,
@@ -18,7 +20,7 @@ from stereomot import (
 )
 from stereomot.cli import main
 from stereomot.formats import read_tracks_csv
-from stereomot.track3d import _normalize, temporal_gap
+from stereomot.track3d import _normalize, _switch_path, temporal_gap
 
 
 def t3d(tid, start, end, pos=(0.0, 0.0, 0.0), step=(0.0, 0.0, 0.0)):
@@ -174,6 +176,25 @@ def test_switch_cost_none_when_no_walk_joins():
     mains = [main3d(1, 5, 5), main3d(2, 0, 9)]
     gallery = t3d(10, 5, 5, pos=(1.0, 0.0, 0.0))
     assert assignment_cost(gallery, mains) == [None, 1.0]
+
+
+@st.composite
+def tracklet_pairs(draw):
+    """A gallery and a main on up to 12 frames, with small integer points
+    so that equal-cost walks are common."""
+    def points():
+        frames = draw(st.sets(st.integers(0, 11), min_size=1, max_size=12))
+        coords = st.lists(st.integers(-3, 3), min_size=3, max_size=3)
+        return {f: np.array(draw(coords), dtype=float) for f in frames}
+    return (Tracklet3D(id=10, points=points()),
+            Track3D(fish_id=1, points=points()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tracklet_pairs())
+def test_switch_path_equals_the_backtracking_search(pair):
+    gallery, main = pair
+    assert _switch_path(gallery, main) == reference.switch_path(gallery, main)
 
 
 def test_assignment_cost_disjoint_mains():
