@@ -122,19 +122,20 @@ _REGISTRY: list[_Key] = [
     _Key("eval.dist_2d", "2D match gate, px", literal=20.0),
 ]
 _DEFAULTS = {k.name: _default(k) for k in _REGISTRY}
+_KEYS = {k.name: k for k in _REGISTRY}
 
 
-def _parse_value(name: str, raw: str):
+def _parse_value(name: str, raw: str, where: str):
     kind = type(_DEFAULTS[name])
     if kind is bool:
         if raw in ("true", "false"):
             return raw == "true"
-        raise ConfigError(f"parameter {name!r} must be true or false, "
-                          f"got {raw!r}")
+        raise ConfigError(f"{where}: parameter {name!r} must be true or "
+                          f"false, got {raw!r}")
     try:
         return kind(raw)
     except ValueError:
-        raise ConfigError(f"parameter {name!r} must be "
+        raise ConfigError(f"{where}: parameter {name!r} must be "
                           f"{kind.__name__}, got {raw!r}") from None
 
 
@@ -159,7 +160,7 @@ class PipelineConfig:
     @classmethod
     def from_text(cls, text: str, source: str = "<config>") -> "PipelineConfig":
         values = dict(_DEFAULTS)
-        seen = set()
+        seen: dict[str, str] = {}  # name -> "source:line" that set it
         for line_no, line in enumerate(text.splitlines(), start=1):
             body = line.split("#", 1)[0].strip()
             if not body:
@@ -174,15 +175,15 @@ class PipelineConfig:
             if name in seen:
                 raise ConfigError(f"{source}:{line_no}: duplicate parameter "
                                   f"{name!r}")
-            seen.add(name)
-            values[name] = _parse_value(name, raw)
+            seen[name] = f"{source}:{line_no}"
+            values[name] = _parse_value(name, raw, seen[name])
         # Euclidean front gating is in pixels; materialize the matching
         # default so dump() round-trips the effective configuration.
         if (values["track2d.front_mode"] == EUCLIDEAN_HEAD
                 and "track2d.delta_front" not in seen):
             values["track2d.delta_front"] = 15.0
         cfg = cls(values=values)
-        cfg.validate()
+        cfg.validate(seen)
         return cfg
 
     @classmethod
@@ -244,25 +245,36 @@ class PipelineConfig:
     def stitch_params(self) -> StitchParams:
         return StitchParams(**self._args(StitchParams))
 
-    def validate(self) -> None:
+    def validate(self, where: dict[str, str] | None = None) -> None:
+        """Check every value; a message leads with `where[name]`, if set."""
+        where = where or {}
+
+        def error(name: str, message: str) -> ConfigError:
+            return ConfigError(f"{where[name]}: {message}" if name in where
+                               else message)
+
         for name, v in self.values.items():
             if isinstance(v, float) and not math.isfinite(v):
-                raise ConfigError(f"parameter {name!r} must be finite, "
+                raise error(name, f"parameter {name!r} must be finite, "
                                   f"got {v!r}")
-        try:
-            self.tank()
-            self.rig()
-            self.sim_config()
-            self.degrade_model()
-            self.detect_params()
-            self.track2d_params()
-            self.assoc_params()
-            self.stitch_params()
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
+        for owner, build in [(TankBounds, self.tank), (default_rig, self.rig),
+                             (SimConfig, self.sim_config),
+                             (DegradeModel, self.degrade_model),
+                             (DetectParams, self.detect_params),
+                             (Track2DParams, self.track2d_params),
+                             (AssocParams, self.assoc_params),
+                             (StitchParams, self.stitch_params)]:
+            try:
+                build()
+            except ValueError as e:
+                # Name the owner's key that the file set last, if any.
+                names = [n for n in where if _KEYS[n].owner is owner]
+                if not names:
+                    raise ConfigError(str(e)) from None
+                raise error(names[-1], f"parameter {names[-1]!r}: {e}") from None
         for name in ("eval.dist_3d", "eval.dist_2d"):
             if self.values[name] <= 0:
-                raise ConfigError(f"parameter {name!r} must be positive")
+                raise error(name, f"parameter {name!r} must be positive")
 
 
 def describe_defaults() -> str:

@@ -77,52 +77,80 @@ def _batcher_pairs(n: int):
         p *= 2
 
 
-def _median_network(n: int = 25, width: int = 32):
-    """Selection network for the lower median of n inputs.
+def _sort_pairs(wires) -> list[tuple[int, int]]:
+    """Batcher's sort of `wires`, padded to a power of two by wires at the
+    top value, which every comparator (i < j) leaves where they are."""
+    width = 1 << (len(wires) - 1).bit_length()
+    return [(wires[a], wires[b]) for a, b in _batcher_pairs(width)
+            if b < len(wires)]
 
-    Batcher's sort on `width` wires, the extra wires held at the largest
-    value, is pruned forwards (a comparator against such a wire is a no-op
-    or a swap) and backwards (a comparator stays only if it reaches the
-    median, and computes only the outputs read later). Returns
-    (comparators, output): each comparator is (lo, hi, keep_min, keep_max)
-    over input indices. By the 0-1 principle the output equals the median
-    of a full sort, ties included.
+
+def _median_network():
+    """Selection network for the median of a 5x5 window whose columns are
+    sorted, wire 5*i + j holding rank i of column j.
+
+    Sorting the rows keeps the columns sorted, so (i, j) then has at least
+    (i+1)(j+1) - 1 wires below it and (5-i)(5-j) - 1 above: the median is
+    the median of the 13 wires left. The row sorts and a sort of those 13
+    are pruned forwards (drop a comparator that swaps on none of the 6**5
+    0-1 inputs with sorted columns) and backwards (keep a comparator only
+    if it reaches the median, computing only the outputs read later).
+    Returns (comparators, output), a comparator being (lo, hi, keep_min,
+    keep_max); by the 0-1 principle it selects the median of any input.
     """
-    wire: list[int | None] = list(range(n)) + [None] * (width - n)
+    cand = [5 * i + j for i in range(5) for j in range(5)
+            if (i + 1) * (j + 1) <= 13 and (5 - i) * (5 - j) <= 13]
+    net = [c for i in range(0, 25, 5) for c in _sort_pairs(range(i, i + 5))]
+    net += _sort_pairs(cand)
+    ones = np.indices((6,) * 5).reshape(5, -1)  # count of 1s per column
+    x = (np.arange(5)[:, None, None] >= 5 - ones).reshape(25, -1)
     forward = []
-    for a, b in _batcher_pairs(width):
-        if wire[b] is None:
-            continue
-        if wire[a] is None:
-            wire[a], wire[b] = wire[b], None
-        else:
-            forward.append((wire[a], wire[b]))
-    out = wire[(n - 1) // 2]
+    for a, b in net:
+        if (x[a] > x[b]).any():
+            forward.append((a, b))
+            x[a], x[b] = x[a] & x[b], x[a] | x[b]
+    out = cand[len(cand) // 2]
     need = {out}
-    net = []
+    pruned = []
     for lo, hi in reversed(forward):
         if lo in need or hi in need:
-            net.append((lo, hi, lo in need, hi in need))
+            pruned.append((lo, hi, lo in need, hi in need))
             need |= {lo, hi}
-    return net[::-1], out
+    return pruned[::-1], out
 
 
-_MEDIAN25, _MEDIAN25_OUT = _median_network()
+_COLUMN_SORT = _sort_pairs(range(5))
+_MEDIAN_NET, _MEDIAN_OUT = _median_network()
+_STRIP_ROWS = 128  # rows per pass of the median: its arrays stay in cache
 
 
 def _median_5x5(img: np.ndarray) -> np.ndarray:
     """5x5 median with edge-replicated borders, bit-identical to
-    `ndimage.median_filter(img, size=5, mode="nearest")`."""
+    `ndimage.median_filter(img, size=5, mode="nearest")`.
+
+    In a flattened strip of the padded image, the column at flat index q
+    is pixel q and the four below it, sorted once for the five windows
+    q-4..q that read it. A window in a row's last four flat positions
+    wraps into the next row and is dropped.
+    """
     h, w = img.shape
-    pad = np.pad(img, 2, mode="edge")
-    s = [pad[dy:dy + h, dx:dx + w] for dy in range(5) for dx in range(5)]
-    for lo, hi, keep_min, keep_max in _MEDIAN25:
-        a, b = s[lo], s[hi]
-        if keep_min:
-            s[lo] = np.minimum(a, b)
-        if keep_max:
-            s[hi] = np.maximum(a, b)
-    return s[_MEDIAN25_OUT]
+    width = w + 4
+    flat = np.pad(img, 2, mode="edge").ravel()
+    out = np.empty(h * width, dtype=img.dtype)
+    for r0 in range(0, h, _STRIP_ROWS):
+        n = (min(h, r0 + _STRIP_ROWS) - r0) * width
+        col = [flat[(r0 + k) * width:(r0 + k) * width + n] for k in range(5)]
+        for a, b in _COLUMN_SORT:
+            col[a], col[b] = np.minimum(col[a], col[b]), np.maximum(col[a], col[b])
+        s = [c[j:n - 4 + j] for c in col for j in range(5)]
+        for lo, hi, keep_min, keep_max in _MEDIAN_NET:
+            a, b = s[lo], s[hi]
+            if keep_min:
+                s[lo] = np.minimum(a, b)
+            if keep_max:
+                s[hi] = np.maximum(a, b)
+        out[r0 * width:r0 * width + n - 4] = s[_MEDIAN_OUT]
+    return out.reshape(h, width)[:, :w]
 
 
 def estimate_background(frames) -> np.ndarray:
@@ -162,26 +190,25 @@ def estimate_background(frames) -> np.ndarray:
 
 
 def preprocess(frame: np.ndarray, bg: np.ndarray) -> np.ndarray:
-    """|frame - bg|, min-max normalized to [0,255], 5x5 median filtered.
-
-    A zero-range difference image normalizes to all zeros. The median is
-    exact: a selection network over the 25 shifted views of the image with
-    its edge pixels replicated, equal to
-    `ndimage.median_filter(img, size=5, mode="nearest")`.
-    """
+    """|frame - bg| of two uint8 images, 5x5 median filtered (exactly, as
+    by `ndimage.median_filter(img, size=5, mode="nearest")`), then min-max
+    normalized to [0,255] by a 256-entry table; a zero-range difference
+    normalizes to all zeros. The normalization is non-decreasing, so taking
+    the median first gives the same bytes."""
     frame = np.asarray(frame)
     bg = np.asarray(bg)
     if frame.shape != bg.shape:
         raise DetectError("frame and background dimensions differ")
-    diff = np.abs(frame.astype(np.int16) - bg.astype(np.int16)).astype(np.float64)
-    lo = diff.min()
-    hi = diff.max()
-    if hi == lo:
-        norm = np.zeros_like(diff)
-    else:
-        norm = (diff - lo) * (255.0 / (hi - lo))
-    img = np.rint(norm).astype(np.uint8)
-    return _median_5x5(img)
+    if frame.dtype != np.uint8 or bg.dtype != np.uint8:
+        raise DetectError(f"frame and background must be uint8, got "
+                          f"{frame.dtype} and {bg.dtype}")
+    diff = np.maximum(frame, bg) - np.minimum(frame, bg)
+    lo, hi = int(diff.min()), int(diff.max())
+    lut = np.zeros(256, dtype=np.uint8)
+    if hi > lo:
+        v = np.arange(lo, hi + 1)
+        lut[lo:hi + 1] = np.rint((v - lo) * (255.0 / (hi - lo)))
+    return np.take(lut, _median_5x5(diff))
 
 
 def _modes(hist: np.ndarray) -> list[float]:
@@ -315,27 +342,43 @@ def kernel_response(skel: np.ndarray) -> np.ndarray:
 
 def _window_weight(blob: np.ndarray, x: int, y: int) -> float:
     """Smallest eigenvalue of the blob-pixel coordinate covariance in the
-    20x20 window centered on (x, y)."""
+    20x20 window centered on (x, y), computed in the steps of
+    `np.cov(..., bias=True)`."""
     h, w = blob.shape
     r0, r1 = max(0, y - 10), min(h, y + 10)
     c0, c1 = max(0, x - 10), min(w, x + 10)
     ys, xs = np.nonzero(blob[r0:r1, c0:c1])
     if len(xs) < 2:
         return 0.0
-    cov = np.cov(np.stack([xs.astype(float), ys.astype(float)]), bias=True)
+    pts = np.array([xs, ys], dtype=np.float64)
+    pts -= pts.mean(axis=1)[:, None]
+    cov = np.dot(pts, pts.T) * (1.0 / len(xs))
     return float(np.linalg.eigvalsh(cov)[0])
 
 
-def _box_overlap_pct(a: Keypoint, b: Keypoint) -> float:
-    """Overlap of the two w-by-w boxes as a fraction of the smaller box."""
-    if a.weight <= 0 or b.weight <= 0:
-        return 0.0
-    ah, bh = a.weight / 2.0, b.weight / 2.0
-    iw = min(a.point[0] + ah, b.point[0] + bh) - max(a.point[0] - ah, b.point[0] - bh)
-    ih = min(a.point[1] + ah, b.point[1] + bh) - max(a.point[1] - ah, b.point[1] - bh)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    return (iw * ih) / min(a.weight ** 2, b.weight ** 2)
+def _bbox(mask: np.ndarray) -> tuple[slice, slice]:
+    """Slices of the mask's bounding box; empty slices for an empty mask."""
+    return tuple(slice(r[0], r[-1] + 1) if r.size else slice(0, 0)
+                 for r in (np.flatnonzero(mask.any(axis=a)) for a in (1, 0)))
+
+
+def _suppress(found: list[Keypoint], thresh: float) -> list[Keypoint]:
+    """Greedy non-max suppression in list order: a keypoint stays unless
+    its w-by-w box overlaps a kept one's by `thresh` or more, as a fraction
+    of the smaller box. A box of weight <= 0 overlaps nothing."""
+    x, y, w = np.array([(*k.point, k.weight) for k in found],
+                       dtype=np.float64).reshape(-1, 3).T
+    half = w / 2.0
+    iw = np.minimum.outer(x + half, x + half) - np.maximum.outer(x - half, x - half)
+    ih = np.minimum.outer(y + half, y + half) - np.maximum.outer(y - half, y - half)
+    sq = np.array([k.weight ** 2 for k in found])
+    overlap = np.divide(iw * ih, np.minimum.outer(sq, sq), out=np.zeros_like(iw),
+                        where=(iw > 0) & (ih > 0) & np.logical_and.outer(w > 0, w > 0))
+    kept: list[int] = []
+    for i in range(len(found)):
+        if (overlap[i, kept] < thresh).all():
+            kept.append(i)
+    return [found[i] for i in kept]
 
 
 def skeleton_keypoints(skel: np.ndarray, blob: np.ndarray,
@@ -344,33 +387,26 @@ def skeleton_keypoints(skel: np.ndarray, blob: np.ndarray,
 
     Junction weights are divided by params.junction_divisor; keypoints are
     non-max suppressed over their w-by-w boxes and those below the minimum
-    weight are discarded.
+    weight are discarded. The kernel response is taken on the skeleton's
+    bounding box only: it is zero-padded, and nothing outside is on.
     """
     blob = np.asarray(blob) > 0
-    resp = kernel_response(skel)
     on = np.asarray(skel) > 0
+    box = _bbox(on)
+    resp = kernel_response(on[box])
+    ys, xs = np.nonzero(
+        np.isin(resp, list(ENDPOINT_VALUES | JUNCTION_VALUES)) & on[box])
     found = []
-    ys, xs = np.nonzero(on)
-    for y, x in zip(ys.tolist(), xs.tolist()):
-        value = int(resp[y, x])
-        if value in ENDPOINT_VALUES:
-            kind = "endpoint"
-        elif value in JUNCTION_VALUES:
-            kind = "junction"
-        else:
-            continue
+    for y, x, value in zip((ys + box[0].start).tolist(),
+                           (xs + box[1].start).tolist(), resp[ys, xs].tolist()):
         w = _window_weight(blob, x, y)
-        if kind == "junction":
-            w /= params.junction_divisor
-        found.append(Keypoint(point=(x, y), weight=w, kind=kind))
-
+        if value in JUNCTION_VALUES:
+            found.append(Keypoint((x, y), w / params.junction_divisor, "junction"))
+        else:
+            found.append(Keypoint((x, y), w, "endpoint"))
     found.sort(key=lambda k: (-k.weight, k.point[1], k.point[0]))
-    kept: list[Keypoint] = []
-    thresh = params.nms_thresh / 100.0
-    for cand in found:
-        if all(_box_overlap_pct(cand, k) < thresh for k in kept):
-            kept.append(cand)
-    return [k for k in kept if k.weight >= params.min_keypoint_weight]
+    return [k for k in _suppress(found, params.nms_thresh / 100.0)
+            if k.weight >= params.min_keypoint_weight]
 
 
 def fill_holes(mask: np.ndarray) -> np.ndarray:
@@ -416,15 +452,21 @@ def detect_top(frame: np.ndarray, bg: np.ndarray,
         t = intermodes_threshold(hist)
     except DetectError:
         return []
-    mask = fill_holes(pre > t)
-    skel = skeletonize(mask)
+    # On the foreground's bounding box: all outside it is background joined
+    # to the image edge, so a hole reaches the box's edge iff the image's.
+    fg = pre > t
+    box = _bbox(fg)
+    mask = np.zeros(fg.shape, dtype=bool)
+    mask[box] = fill_holes(fg[box])
+    skel = np.zeros(fg.shape, dtype=np.uint8)
+    skel[box] = skeletonize(mask[box])
     keypoints = skeleton_keypoints(skel, mask, params)
     if not keypoints:
         return []
-    labels, _ = ndimage.label(skel > 0, structure=_BOX8)
+    labels, _ = ndimage.label(skel[box] > 0, structure=_BOX8)
     by_comp: dict[int, list[Keypoint]] = {}
     for kp in keypoints:
-        comp = int(labels[kp.point[1], kp.point[0]])
+        comp = int(labels[kp.point[1] - box[0].start, kp.point[0] - box[1].start])
         by_comp.setdefault(comp, []).append(kp)
     out = []
     for comp in sorted(by_comp):
@@ -455,7 +497,7 @@ def detect_front(frame: np.ndarray, bg: np.ndarray,
     labels, n = ndimage.label(mask, structure=_BOX8)
     if n == 0:
         return []
-    counts = np.bincount(labels.ravel())
+    counts = np.bincount(labels[mask])  # areas; counts[0] is not read
     order = sorted(range(1, n + 1), key=lambda lbl: (-counts[lbl], lbl))
     slices = ndimage.find_objects(labels)
     out = []

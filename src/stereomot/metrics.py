@@ -187,8 +187,10 @@ def _pred_offsets(pred: dict[int, dict[int, np.ndarray]], pids: list,
 def _norms(d: np.ndarray) -> np.ndarray:
     """np.linalg.norm over the last axis, with the bits of one call per
     vector: the stacked row-times-column matmul takes the same dot product
-    (np.linalg.norm(d, axis=-1) and einsum round differently)."""
-    return np.sqrt(d[..., None, :] @ d[..., :, None])[..., 0, 0]
+    (np.linalg.norm(d, axis=-1) and einsum round differently). A vector
+    near 1e308 gives inf, past every gate, without a warning."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(d[..., None, :] @ d[..., :, None])[..., 0, 0]
 
 
 def match_frames(pred: dict[int, dict[int, np.ndarray]], gt: GroundTruth,
@@ -205,7 +207,8 @@ def match_frames(pred: dict[int, dict[int, np.ndarray]], gt: GroundTruth,
     column = {i: j for j, i in enumerate(ids)}
     pids = sorted(pred)
     track, frame, diff = _pred_offsets(pred, pids, pos)
-    dist, sq = _norms(diff), (diff ** 2).sum(-1)  # (point, fish)
+    with np.errstate(over="ignore"):
+        dist, sq = _norms(diff), (diff ** 2).sum(-1)  # (point, fish)
     track = track.tolist()
     frames = sorted(set(np.flatnonzero(present.any(axis=1)).tolist())
                     | set(frame.tolist()))

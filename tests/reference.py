@@ -8,7 +8,10 @@ weights, for tests of path extraction on hand-made or random DAGs.
 `skeletonize` and `kernel_response` are the whole-image forms of the
 detector's thinning and keypoint response: every pass of the thinning
 sums the neighbours of every pixel, and the response is a 5x5
-convolution. `match_frames` and `id_metrics` score one (ground truth,
+convolution. `preprocess` normalizes the difference image in floats and
+then takes `ndimage.median_filter`; `skeleton_keypoints` visits every
+skeleton pixel, weights it with `np.cov` and suppresses with one
+`box_overlap_pct` call per pair; `detect_top` works on the whole grid. `match_frames` and `id_metrics` score one (ground truth,
 prediction) pair at a time with `np.linalg.norm`; `mt_ml`, `mtbf` and
 `time_between_occlusions` walk each track frame by frame. `csv_rows`
 writes data rows through `csv.writer`. `switch_path` is the stitcher's
@@ -24,7 +27,8 @@ import numpy as np
 from scipy import ndimage
 from scipy.optimize import linear_sum_assignment
 
-from stereomot import AssociationGraph, NodeCandidate, Tracklet2D
+from stereomot import (AssociationGraph, Detection, DetectParams,
+                       NodeCandidate, Tracklet2D, detect)
 from stereomot.geometry import PARALLEL_TOL, CameraModel
 from stereomot.metrics import MatchSequence, _gt_positions, occlusion_events
 from stereomot.track2d import hungarian
@@ -142,6 +146,91 @@ def kernel_response(skel: np.ndarray) -> np.ndarray:
     """5x5 kernel response of the 0/1 skeleton at every pixel."""
     skel01 = (np.asarray(skel) > 0).astype(np.int64)
     return ndimage.convolve(skel01, KEYPOINT_KERNEL, mode="constant", cval=0)
+
+
+def preprocess(frame: np.ndarray, bg: np.ndarray) -> np.ndarray:
+    """|frame - bg|, min-max normalized to [0,255], 5x5 median filtered."""
+    diff = np.abs(frame.astype(np.int16) - bg.astype(np.int16)).astype(float)
+    lo, hi = diff.min(), diff.max()
+    norm = np.zeros_like(diff) if hi == lo else (diff - lo) * (255.0 / (hi - lo))
+    img = np.rint(norm).astype(np.uint8)
+    return ndimage.median_filter(img, size=5, mode="nearest")
+
+
+def window_weight(blob: np.ndarray, x: int, y: int) -> float:
+    h, w = blob.shape
+    r0, r1 = max(0, y - 10), min(h, y + 10)
+    c0, c1 = max(0, x - 10), min(w, x + 10)
+    ys, xs = np.nonzero(blob[r0:r1, c0:c1])
+    if len(xs) < 2:
+        return 0.0
+    cov = np.cov(np.stack([xs.astype(float), ys.astype(float)]), bias=True)
+    return float(np.linalg.eigvalsh(cov)[0])
+
+
+def box_overlap_pct(a: detect.Keypoint, b: detect.Keypoint) -> float:
+    """Overlap of the two w-by-w boxes as a fraction of the smaller box."""
+    if a.weight <= 0 or b.weight <= 0:
+        return 0.0
+    ah, bh = a.weight / 2.0, b.weight / 2.0
+    iw = min(a.point[0] + ah, b.point[0] + bh) - max(a.point[0] - ah, b.point[0] - bh)
+    ih = min(a.point[1] + ah, b.point[1] + bh) - max(a.point[1] - ah, b.point[1] - bh)
+    if iw <= 0 or ih <= 0:
+        return 0.0
+    return (iw * ih) / min(a.weight ** 2, b.weight ** 2)
+
+
+def suppress(found: list, thresh: float) -> list:
+    kept = []
+    for cand in found:
+        if all(box_overlap_pct(cand, k) < thresh for k in kept):
+            kept.append(cand)
+    return kept
+
+
+def skeleton_keypoints(skel: np.ndarray, blob: np.ndarray,
+                       params: DetectParams = DetectParams()) -> list:
+    blob = np.asarray(blob) > 0
+    resp = kernel_response(skel)
+    found = []
+    for y, x in zip(*np.nonzero(np.asarray(skel) > 0)):
+        x, y, value = int(x), int(y), int(resp[y, x])
+        if value in detect.ENDPOINT_VALUES:
+            kind, w = "endpoint", window_weight(blob, x, y)
+        elif value in detect.JUNCTION_VALUES:
+            kind = "junction"
+            w = window_weight(blob, x, y) / params.junction_divisor
+        else:
+            continue
+        found.append(detect.Keypoint(point=(x, y), weight=w, kind=kind))
+    found.sort(key=lambda k: (-k.weight, k.point[1], k.point[0]))
+    return [k for k in suppress(found, params.nms_thresh / 100.0)
+            if k.weight >= params.min_keypoint_weight]
+
+
+def detect_top(frame, bg, params: DetectParams = DetectParams(),
+               frame_index: int = 0) -> list:
+    """The top-view detector with every step on the whole grid. It calls
+    `detect.preprocess` through the module, as the library does."""
+    f = params.downsample
+    pre = detect.preprocess(np.asarray(frame)[::f, ::f], bg)
+    try:
+        t = detect.intermodes_threshold(np.bincount(pre.ravel(), minlength=256))
+    except detect.DetectError:
+        return []
+    mask = detect.fill_holes(pre > t)
+    skel = skeletonize(mask)
+    labels, _ = ndimage.label(skel > 0, structure=np.ones((3, 3), dtype=int))
+    by_comp: dict = {}
+    for kp in skeleton_keypoints(skel, mask, params):
+        by_comp.setdefault(int(labels[kp.point[1], kp.point[0]]), []).append(kp)
+    out = []
+    for comp in sorted(by_comp):
+        for kp in detect._select_head_keypoints(by_comp[comp]):
+            head = (float(kp.point[0] * f), float(kp.point[1] * f))
+            out.append(Detection(frame=frame_index, view="top", head=head,
+                                 candidates=(head,)))
+    return out
 
 
 def match_frames(pred, gt, dist_thresh, space="3d", view=None):

@@ -356,15 +356,29 @@ def test_errors_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         f"error: {cfg}:2: not UTF-8 text")
 
-    # Non-finite config values, from a config file or from --fps.
-    for text, name in [("fps = inf\n", "fps"),
-                       ("track2d.delta_top = nan\n", "track2d.delta_top"),
-                       ("eval.dist_3d = inf\n", "eval.dist_3d")]:
-        cfg = write_cfg(tmp_path, text, "nonfinite.cfg")
+    # Bad config values: from a file, named by path:line and parameter;
+    # from --fps, by parameter. A value that a parameter class refuses
+    # names the class's key that the file set last.
+    for text, where, message in [
+            ("fps = inf\n", 1, "parameter 'fps' must be finite"),
+            ("seed = 1\ntrack2d.delta_top = nan\n", 2,
+             "parameter 'track2d.delta_top' must be finite"),
+            ("eval.dist_3d = inf\n", 1, "parameter 'eval.dist_3d' must be "
+             "finite"),
+            ("eval.dist_2d = 0\n", 1, "parameter 'eval.dist_2d' must be "
+             "positive"),
+            ("n_fish = 1.5\n", 1, "parameter 'n_fish' must be int"),
+            ("tank.x_min = 50\ntank.x_max = 10\n", 2,
+             "parameter 'tank.x_max': tank bounds need min < max per axis"),
+            ("tank.x_max = 10\nseed = 3\ntank.x_min = 50\n", 3,
+             "parameter 'tank.x_min': tank bounds need min < max per axis"),
+            ("detect.n_bg = 0\n", 1,
+             "parameter 'detect.n_bg': DetectParams.n_bg must be positive")]:
+        cfg = write_cfg(tmp_path, text, "badvalue.cfg")
         assert main(["pipeline", "--config", cfg,
                      "--out-dir", str(tmp_path / "out")]) == 2, text
         assert capsys.readouterr().err.startswith(
-            f"error: parameter {name!r} must be finite"), text
+            f"error: {cfg}:{where}: {message}"), text
     assert main(["simulate", "--fps", "inf",
                  "--out-dir", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith(

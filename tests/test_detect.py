@@ -8,13 +8,17 @@ from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 import reference
-from stereomot import Detection, DetectParams
+from stereomot import Detection, DetectParams, detect
 from stereomot.detect import (
-    _MEDIAN25,
-    _MEDIAN25_OUT,
+    _COLUMN_SORT,
+    _MEDIAN_NET,
+    _MEDIAN_OUT,
+    _STRIP_ROWS,
     _ZHANG_SUEN,
     DetectError,
+    Keypoint,
     _median_5x5,
+    _suppress,
     ENDPOINT_VALUES,
     JUNCTION_VALUES,
     detect_front,
@@ -85,33 +89,63 @@ def test_estimate_background_equals_sorted_median(n, data):
     assert np.array_equal(frames[0], first)
 
 
-@settings(max_examples=150, deadline=None)
-@given(low_cardinality_images())
-def test_median_5x5_equals_ndimage(img):
+@st.composite
+def strip_edge_images(draw, max_width=9):
+    """Images whose height is 1, or one strip of the median minus one, one
+    or plus one, or two strips plus one; widths from 1."""
+    h = draw(st.sampled_from([1, _STRIP_ROWS - 1, _STRIP_ROWS,
+                              _STRIP_ROWS + 1, 2 * _STRIP_ROWS + 1]))
+    w = draw(st.integers(1, max_width))
+    levels = draw(st.lists(st.integers(0, 255), min_size=1, max_size=4))
+    return draw(arrays(np.uint8, (h, w), elements=st.sampled_from(levels)))
+
+
+def assert_median_equals_ndimage(img):
     want = ndimage.median_filter(img, size=5, mode="nearest")
     assert np.array_equal(_median_5x5(img), want)
 
 
+@settings(max_examples=150, deadline=None)
+@given(low_cardinality_images() | strip_edge_images())
+def test_median_5x5_equals_ndimage(img):
+    assert_median_equals_ndimage(img)
+
+
+@pytest.mark.slow
+@settings(max_examples=400, deadline=None)
+@given(strip_edge_images(max_width=40))
+def test_median_5x5_equals_ndimage_at_strip_edges_at_length(img):
+    assert_median_equals_ndimage(img)
+
+
 def test_median_network_selects_the_median_of_every_0_1_input():
     # 0-1 principle: a comparator network that selects the median of every
-    # 0/1 input selects it for every input. Input m sets wire k to bit k of
-    # m; the 2**20 settings of wires 0-19 are bit-packed, & is min and | is
-    # max, and each of the 32 settings of wires 20-24 is one pass.
-    assert len(_MEDIAN25) == 113
+    # 0/1 input selects it for every input. Input m sets pixel k (row k // 5,
+    # column k % 5) to bit k of m; the 2**20 settings of rows 0-3 are
+    # bit-packed, & is min and | is max, and each of the 32 settings of row
+    # 4 is one pass. Each column is sorted, and then the network selects.
+    assert len(_COLUMN_SORT) == 9
+    assert len(_MEDIAN_NET) == 69
+    assert sum(keep_min + keep_max for _, _, keep_min, keep_max
+               in _MEDIAN_NET) == 114
     low = np.arange(1 << 20, dtype=np.uint32)
     low_wires = [np.packbits((low >> k) & 1) for k in range(20)]
     ones_low = sum((low >> k) & 1 for k in range(20))
     for high in range(1 << 5):
         wires = low_wires + [np.full(low_wires[0].shape, 255 * (high >> k & 1),
                                      dtype=np.uint8) for k in range(5)]
-        for lo, hi, keep_min, keep_max in _MEDIAN25:
+        for c in range(5):
+            for a, b in _COLUMN_SORT:
+                lo, hi = 5 * a + c, 5 * b + c
+                wires[lo], wires[hi] = wires[lo] & wires[hi], wires[lo] | wires[hi]
+        for lo, hi, keep_min, keep_max in _MEDIAN_NET:
             a, b = wires[lo], wires[hi]
             if keep_min:
                 wires[lo] = a & b
             if keep_max:
                 wires[hi] = a | b
         want = np.packbits(ones_low + bin(high).count("1") >= 13)
-        assert np.array_equal(wires[_MEDIAN25_OUT], want)
+        assert np.array_equal(wires[_MEDIAN_OUT], want)
 
 
 @pytest.mark.parametrize("n", [2, 254, 255, 256, 257])
@@ -152,6 +186,33 @@ def test_preprocess_scales_and_smooths():
 def test_preprocess_shape_mismatch():
     with pytest.raises(DetectError):
         preprocess(np.zeros((4, 4)), np.zeros((5, 5)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_preprocess_equals_normalizing_before_the_median(data):
+    # The median is taken before the normalization table; the reference
+    # normalizes in floats first.
+    frame = data.draw(low_cardinality_images())
+    bg = data.draw(arrays(np.uint8, frame.shape,
+                          elements=st.sampled_from([0, 7, 200, 255])))
+    got = preprocess(frame, bg)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, reference.preprocess(frame, bg))
+
+
+def test_non_uint8_input_raises():
+    u8 = np.zeros((8, 8), dtype=np.uint8)
+    for bad in (np.zeros((8, 8)), np.zeros((8, 8), dtype=np.int16),
+                np.zeros((8, 8), dtype=bool)):
+        with pytest.raises(DetectError, match="uint8"):
+            preprocess(bad, u8)
+        with pytest.raises(DetectError, match="uint8"):
+            preprocess(u8, bad)
+        with pytest.raises(DetectError, match="uint8"):
+            detect_top(bad, u8, DetectParams(downsample=1))
+        with pytest.raises(DetectError, match="uint8"):
+            detect_front(u8, bad, DetectParams(downsample=1))
 
 
 def test_intermodes_two_spikes():
@@ -367,6 +428,105 @@ def test_skeleton_keypoints_classify_and_weight():
         max_j = max(k.weight for k in kps if k.kind == "junction")
         max_e = max(k.weight for k in kps if k.kind == "endpoint")
         assert max_e > max_j
+
+
+@st.composite
+def placed_masks(draw, max_side=24, max_margin=12):
+    """A `binary_masks` mask placed in a larger blank grid, with a margin
+    of 0 to max_margin pixels on each side: 0 puts it on that edge."""
+    mask = draw(binary_masks(max_side))
+    top, bottom, left, right = (draw(st.integers(0, max_margin))
+                                for _ in range(4))
+    return np.pad(mask, ((top, bottom), (left, right)))
+
+
+def one_pixel(shape, y, x):
+    mask = np.zeros(shape, dtype=np.uint8)
+    mask[y, x] = 255
+    return mask
+
+
+def edge_bar(side):
+    """A 3-pixel-thick bar along one edge of a 30x30 grid, with a hole."""
+    mask = np.zeros((30, 30), dtype=np.uint8)
+    bar = {"top": np.s_[:3, 5:25], "bottom": np.s_[-3:, 5:25],
+           "left": np.s_[5:25, :3], "right": np.s_[5:25, -3:]}[side]
+    mask[bar] = 255
+    return mask
+
+
+CROP_MASKS = [
+    np.zeros((20, 20), dtype=np.uint8),
+    one_pixel((20, 20), 7, 11), one_pixel((20, 20), 0, 0),
+    one_pixel((20, 20), 19, 19), one_pixel((1, 1), 0, 0),
+    *(edge_bar(side) for side in ("top", "bottom", "left", "right")),
+    np.pad(np.full((12, 18), 255, dtype=np.uint8), 9),
+    np.pad(np.pad(np.zeros((4, 4), dtype=np.uint8), 4,
+                  constant_values=255), ((0, 6), (7, 0))),
+]
+
+
+def check_top_crop(mask):
+    # The detector's view of `mask`: patch `preprocess` to return it, so
+    # the threshold falls between 0 and 255 and the foreground is the mask.
+    # The keypoints it finds, weights included, are recorded and compared
+    # with the whole-grid reference's.
+    pre = np.where(mask > 0, 255, 0).astype(np.uint8)
+    filled = fill_holes(pre)
+    skel = reference.skeletonize(filled)
+    found = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(detect, "preprocess", lambda frame, bg: pre)
+        mp.setattr(detect, "skeleton_keypoints", lambda *args: found.append(
+            skeleton_keypoints(*args)) or found[-1])
+        for params in (DetectParams(), DetectParams(downsample=1),
+                       DetectParams(downsample=3, min_keypoint_weight=0.5)):
+            found.clear()
+            want = reference.detect_top(pre, None, params, frame_index=4)
+            assert detect_top(pre, None, params, frame_index=4) == want
+            assert found == ([reference.skeleton_keypoints(skel, filled, params)]
+                             if pre.min() < pre.max() else [])
+
+
+@settings(max_examples=60, deadline=None)
+@with_examples(CROP_MASKS)
+@given(placed_masks())
+def test_detect_top_on_the_bounding_box_equals_the_whole_grid(mask):
+    check_top_crop(mask)
+
+
+@pytest.mark.slow
+@settings(max_examples=600, deadline=None)
+@given(placed_masks(max_side=40, max_margin=25))
+def test_detect_top_on_the_bounding_box_equals_the_whole_grid_at_length(mask):
+    check_top_crop(mask)
+
+
+def test_detect_top_on_scenes_equals_the_whole_grid():
+    img, bg = make_top_scene()
+    for params in (DetectParams(), DetectParams(downsample=1)):
+        f = params.downsample
+        assert (detect_top(img, bg[::f, ::f], params)
+                == reference.detect_top(img, bg[::f, ::f], params))
+
+
+@st.composite
+def keypoint_lists(draw):
+    """Keypoints sorted as the detector sorts them, on a small grid so
+    boxes overlap, with zero and negative weights and repeated points and
+    weights."""
+    weight = st.sampled_from([0.0, -1.0, 1.0, 2.5, 4.0]) | st.floats(1e-6, 20)
+    rows = draw(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12),
+                                   weight), max_size=25))
+    found = [Keypoint((x, y), w, "endpoint") for x, y, w in rows]
+    return sorted(found, key=lambda k: (-k.weight, k.point[1], k.point[0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(keypoint_lists(), st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]))
+def test_suppress_equals_the_pairwise_loop(found, thresh):
+    got = _suppress(found, thresh)
+    assert [id(k) for k in got] == [id(k) for k in reference.suppress(found, thresh)]
 
 
 def test_fill_holes_ring_and_open_shape():

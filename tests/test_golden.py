@@ -54,7 +54,8 @@ def test_pipeline_outputs_are_unchanged(name, tmp_path, capsys):
 def test_frame_detector_output_is_unchanged(tmp_path):
     # simulate --dump-frames, then detect --frames-dir on the dumped PGMs,
     # for every case: the default grid, a sampled background (n_bg below
-    # the frame count) and a grid step that does not divide the frame.
+    # the frame count), a grid step that does not divide the frame, and
+    # the full 800-row grid, which is no multiple of the median's strips.
     got = {}
     for name, case in DETECT_FRAMES.items():
         cfg_path = tmp_path / f"{name}.cfg"

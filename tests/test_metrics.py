@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -287,6 +288,25 @@ def test_evaluate_tracks_perfect():
     d = report.to_dict()
     assert d["mota"] == 100.0
     assert d["n_gt_tracks"] == 2
+
+
+@pytest.mark.parametrize("space,view", [("3d", None), ("2d", "top")])
+def test_huge_coordinate_scores_without_overflow_warnings(space, view):
+    # A coordinate near 1e308 squares to inf, which is past every gate: the
+    # report is the one a merely distant point gives, with no warning.
+    gt = make_gt(20, 2)
+    d = 3 if space == "3d" else 2
+    pred = {i: {f: np.full(d, 5.0) if space == "2d" else gt.points3d[f, i - 1]
+                for f in range(20)} for i in (1, 2)}
+    reports = []
+    for far in (1e308, -1.7e308, 1e6):
+        pred[1][7] = np.full(d, far)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports.append(evaluate_tracks(pred, gt, dist_thresh=20.0,
+                                           space=space, view=view).to_dict())
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0]["fp"] == 1
 
 
 def test_evaluate_tracks_2d_space():
