@@ -165,12 +165,14 @@ def stage_evaluate(cfg: PipelineConfig, annotations_path: Path, out: Path,
         pred = {t.id: {f: np.asarray(t.detections[f].head, dtype=float)
                        for f in t.frames}
                 for t in read_tracklets_csv(tracklets_path) if t.view == view}
-        report = evaluate_tracks(pred, gt, cfg.get("eval.dist_2d"),
-                                 space="2d", view=view)
+        gate = cfg.get("eval.dist_2d")
     else:
         pred = tracks_to_pred(read_tracks_csv(tracks_path))
-        report = evaluate_tracks(pred, gt, cfg.get("eval.dist_3d"),
-                                 space="3d")
+        gate, view = cfg.get("eval.dist_3d"), None
+    try:
+        report = evaluate_tracks(pred, gt, gate, view)
+    except ValueError as e:  # the annotations hold no point to score
+        raise FormatError(f"{annotations_path}: {e}") from None
     write_report_json(out / "report.json", report.to_dict(), _meta(cfg))
     return format_report_table(report)
 

@@ -557,6 +557,8 @@ def read_annotations_csv(path) -> GroundTruth:
     t.unique(list(zip(views, frames, fish)), lambda k: (
         f"duplicate row for fish {k[2]} in view {k[0]} at frame {k[1]}"))
     t.check()
+    if n_frames == 0:  # so there is no row either
+        raise FormatError(f"{path}: the annotations cover no frame")
 
     f = np.array(frames, dtype=np.intp)
     j = np.searchsorted(gt.fish_ids, fish)

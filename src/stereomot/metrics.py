@@ -10,7 +10,6 @@ per-frame gated matching with match persistence.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -144,25 +143,24 @@ def complexity_report(gt: GroundTruth) -> ComplexityReport:
 
 @dataclass
 class MatchSequence:
-    """Per-frame gated matching between ground truth and predictions."""
+    """Gated matching, one row per scored frame (every frame with ground
+    truth or a predicted point) and one column per fish."""
 
-    frames: list[int]
-    gt_present: dict[int, list[int]]            # frame -> gt ids
-    pred_present: dict[int, list[int]]          # frame -> pred ids
-    matches: dict[int, dict[int, tuple[int, float]]]  # frame -> gt -> (pid, dist)
+    frames: np.ndarray   # (K,) ascending
+    pids: list[int]      # predicted track ids, ascending
+    present: np.ndarray  # (K,N) fish with ground truth
+    n_pred: np.ndarray   # (K,) predicted points
+    track: np.ndarray    # (K,N) the match's index into pids, or -1
+    dist: np.ndarray     # (K,N) the match's distance, or NaN
 
 
-def _gt_positions(gt: GroundTruth, space: str,
+def _gt_positions(gt: GroundTruth,
                   view: str | None) -> tuple[np.ndarray, np.ndarray]:
-    """(positions (F,N,d), present (F,N)) in the evaluation space."""
-    if space == "3d":
-        pos = gt.points3d
-    elif space == "2d":
-        if view not in VIEWS:
-            raise ValueError("2d evaluation needs view 'top' or 'front'")
-        pos = gt.heads[view]
-    else:
-        raise ValueError("space must be '3d' or '2d'")
+    """(positions (F,N,d), present (F,N)): the 3D points without a view,
+    the view's head pixels with one."""
+    if view is not None and view not in VIEWS:
+        raise ValueError(f"view must be None, 'top' or 'front', got {view!r}")
+    pos = gt.points3d if view is None else gt.heads[view]
     return pos, ~np.isnan(pos[..., 0])
 
 
@@ -194,60 +192,60 @@ def _norms(d: np.ndarray) -> np.ndarray:
 
 
 def match_frames(pred: dict[int, dict[int, np.ndarray]], gt: GroundTruth,
-                 dist_thresh: float, space: str = "3d",
-                 view: str | None = None) -> MatchSequence:
+                 dist_thresh: float, view: str | None = None) -> MatchSequence:
     """Greedy-persistent gated matching, Hungarian on squared distances.
 
     A previous frame's (gt, pred) pair is kept whenever both are present and
     still within the gate; the remainder is matched per frame and pairs
     beyond the gate are rejected even if the solver picked them.
     """
-    pos, present = _gt_positions(gt, space, view)
-    ids = gt.fish_ids
-    column = {i: j for j, i in enumerate(ids)}
+    pos, has_gt = _gt_positions(gt, view)
     pids = sorted(pred)
     track, frame, diff = _pred_offsets(pred, pids, pos)
     with np.errstate(over="ignore"):
         dist, sq = _norms(diff), (diff ** 2).sum(-1)  # (point, fish)
-    track = track.tolist()
-    frames = sorted(set(np.flatnonzero(present.any(axis=1)).tolist())
-                    | set(frame.tolist()))
-    bounds = zip(np.searchsorted(frame, frames).tolist(),
-                 np.searchsorted(frame, frames, side="right").tolist())
-    gt_present = {f: ([ids[j] for j in np.flatnonzero(present[f])]
-                      if 0 <= f < gt.n_frames else [])
-                  for f in frames}
-    pred_present: dict[int, list[int]] = {}
+    frames = np.union1d(np.flatnonzero(has_gt.any(axis=1)), frame)
+    starts = np.searchsorted(frame, frames)
+    ends = np.searchsorted(frame, frames, side="right")
+    present = np.zeros((len(frames), gt.n_fish), dtype=bool)
+    inside = (frames >= 0) & (frames < gt.n_frames)
+    present[inside] = has_gt[frames[inside]]
+    seq = MatchSequence(frames=frames, pids=pids, present=present,
+                        n_pred=ends - starts,
+                        track=np.full(present.shape, -1),
+                        dist=np.full(present.shape, np.nan))
 
-    matches: dict[int, dict[int, tuple[int, float]]] = {}
-    prev: dict[int, int] = {}
-    for f, (start, end) in zip(frames, bounds):
-        row = {pids[b]: r for r, b in enumerate(track[start:end], start)}
-        pred_present[f] = list(row)
-        gids = gt_present[f]
-        here: dict[int, tuple[int, float]] = {}
-        taken: set[int] = set()
-        for g in gids:
-            p = prev.get(g)
-            if p is None or p not in row or p in taken:
+    track = track.tolist()
+    prev = [-1] * gt.n_fish  # each fish's track at the previous frame
+    for k, (start, end) in enumerate(zip(starts.tolist(), ends.tolist())):
+        row = {b: r for r, b in enumerate(track[start:end], start)}
+        cols = np.flatnonzero(present[k]).tolist()
+        for j in cols:  # prev pairs each track with one fish at most
+            b = prev[j]
+            if b not in row:
                 continue
-            d = float(dist[row[p], column[g]])
+            d = float(dist[row[b], j])
             if d <= dist_thresh:
-                here[g] = (p, d)
-                taken.add(p)
-        rest_g = [g for g in gids if g not in here]
-        rest_p = [p for p in row if p not in taken]
+                seq.track[k, j], seq.dist[k, j] = b, d
+        kept = seq.track[k].tolist()
+        rest_g = [j for j in cols if kept[j] < 0]
+        rest_p = [b for b in row if b not in kept]
         if rest_g and rest_p:
-            d2 = sq[np.ix_([row[p] for p in rest_p],
-                           [column[g] for g in rest_g])].T
+            d2 = sq[np.ix_([row[b] for b in rest_p], rest_g)].T
             cost = np.where(d2 <= dist_thresh ** 2, d2, _SENTINEL)
-            for a, b in hungarian(cost):
-                if cost[a, b] <= dist_thresh ** 2:
-                    here[rest_g[a]] = (rest_p[b], math.sqrt(cost[a, b]))
-        matches[f] = here
-        prev = {g: p for g, (p, _) in here.items()}
-    return MatchSequence(frames=frames, gt_present=gt_present,
-                         pred_present=pred_present, matches=matches)
+            for a, c in hungarian(cost):
+                if cost[a, c] <= dist_thresh ** 2:
+                    seq.track[k, rest_g[a]] = rest_p[c]
+                    seq.dist[k, rest_g[a]] = math.sqrt(cost[a, c])
+        prev = seq.track[k].tolist()
+    return seq
+
+
+def _timelines(seq: MatchSequence) -> list[np.ndarray]:
+    """Each fish's track index at every frame it is present, -1 for a
+    miss, for the fish present at least once."""
+    return [seq.track[seq.present[:, j], j]
+            for j in np.flatnonzero(seq.present.any(axis=0))]
 
 
 @dataclass(frozen=True)
@@ -265,34 +263,24 @@ class ClearMot:
 
 
 def clear_mot(seq: MatchSequence) -> ClearMot:
-    fp = fn = idsw = frag = n_match = 0
-    dists: list[float] = []
-    last_pred: dict[int, int] = {}  # matched gt id -> its last pred id
-    in_gap: dict[int, bool] = {}
-    gt_total = 0
-    for f in seq.frames:
-        here = seq.matches[f]
-        gids = seq.gt_present[f]
-        gt_total += len(gids)
-        fn += len(gids) - len(here)
-        fp += len(seq.pred_present[f]) - len(here)
-        n_match += len(here)
-        for g in gids:
-            if g in here:
-                p, d = here[g]
-                dists.append(d)
-                if g in last_pred and last_pred[g] != p:
-                    idsw += 1
-                if in_gap.get(g):
-                    frag += 1
-                last_pred[g] = p
-                in_gap[g] = False
-            elif g in last_pred:
-                in_gap[g] = True
+    gt_total = int(seq.present.sum())
     if gt_total == 0:
         raise ValueError("ground truth contains no object presence")
+    matched = seq.track >= 0
+    n_match = int(matched.sum())
+    fn = gt_total - n_match
+    fp = int(seq.n_pred.sum()) - n_match
+    idsw = frag = 0
+    for t in _timelines(seq):
+        hit = t >= 0
+        ids = t[hit]
+        idsw += int(np.count_nonzero(ids[1:] != ids[:-1]))
+        # A match that ends a miss gap after the fish's first match.
+        frag += int(np.count_nonzero(
+            hit[1:] & ~hit[:-1] & np.logical_or.accumulate(hit)[:-1]))
     mota = 100.0 * (1.0 - (fn + fp + idsw) / gt_total)
-    motp = float(np.mean(dists)) if dists else 0.0
+    # Summed in (frame, fish) order: the order fixes the last bits.
+    motp = float(np.mean(seq.dist[matched])) if n_match else 0.0
     precision = 100.0 * n_match / (n_match + fp) if n_match + fp else 0.0
     recall = 100.0 * n_match / gt_total
     return ClearMot(mota=mota, motp=motp, precision=precision, recall=recall,
@@ -301,10 +289,10 @@ def clear_mot(seq: MatchSequence) -> ClearMot:
 
 
 def id_metrics(pred: dict[int, dict[int, np.ndarray]], gt: GroundTruth,
-               dist_thresh: float, space: str = "3d",
-               view: str | None = None) -> tuple[float, float, float]:
+               dist_thresh: float, view: str | None = None
+               ) -> tuple[float, float, float]:
     """(IDP, IDR, IDF1) from the optimal whole-track identity mapping."""
-    pos, present = _gt_positions(gt, space, view)
+    pos, present = _gt_positions(gt, view)
     pids = sorted(pred)
     track, _, diff = _pred_offsets(pred, pids, pos)
     # Each track's frames within the gate of each fish, counted at once.
@@ -327,11 +315,8 @@ def id_metrics(pred: dict[int, dict[int, np.ndarray]], gt: GroundTruth,
 def mt_ml(seq: MatchSequence) -> tuple[int, int]:
     """Counts of mostly-tracked (coverage >= 0.8) and mostly-lost (<= 0.2)
     ground-truth tracks."""
-    present = Counter(g for f in seq.frames for g in seq.gt_present[f])
-    covered = Counter(g for f in seq.frames for g in seq.gt_present[f]
-                      if g in seq.matches[f])
-    cov = [covered[g] / n for g, n in present.items()]
-    return sum(c >= 0.8 for c in cov), sum(c <= 0.2 for c in cov)
+    cov = np.array([np.mean(t >= 0) for t in _timelines(seq)])
+    return int((cov >= 0.8).sum()), int((cov <= 0.2).sum())
 
 
 def mtbf(seq: MatchSequence) -> tuple[float, float]:
@@ -343,31 +328,27 @@ def mtbf(seq: MatchSequence) -> tuple[float, float]:
     maximal miss gap (at the start, in between and at the end).
     """
     total = failures = gaps = 0
-    for g in {g for f in seq.frames for g in seq.gt_present[f]}:
-        # The matched id at each frame of the track's timeline, None for a
-        # miss. A segment fails when a miss or another id ends it; a gap of
+    for t in _timelines(seq):
+        # A segment fails when a miss or another track ends it; a gap of
         # misses starts at the first frame or after a match.
-        pids = [seq.matches[f][g][0] if g in seq.matches[f] else None
-                for f in seq.frames if g in seq.gt_present[f]]
-        total += len(pids) - pids.count(None)
-        failures += sum(a is not None and b != a
-                        for a, b in zip(pids, pids[1:]))
-        gaps += sum(a is not None and b is None
-                    for a, b in zip([0] + pids, pids))
+        hit = t >= 0
+        total += int(np.count_nonzero(hit))
+        failures += int(np.count_nonzero(hit[:-1] & (t[1:] != t[:-1])))
+        gaps += int(np.count_nonzero(~hit & np.r_[True, hit[:-1]]))
     if total == 0:
         return (0.0, 0.0)
     return (total / max(1, failures), total / max(1, failures + gaps))
 
 
-def oracle_tracks(gt: GroundTruth, space: str = "3d", view: str | None = None
+def oracle_tracks(gt: GroundTruth, view: str | None = None
                   ) -> dict[int, dict[int, np.ndarray]]:
     """Perfect tracks from the ground truth with occluded frames dropped.
 
     In 3D a frame is dropped when the fish is occluded in either view.
     """
-    pos, present = _gt_positions(gt, space, view)
+    pos, present = _gt_positions(gt, view)
     occluded = (np.logical_or.reduce([gt.occluded[v] for v in VIEWS])
-                if space == "3d" else gt.occluded[view])
+                if view is None else gt.occluded[view])
     visible = present & ~occluded
     return {i: {f: pos[f, j] for f in np.flatnonzero(visible[:, j]).tolist()}
             for j, i in enumerate(gt.fish_ids)}
@@ -406,18 +387,17 @@ class EvalReport:
 
 
 def evaluate_tracks(pred: dict[int, dict[int, np.ndarray]], gt: GroundTruth,
-                    dist_thresh: float, space: str = "3d",
-                    view: str | None = None) -> EvalReport:
-    seq = match_frames(pred, gt, dist_thresh, space, view)
+                    dist_thresh: float, view: str | None = None) -> EvalReport:
+    """Score 3D tracks without a view, or one view's 2D head tracks."""
+    seq = match_frames(pred, gt, dist_thresh, view)
     clear = clear_mot(seq)
-    idp, idr, idf1 = id_metrics(pred, gt, dist_thresh, space, view)
+    idp, idr, idf1 = id_metrics(pred, gt, dist_thresh, view)
     mt, ml = mt_ml(seq)
     mtbf_s, mtbf_m = mtbf(seq)
-    n_gt = len({g for f in seq.frames for g in seq.gt_present[f]})
     return EvalReport(
         mota=clear.mota, motp=clear.motp, precision=clear.precision,
         recall=clear.recall, id_precision=idp, id_recall=idr, id_f1=idf1,
         fp=clear.fp, fn=clear.fn, idsw=clear.idsw, frag=clear.frag,
         mt=mt, ml=ml, mtbf_strict=mtbf_s, mtbf_monotone=mtbf_m,
         gt_total=clear.gt_total, n_matches=clear.n_matches,
-        n_gt_tracks=n_gt, n_pred_tracks=len(pred))
+        n_gt_tracks=len(_timelines(seq)), n_pred_tracks=len(pred))

@@ -11,8 +11,11 @@ sums the neighbours of every pixel, and the response is a 5x5
 convolution. `preprocess` normalizes the difference image in floats and
 then takes `ndimage.median_filter`; `skeleton_keypoints` visits every
 skeleton pixel, weights it with `np.cov` and suppresses with one
-`box_overlap_pct` call per pair; `detect_top` works on the whole grid. `match_frames` and `id_metrics` score one (ground truth,
-prediction) pair at a time with `np.linalg.norm`; `mt_ml`, `mtbf` and
+`box_overlap_pct` call per pair; `detect_top` works on the whole grid.
+`match_frames` and `id_metrics` score one (ground truth, prediction) pair
+at a time with `np.linalg.norm`. `match_frames` returns a `Record` of
+dicts keyed by frame and fish id; `record` turns the library's match
+table into one. `clear_mot`, `mt_ml`, `mtbf` and
 `time_between_occlusions` walk each track frame by frame. `csv_rows`
 writes data rows through `csv.writer`. `switch_path` is the stitcher's
 cheapest-walk search that keeps every layer's parent pointers and walks
@@ -22,6 +25,7 @@ them back to find the switch edges.
 import csv
 import io
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -30,7 +34,7 @@ from scipy.optimize import linear_sum_assignment
 from stereomot import (AssociationGraph, Detection, DetectParams,
                        NodeCandidate, Tracklet2D, detect)
 from stereomot.geometry import PARALLEL_TOL, CameraModel
-from stereomot.metrics import MatchSequence, _gt_positions, occlusion_events
+from stereomot.metrics import ClearMot, _gt_positions, occlusion_events
 from stereomot.track2d import hungarian
 
 
@@ -233,11 +237,37 @@ def detect_top(frame, bg, params: DetectParams = DetectParams(),
     return out
 
 
-def match_frames(pred, gt, dist_thresh, space="3d", view=None):
+@dataclass
+class Record:
+    """Per-frame matching as dicts: the scored frames, and for each frame
+    the ground-truth fish ids, the number of predicted points and the
+    matches (fish id -> (track id, distance))."""
+
+    frames: list
+    gt_present: dict
+    n_pred: dict
+    matches: dict
+
+
+def record(seq, fish_ids) -> Record:
+    """The library's match table as a Record; column j is fish_ids[j]."""
+    frames = seq.frames.tolist()
+    return Record(
+        frames=frames,
+        gt_present={f: [fish_ids[j] for j in np.flatnonzero(row).tolist()]
+                    for f, row in zip(frames, seq.present)},
+        n_pred=dict(zip(frames, seq.n_pred.tolist())),
+        matches={f: {fish_ids[j]: (seq.pids[int(seq.track[k, j])],
+                                   float(seq.dist[k, j]))
+                     for j in np.flatnonzero(seq.track[k] >= 0).tolist()}
+                 for k, f in enumerate(frames)})
+
+
+def match_frames(pred, gt, dist_thresh, view=None):
     """Greedy-persistent gated matching, one pair at a time: a kept pair's
     distance is np.linalg.norm of the pair, a solver pair's the square root
     of np.sum of its squared differences."""
-    pos, present = _gt_positions(gt, space, view)
+    pos, present = _gt_positions(gt, view)
     ids = gt.fish_ids
     column = {i: j for j, i in enumerate(ids)}
     frames = sorted(set(np.flatnonzero(present.any(axis=1)).tolist())
@@ -275,14 +305,52 @@ def match_frames(pred, gt, dist_thresh, space="3d", view=None):
                     here[rest_g[a]] = (rest_p[b], math.sqrt(cost[a, b]))
         matches[f] = here
         prev = {g: p for g, (p, _) in here.items()}
-    return MatchSequence(frames=frames, gt_present=gt_present,
-                         pred_present=pred_present, matches=matches)
+    return Record(frames=frames, gt_present=gt_present,
+                  n_pred={f: len(p) for f, p in pred_present.items()},
+                  matches=matches)
 
 
-def id_metrics(pred, gt, dist_thresh, space="3d", view=None):
+def clear_mot(rec):
+    """CLEAR MOT counts, walking the frames and each frame's fish."""
+    fp = fn = idsw = frag = n_match = 0
+    dists = []
+    last_pred = {}  # matched gt id -> its last pred id
+    in_gap = {}
+    gt_total = 0
+    for f in rec.frames:
+        here = rec.matches[f]
+        gids = rec.gt_present[f]
+        gt_total += len(gids)
+        fn += len(gids) - len(here)
+        fp += rec.n_pred[f] - len(here)
+        n_match += len(here)
+        for g in gids:
+            if g in here:
+                p, d = here[g]
+                dists.append(d)
+                if g in last_pred and last_pred[g] != p:
+                    idsw += 1
+                if in_gap.get(g):
+                    frag += 1
+                last_pred[g] = p
+                in_gap[g] = False
+            elif g in last_pred:
+                in_gap[g] = True
+    if gt_total == 0:
+        raise ValueError("ground truth contains no object presence")
+    mota = 100.0 * (1.0 - (fn + fp + idsw) / gt_total)
+    motp = float(np.mean(dists)) if dists else 0.0
+    precision = 100.0 * n_match / (n_match + fp) if n_match + fp else 0.0
+    recall = 100.0 * n_match / gt_total
+    return ClearMot(mota=mota, motp=motp, precision=precision, recall=recall,
+                    fp=fp, fn=fn, idsw=idsw, frag=frag, gt_total=gt_total,
+                    n_matches=n_match)
+
+
+def id_metrics(pred, gt, dist_thresh, view=None):
     """(IDP, IDR, IDF1), counting each fish's gated frames with each track
     one frame at a time."""
-    pos, present = _gt_positions(gt, space, view)
+    pos, present = _gt_positions(gt, view)
     pids = sorted(pred)
     binned = np.zeros((gt.n_fish, len(pids)), dtype=int)
     for j in range(gt.n_fish):
@@ -303,14 +371,14 @@ def id_metrics(pred, gt, dist_thresh, space="3d", view=None):
     return (idp, idr, idf1)
 
 
-def mt_ml(seq):
+def mt_ml(rec):
     """Counts of mostly-tracked (coverage >= 0.8) and mostly-lost (<= 0.2)
     ground-truth tracks."""
     present, covered = {}, {}
-    for f in seq.frames:
-        for g in seq.gt_present[f]:
+    for f in rec.frames:
+        for g in rec.gt_present[f]:
             present[g] = present.get(g, 0) + 1
-            if g in seq.matches[f]:
+            if g in rec.matches[f]:
                 covered[g] = covered.get(g, 0) + 1
     mt = ml = 0
     for g, n in present.items():
@@ -322,13 +390,13 @@ def mt_ml(seq):
     return mt, ml
 
 
-def mtbf(seq):
+def mtbf(rec):
     """(MTBF_strict, MTBF_monotone), walking each track's timeline."""
     total = failures = gaps = 0
-    for g in sorted({g for f in seq.frames for g in seq.gt_present[f]}):
+    for g in sorted({g for f in rec.frames for g in rec.gt_present[f]}):
         seg_len, seg_pid, in_gap = 0, None, False
-        for f in [f for f in seq.frames if g in seq.gt_present[f]]:
-            entry = seq.matches[f].get(g)
+        for f in [f for f in rec.frames if g in rec.gt_present[f]]:
+            entry = rec.matches[f].get(g)
             if entry is None:
                 if seg_len:
                     failures += 1

@@ -282,6 +282,21 @@ def test_detect_frames_pgm_headers(tmp_path, capsys):
     assert "top_000009.pgm: image is 0x0 px" in err
 
 
+def test_complexity_skips_zero_area_occluded_box(tmp_path, capsys):
+    # Three fish occluded at once in the top view; fish 3's box has zero
+    # width, so it has no overlap fraction of its own.
+    path = tmp_path / "annotations.csv"
+    path.write_text("".join(ANNOTATIONS_ROWS.format(bad="60.0")
+                            .splitlines(True)[:2])
+                    + "0,1,top,0.0,0.0,2.0,2.0,1.0,1.0,1,,,\n"
+                    "0,2,top,1.0,1.0,2.0,2.0,2.0,2.0,1,,,\n"
+                    "0,3,top,1.0,1.0,0.0,2.0,1.0,2.0,1,,,\n")
+    assert main(["complexity", "--annotations", str(path),
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "complexity.json").read_text())
+    assert report["top"]["ibo"] == 0.25
+
+
 def test_errors_exit_2(tmp_path, capsys):
     assert main(["track2d", "--detections",
                  str(tmp_path / "missing.csv")]) == 2
@@ -349,6 +364,23 @@ def test_errors_exit_2(tmp_path, capsys):
                      "--tracks", str(tracks),
                      "--out-dir", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {tracks}:{line}:")
+
+    # Annotations that cover no frame, and frames without a row: the
+    # commands that cannot score them name the file.
+    header = "".join(good.splitlines(True)[:2])
+    tracks.write_text("frame,fish_id,x,y,z\n0,1,1.0,1.0,1.0\n")
+    for text, commands in [(header, ("complexity", "evaluate")),
+                           ("# n_frames: 0\n" + header,
+                            ("complexity", "evaluate")),
+                           ("# n_frames: 5\n" + header, ("evaluate",))]:
+        annotations.write_text(text)
+        for command in commands:
+            extra = ["--tracks", str(tracks)] if command == "evaluate" else []
+            assert main([command, "--annotations", str(annotations), *extra,
+                         "--out-dir", str(tmp_path / "out")]) == 2, text
+            assert capsys.readouterr().err.startswith(
+                f"error: {annotations}: "), text
+
     cfg = tmp_path / "latin1.cfg"
     cfg.write_bytes(b"n_fish = 2\n# caf\xe9\n")
     assert main(["simulate", "--config", str(cfg),

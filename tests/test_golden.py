@@ -18,6 +18,7 @@ from stereomot.geometry import load_calibration
 DATA = Path(__file__).parent / "data"
 PIPELINE = json.loads((DATA / "pipeline_sha256.json").read_text())
 DETECT_FRAMES = json.loads((DATA / "detect_frames_sha256.json").read_text())
+EVALUATE_2D = json.loads((DATA / "evaluate_2d_sha256.json").read_text())
 
 
 def test_defaults_text_is_unchanged(capsys):
@@ -37,6 +38,17 @@ def test_pipeline_outputs_are_unchanged(name, tmp_path, capsys):
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in sorted(out.iterdir())}
     assert got == case["sha256"]
+
+    # evaluate --tracklets --view on the pipeline's 2D tracklets. On jitter
+    # the scores carry IDSW, Frag and MTBF failures in both views.
+    for view, digest in EVALUATE_2D.get(name, {}).items():
+        report = tmp_path / view
+        assert main(["evaluate", "--config", str(cfg_path),
+                     "--annotations", str(out / "annotations.csv"),
+                     "--tracklets", str(out / "tracklets.csv"),
+                     "--view", view, "--out-dir", str(report)]) == 0
+        assert hashlib.sha256((report / "report.json").read_bytes()
+                              ).hexdigest() == digest, view
 
     if name == "jitter":
         # The jitter scene is the one that reaches DAG edges, and with them

@@ -123,10 +123,11 @@ def test_match_frames_gate_boundary():
     base = gt.points3d[0, 0]
     at_gate = {1: {0: base + np.array([0.5, 0.0, 0.0])}}
     seq = match_frames(at_gate, gt, dist_thresh=0.5)
-    assert 1 in seq.matches[0]
+    assert (seq.track[0, 0], seq.dist[0, 0]) == (0, 0.5)
     beyond = {1: {0: base + np.array([0.5 + 1e-9, 0.0, 0.0])}}
     seq = match_frames(beyond, gt, dist_thresh=0.5)
-    assert seq.matches[0] == {}
+    assert seq.track[0, 0] == -1
+    assert np.isnan(seq.dist[0, 0])
 
 
 def test_match_persistence_through_crossing():
@@ -139,9 +140,8 @@ def test_match_persistence_through_crossing():
     pred = {10: {f: gt.points3d[f, 0] for f in range(n)},
             20: {f: gt.points3d[f, 1] for f in range(n)}}
     seq = match_frames(pred, gt, dist_thresh=5.0)
-    for f in range(n):
-        assert seq.matches[f][1][0] == 10
-        assert seq.matches[f][2][0] == 20
+    assert seq.pids == [10, 20]
+    assert (seq.track == [0, 1]).all()
     res = clear_mot(seq)
     assert res.idsw == 0
     assert res.mota == 100.0
@@ -256,10 +256,10 @@ def test_oracle_drops_occluded_frames():
 
 def test_oracle_either_view_blocks_3d():
     gt = make_gt(20, 1, flags=flag_range(1, range(5, 8), view="front"))
-    pred = oracle_tracks(gt, space="3d")
+    pred = oracle_tracks(gt)
     assert set(pred[1]) == set(range(20)) - {5, 6, 7}
     # the top view alone is unaffected by front-view flags
-    pred_top = oracle_tracks(gt, space="2d", view="top")
+    pred_top = oracle_tracks(gt, view="top")
     assert set(pred_top[1]) == set(range(20))
 
 
@@ -290,13 +290,13 @@ def test_evaluate_tracks_perfect():
     assert d["n_gt_tracks"] == 2
 
 
-@pytest.mark.parametrize("space,view", [("3d", None), ("2d", "top")])
-def test_huge_coordinate_scores_without_overflow_warnings(space, view):
+@pytest.mark.parametrize("view", [None, "top"])
+def test_huge_coordinate_scores_without_overflow_warnings(view):
     # A coordinate near 1e308 squares to inf, which is past every gate: the
     # report is the one a merely distant point gives, with no warning.
     gt = make_gt(20, 2)
-    d = 3 if space == "3d" else 2
-    pred = {i: {f: np.full(d, 5.0) if space == "2d" else gt.points3d[f, i - 1]
+    d = 3 if view is None else 2
+    pred = {i: {f: np.full(d, 5.0) if view else gt.points3d[f, i - 1]
                 for f in range(20)} for i in (1, 2)}
     reports = []
     for far in (1e308, -1.7e308, 1e6):
@@ -304,7 +304,7 @@ def test_huge_coordinate_scores_without_overflow_warnings(space, view):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             reports.append(evaluate_tracks(pred, gt, dist_thresh=20.0,
-                                           space=space, view=view).to_dict())
+                                           view=view).to_dict())
     assert reports[0] == reports[1] == reports[2]
     assert reports[0]["fp"] == 1
 
@@ -312,10 +312,10 @@ def test_huge_coordinate_scores_without_overflow_warnings(space, view):
 def test_evaluate_tracks_2d_space():
     gt = make_gt(30, 2)
     pred = {i: {f: np.array([5.0, 5.0]) for f in range(30)} for i in (1, 2)}
-    report = evaluate_tracks(pred, gt, dist_thresh=20.0, space="2d", view="top")
+    report = evaluate_tracks(pred, gt, dist_thresh=20.0, view="top")
     assert report.mota == 100.0
-    with pytest.raises(ValueError):
-        evaluate_tracks(pred, gt, dist_thresh=20.0, space="2d")
+    with pytest.raises(ValueError, match="view must be"):
+        evaluate_tracks(pred, gt, dist_thresh=20.0, view="side")
 
 
 def test_dropping_matched_frame_lowers_mota():
@@ -336,19 +336,18 @@ def test_tracks_to_pred_adapter():
 
 @st.composite
 def scored_tracks(draw):
-    """(pred, gt, gates, space, view): ground truth with absent fish,
+    """(pred, gt, gates, view): ground truth with absent fish,
     tracks with frames before and past it that mostly follow one fish, and
     gates that are the distances themselves. Points on an integer grid give
     exact distances; normal ones differ in the last bit between ways of
     summing."""
-    space, view = draw(st.sampled_from(
-        [("3d", None), ("2d", "top"), ("2d", "front")]))
+    view = draw(st.sampled_from([None, "top", "front"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     grid = draw(st.booleans())
     n_frames = int(rng.integers(1, 21))
     gt = GroundTruth(fps=30.0, n_frames=n_frames, ids=sorted(
         rng.choice(100, rng.integers(0, 5), replace=False)))
-    pos = gt.points3d if space == "3d" else gt.heads[view]
+    pos = gt.points3d if view is None else gt.heads[view]
     pos[:] = (rng.integers(-20, 21, pos.shape) if grid
               else rng.normal(0.0, 10.0, pos.shape))
     pos[rng.random(pos.shape[:2]) < 0.2] = np.nan
@@ -369,27 +368,37 @@ def scored_tracks(draw):
             if inside:
                 dists.append(np.linalg.norm(pos[f, j] - pred[pid][f]))
     gates = [5.0] + [float(d) for d in dists if 0 < d < 8][:10]
-    return pred, gt, gates, space, view
+    return pred, gt, gates, view
+
+
+def outcome(fn, *args):
+    """fn(*args), or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return str(e)
 
 
 @settings(max_examples=150, deadline=None)
 @given(scored_tracks())
 def test_match_frames_equals_the_pairwise_reference(case):
-    pred, gt, gates, space, view = case
+    pred, gt, gates, view = case
     for gate in gates:
-        seq = reference.match_frames(pred, gt, gate, space, view)
-        assert match_frames(pred, gt, gate, space, view) == seq
-        assert mt_ml(seq) == reference.mt_ml(seq)
-        assert mtbf(seq) == reference.mtbf(seq)
+        seq = match_frames(pred, gt, gate, view)
+        rec = reference.match_frames(pred, gt, gate, view)
+        assert reference.record(seq, gt.fish_ids) == rec
+        assert outcome(clear_mot, seq) == outcome(reference.clear_mot, rec)
+        assert mt_ml(seq) == reference.mt_ml(rec)
+        assert mtbf(seq) == reference.mtbf(rec)
 
 
 @settings(max_examples=150, deadline=None)
 @given(scored_tracks())
 def test_id_metrics_equals_the_pairwise_reference(case):
-    pred, gt, gates, space, view = case
+    pred, gt, gates, view = case
     for gate in gates:
-        assert (id_metrics(pred, gt, gate, space, view)
-                == reference.id_metrics(pred, gt, gate, space, view))
+        assert (id_metrics(pred, gt, gate, view)
+                == reference.id_metrics(pred, gt, gate, view))
 
 
 @settings(max_examples=100, deadline=None)

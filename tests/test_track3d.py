@@ -39,6 +39,10 @@ def test_params_validation():
     with pytest.raises(ValueError):
         StitchParams(beta=0.0)
     with pytest.raises(ValueError):
+        StitchParams(beta=1.0)
+    with pytest.raises(ValueError):
+        StitchParams(top_fraction=0.0)
+    with pytest.raises(ValueError):
         StitchParams(top_fraction=1.5)
     with pytest.raises(ValueError):
         StitchParams(overlap_scale=0.0)
@@ -253,6 +257,16 @@ def test_associate_discards_ambiguous_gallery():
     for track in tracks:
         assert 2 not in track.sources
         assert set(track.points) == set(range(0, 11))
+
+
+def test_associate_keeps_gallery_at_margin_beta(monkeypatch):
+    # A margin of exactly beta between the two best mains is not ambiguous.
+    monkeypatch.setattr("stereomot.track3d.assignment_cost",
+                        lambda gallery, mains, params: [0.0, 0.02])
+    tracklets = [t3d(0, 0, 10), t3d(1, 0, 10, pos=(10.0, 0.0, 0.0)),
+                 t3d(2, 20, 25, pos=(5.0, 0.0, 0.0))]
+    tracks = associate(tracklets, 2, StitchParams(beta=0.02))
+    assert [t.sources for t in tracks] == [[0, 2], [1]]
 
 
 def test_associate_merge_keeps_main_points():
