@@ -9,7 +9,6 @@ manual chain of subcommands.
 from __future__ import annotations
 
 import argparse
-import itertools
 import re
 import sys
 from pathlib import Path
@@ -18,7 +17,8 @@ import numpy as np
 
 from .config import ConfigError, PipelineConfig, describe_defaults
 from .crossview import build_graph, extract_3d_tracklets
-from .detect import (DetectError, Detection, detect_front, detect_top,
+from .detect import (DetectError, Detection, detect_front,
+                     detect_front_grid, detect_top, detect_top_grid,
                      estimate_background, ingest_external_detections)
 from .formats import (FormatError, format_complexity_table,
                       format_report_table, group_detections,
@@ -83,38 +83,43 @@ def _frame_paths(frames_dir: Path, view: str):
     return numbers, paths
 
 
-def _read_frames(paths, shape: tuple[int, ...] | None = None):
-    """Yield each PGM in turn; all must have `shape`, or the first one's."""
-    for path in paths:
-        img = read_pgm(path)
-        if shape is None:
-            shape = img.shape
-        elif img.shape != shape:
-            raise DetectError(f"{path}: frame is {img.shape[1]}x"
-                              f"{img.shape[0]} px, expected {shape[1]}x"
-                              f"{shape[0]} px")
-        yield img
+def _read_frame(path, shape: tuple[int, ...]) -> np.ndarray:
+    """The PGM at `path`, which must have `shape`."""
+    img = read_pgm(path)
+    if img.shape != shape:
+        raise DetectError(f"{path}: frame is {img.shape[1]}x{img.shape[0]} "
+                          f"px, expected {shape[1]}x{shape[0]} px")
+    return img
 
 
 def stage_detect_frames(cfg: PipelineConfig, frames_dir: Path,
                         out: Path) -> None:
     params = cfg.detect_params()
+    d = params.downsample
     dets: dict[str, dict[int, list[Detection]]] = {}
     for view in VIEWS:
         numbers, paths = _frame_paths(frames_dir, view)
         n_bg = min(params.n_bg, len(paths))
         sample = np.unique(np.linspace(0, len(paths) - 1, n_bg).astype(int))
-        # Only the sampled frames, on the detection grid, are held at once;
-        # detection then reads one frame at a time.
-        frames = _read_frames(paths[i] for i in sample)
-        first = next(frames)
-        d = params.downsample
-        bg = estimate_background(img[::d, ::d]
-                                 for img in itertools.chain([first], frames))
-        detector = detect_top if view == "top" else detect_front
-        dets[view] = {f: detector(img, bg, params, frame_index=f)
-                      for f, img in zip(numbers,
-                                        _read_frames(paths, first.shape))}
+        # Each file is read once. The sampled frames, on the detection grid,
+        # are the only ones held at once: they make the background and are
+        # detected from its stack; the others are read one at a time.
+        first = read_pgm(paths[sample[0]])
+        grid = first[::d, ::d]
+        stack = np.empty((len(sample),) + grid.shape, dtype=np.uint8)
+        stack[0] = grid
+        for row, i in zip(stack[1:], sample[1:]):
+            row[...] = _read_frame(paths[i], first.shape)[::d, ::d]
+        bg = estimate_background(stack)
+        rows = dict(zip(sample.tolist(), stack))
+        top = view == "top"
+        on_grid = detect_top_grid if top else detect_front_grid
+        detector = detect_top if top else detect_front
+        dets[view] = {
+            f: (on_grid(rows[i], bg, params, frame_index=f) if i in rows
+                else detector(_read_frame(paths[i], first.shape), bg, params,
+                              frame_index=f))
+            for i, f in enumerate(numbers)}
     write_detections_csv(out / "detections.csv", dets, _meta(cfg))
 
 
@@ -281,6 +286,9 @@ def main(argv=None) -> int:
         elif args.command == "stitch":
             stage_stitch(cfg, Path(args.tracklets3d), out)
         elif args.command == "evaluate":
+            if args.tracks and args.view:
+                raise ConfigError("--view selects the view of 2D tracklets "
+                                  "and does not apply to --tracks")
             table = stage_evaluate(
                 cfg, Path(args.annotations), out,
                 tracks_path=Path(args.tracks) if args.tracks else None,

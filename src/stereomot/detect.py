@@ -153,16 +153,41 @@ def _median_5x5(img: np.ndarray) -> np.ndarray:
     return out.reshape(h, width)[:, :w]
 
 
+_BG_ROWS = 32  # rows per chunk of the background's bit passes
+
+
 def estimate_background(frames) -> np.ndarray:
     """Per-pixel median of the frames (lower median when even), as uint8.
 
-    `frames` is any iterable of equally sized images, such as a generator
-    that reads them one at a time; the detectors take it on their grid,
-    `frame[::downsample, ::downsample]`. Each frame is copied into one
-    uint8 stack, which grows by doubling. The median is selected from the
-    high bit down: a bit stays set when at most k = (n-1)//2 frames lie
-    below the value so far.
+    `frames` is an (n, h, w) uint8 array, used in place and left as it
+    is, or any iterable of equally sized images, such as a generator that
+    reads them one at a time; the detectors take it on their grid,
+    `frame[::downsample, ::downsample]`. An iterable's frames are copied
+    into one uint8 stack, which grows by doubling. The median is selected
+    from the high bit down: a bit stays set when at most k = (n-1)//2
+    frames lie below the value so far. Each chunk of `_BG_ROWS` rows runs
+    all eight bit passes before the next, so a pass reads from cache.
     """
+    if not (isinstance(frames, np.ndarray) and frames.ndim == 3
+            and frames.dtype == np.uint8):
+        frames = _stack(frames)
+    n = len(frames)
+    if n == 0:
+        raise DetectError("estimate_background needs at least one frame")
+    k = (n - 1) // 2
+    count = np.min_scalar_type(n)
+    med = np.zeros(frames.shape[1:], dtype=np.uint8)
+    for r0 in range(0, med.shape[0], _BG_ROWS):
+        chunk, part = frames[:, r0:r0 + _BG_ROWS], med[r0:r0 + _BG_ROWS]
+        for bit in (128, 64, 32, 16, 8, 4, 2, 1):
+            cand = part | bit
+            below = (chunk < cand).sum(axis=0, dtype=count)
+            np.copyto(part, cand, where=below <= k)
+    return med
+
+
+def _stack(frames) -> np.ndarray:
+    """An iterable's frames as one (n, h, w) uint8 array."""
     stack = np.empty((0, 0, 0), dtype=np.uint8)
     n = 0
     for frame in frames:
@@ -177,56 +202,84 @@ def estimate_background(frames) -> np.ndarray:
             stack = grown
         stack[n] = frame
         n += 1
-    if n == 0:
-        raise DetectError("estimate_background needs at least one frame")
-    k = (n - 1) // 2
-    stack = stack[:n]
-    med = np.zeros(stack.shape[1:], dtype=np.uint8)
-    for bit in (128, 64, 32, 16, 8, 4, 2, 1):
-        cand = med | bit
-        below = (stack < cand).sum(axis=0, dtype=np.min_scalar_type(n))
-        np.copyto(med, cand, where=below <= k)
-    return med
+    return stack[:n]
+
+
+def _median_diff(grid: np.ndarray, bg: np.ndarray):
+    """(median, table) of two uint8 images: the 5x5 median of |grid - bg|,
+    exactly as by `ndimage.median_filter(img, size=5, mode="nearest")`,
+    and the 256-entry min-max normalization of the difference to [0,255].
+    A zero-range difference gets an all-zero table. The table reads 0
+    outside the difference's range [lo, hi], where no median lies."""
+    grid = np.asarray(grid)
+    bg = np.asarray(bg)
+    if grid.shape != bg.shape:
+        raise DetectError("frame and background dimensions differ")
+    if grid.dtype != np.uint8 or bg.dtype != np.uint8:
+        raise DetectError(f"frame and background must be uint8, got "
+                          f"{grid.dtype} and {bg.dtype}")
+    diff = np.maximum(grid, bg) - np.minimum(grid, bg)
+    lo, hi = int(diff.min()), int(diff.max())
+    table = np.zeros(256, dtype=np.uint8)
+    if hi > lo:
+        v = np.arange(lo, hi + 1)
+        table[lo:hi + 1] = np.rint((v - lo) * (255.0 / (hi - lo)))
+    return _median_5x5(diff), table
 
 
 def preprocess(frame: np.ndarray, bg: np.ndarray) -> np.ndarray:
-    """|frame - bg| of two uint8 images, 5x5 median filtered (exactly, as
-    by `ndimage.median_filter(img, size=5, mode="nearest")`), then min-max
-    normalized to [0,255] by a 256-entry table; a zero-range difference
-    normalizes to all zeros. The normalization is non-decreasing, so taking
-    the median first gives the same bytes."""
-    frame = np.asarray(frame)
-    bg = np.asarray(bg)
-    if frame.shape != bg.shape:
-        raise DetectError("frame and background dimensions differ")
-    if frame.dtype != np.uint8 or bg.dtype != np.uint8:
-        raise DetectError(f"frame and background must be uint8, got "
-                          f"{frame.dtype} and {bg.dtype}")
-    diff = np.maximum(frame, bg) - np.minimum(frame, bg)
-    lo, hi = int(diff.min()), int(diff.max())
-    lut = np.zeros(256, dtype=np.uint8)
-    if hi > lo:
-        v = np.arange(lo, hi + 1)
-        lut[lo:hi + 1] = np.rint((v - lo) * (255.0 / (hi - lo)))
-    return np.take(lut, _median_5x5(diff))
+    """The normalized difference image `table[median]` of `_median_diff`.
+    The normalization is non-decreasing, so taking the median first gives
+    the same bytes as normalizing first. The detectors never form this
+    image: `_foreground` thresholds the median itself."""
+    med, table = _median_diff(frame, bg)
+    return np.take(table, med)
+
+
+def _histogram(img: np.ndarray) -> np.ndarray:
+    """Counts of the 256 values of a uint8 image, read in uint16 pairs."""
+    flat = np.ravel(img)
+    even = flat.size & ~1
+    pairs = np.bincount(flat[:even].view(np.uint16),
+                        minlength=1 << 16).reshape(256, 256)
+    hist = pairs.sum(axis=0) + pairs.sum(axis=1)
+    if flat.size & 1:
+        hist[flat[-1]] += 1
+    return hist
+
+
+def _foreground(grid: np.ndarray, bg: np.ndarray, threshold):
+    """The mask `preprocess(grid, bg) > t`, t = threshold(the histogram of
+    that image), or None when the threshold fails; the normalized image is
+    never formed.
+
+    Every median lies in [lo, hi], where the table is non-decreasing. So
+    the normalized histogram is the median's, summed through the table,
+    and table[med] > t holds exactly when med reaches u, the first value
+    whose entry passes t in the table made non-decreasing past hi.
+    """
+    med, table = _median_diff(grid, bg)
+    hist = np.bincount(table, weights=_histogram(med), minlength=256)
+    try:
+        t = threshold(hist.astype(np.int64))
+    except DetectError:
+        return None
+    u = np.searchsorted(np.maximum.accumulate(table), t, side="right")
+    return med >= int(u)
 
 
 def _modes(hist: np.ndarray) -> list[float]:
     """Local maxima positions; a plateau of equal bins is one mode at its
     midpoint, and the array is treated as -inf padded at both ends."""
-    modes = []
     n = len(hist)
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and hist[j + 1] == hist[i]:
-            j += 1
-        left_ok = i == 0 or hist[i - 1] < hist[i]
-        right_ok = j == n - 1 or hist[j + 1] < hist[j]
-        if left_ok and right_ok and hist[i] > 0:
-            modes.append((i + j) / 2.0)
-        i = j + 1
-    return modes
+    step = np.flatnonzero(hist[1:] != hist[:-1]) + 1
+    first = np.concatenate(([0], step))[:n]  # each plateau's bins
+    last = np.concatenate((step - 1, [n - 1]))[:n]
+    level = hist[first]
+    rises = np.concatenate(([True], level[:-1] < level[1:]))
+    falls = np.concatenate((level[1:] < level[:-1], [True]))
+    keep = rises & falls & (level > 0)
+    return ((first[keep] + last[keep]) / 2.0).tolist()
 
 
 def intermodes_threshold(hist, max_iter: int = 10000) -> int:
@@ -324,20 +377,31 @@ class Keypoint:
     kind: str  # "endpoint" | "junction"
 
 
-def kernel_response(skel: np.ndarray) -> np.ndarray:
-    """5x5 kernel response of the 0/1 skeleton at every pixel, as uint8.
+_KERNEL = np.array([[1, 1, 1, 1, 1],
+                    [1, 15, 15, 15, 1],
+                    [1, 15, 100, 15, 1],
+                    [1, 15, 15, 15, 1],
+                    [1, 1, 1, 1, 1]], dtype=np.uint8)
+# kernel response -> 1 for an endpoint, 2 for a junction, 0 for neither
+_KIND = np.zeros(256, dtype=np.uint8)
+_KIND[list(ENDPOINT_VALUES)] = 1
+_KIND[list(JUNCTION_VALUES)] = 2
+
+
+def kernel_response(skel: np.ndarray, at=None) -> np.ndarray:
+    """5x5 kernel response of the 0/1 skeleton, as uint8: at the pixels
+    `at` = (ys, xs) as a 1-D array, or at every pixel as an image.
 
     The kernel (centre 100, 8 neighbours 15, outer ring 1) tells line ends
-    from junctions. It is the 5x5 box plus 14 times the 3x3 box plus 85 at
-    the centre, summed exactly over the zero-padded skeleton: at most 236.
+    from junctions. Its 25 products are summed exactly over the
+    zero-padded skeleton: at most 236, so uint8 holds the sum.
     """
     s = np.pad(np.asarray(skel) > 0, 2).astype(np.uint8)
     h, w = s.shape[0] - 4, s.shape[1] - 4
-    rows3 = s[:, 1:w + 1] + s[:, 2:w + 2] + s[:, 3:w + 3]
-    rows5 = rows3 + s[:, :w] + s[:, 4:]
-    box3 = rows3[1:h + 1] + rows3[2:h + 2] + rows3[3:h + 3]
-    box5 = sum(rows5[i:i + h] for i in range(5))
-    return box5 + 14 * box3 + 85 * s[2:-2, 2:-2]
+    ys, xs = np.indices((h, w)).reshape(2, -1) if at is None else at
+    window = (np.arange(5)[:, None] * (w + 4) + np.arange(5)).ravel()
+    resp = s.ravel()[(ys * (w + 4) + xs)[:, None] + window] @ _KERNEL.ravel()
+    return resp.reshape(h, w) if at is None else resp
 
 
 def _window_weight(blob: np.ndarray, x: int, y: int) -> float:
@@ -387,20 +451,22 @@ def skeleton_keypoints(skel: np.ndarray, blob: np.ndarray,
 
     Junction weights are divided by params.junction_divisor; keypoints are
     non-max suppressed over their w-by-w boxes and those below the minimum
-    weight are discarded. The kernel response is taken on the skeleton's
-    bounding box only: it is zero-padded, and nothing outside is on.
+    weight are discarded. The kernel response is taken at the skeleton's
+    pixels, on its bounding box: it is zero-padded, and nothing outside
+    is on.
     """
     blob = np.asarray(blob) > 0
     on = np.asarray(skel) > 0
     box = _bbox(on)
-    resp = kernel_response(on[box])
-    ys, xs = np.nonzero(
-        np.isin(resp, list(ENDPOINT_VALUES | JUNCTION_VALUES)) & on[box])
+    ys, xs = np.nonzero(on[box])
+    kind = _KIND[kernel_response(on[box], (ys, xs))]
+    keep = kind > 0
     found = []
-    for y, x, value in zip((ys + box[0].start).tolist(),
-                           (xs + box[1].start).tolist(), resp[ys, xs].tolist()):
+    for y, x, junction in zip((ys[keep] + box[0].start).tolist(),
+                              (xs[keep] + box[1].start).tolist(),
+                              (kind[keep] == 2).tolist()):
         w = _window_weight(blob, x, y)
-        if value in JUNCTION_VALUES:
+        if junction:
             found.append(Keypoint((x, y), w / params.junction_divisor, "junction"))
         else:
             found.append(Keypoint((x, y), w, "endpoint"))
@@ -410,17 +476,14 @@ def skeleton_keypoints(skel: np.ndarray, blob: np.ndarray,
 
 
 def fill_holes(mask: np.ndarray) -> np.ndarray:
-    """Fill interior holes of 8-connected foreground components."""
-    mask = np.asarray(mask) > 0
-    inv = ~mask
-    labels, n = ndimage.label(inv, structure=_CROSS)
-    if n == 0:
-        return mask
-    border = np.zeros(n + 1, dtype=bool)
-    for edge in (labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]):
-        border[np.unique(edge)] = True
-    border[0] = True
-    return mask | ~border[labels]
+    """Fill interior holes of 8-connected foreground components.
+
+    A one-pixel background frame joins every 4-connected background
+    region that reaches the edge into one component; all else is kept.
+    """
+    labels, _ = ndimage.label(np.pad(np.asarray(mask) <= 0, 1,
+                                     constant_values=True), structure=_CROSS)
+    return labels[1:-1, 1:-1] != labels[0, 0]
 
 
 def _select_head_keypoints(kps: list[Keypoint]) -> list[Keypoint]:
@@ -446,15 +509,19 @@ def detect_top(frame: np.ndarray, bg: np.ndarray,
     """Skeleton-keypoint head detector for the top view; `bg` is the
     background on the detection grid, `frame[::downsample, ::downsample]`."""
     f = params.downsample
-    pre = preprocess(np.asarray(frame)[::f, ::f], bg)
-    hist = np.bincount(pre.ravel(), minlength=256)
-    try:
-        t = intermodes_threshold(hist)
-    except DetectError:
+    return detect_top_grid(np.asarray(frame)[::f, ::f], bg, params,
+                           frame_index)
+
+
+def detect_top_grid(grid: np.ndarray, bg: np.ndarray,
+                    params: DetectParams = DetectParams(),
+                    frame_index: int = 0) -> list[Detection]:
+    """`detect_top` on a frame already on the detection grid."""
+    fg = _foreground(grid, bg, intermodes_threshold)
+    if fg is None:
         return []
     # On the foreground's bounding box: all outside it is background joined
     # to the image edge, so a hole reaches the box's edge iff the image's.
-    fg = pre > t
     box = _bbox(fg)
     mask = np.zeros(fg.shape, dtype=bool)
     mask[box] = fill_holes(fg[box])
@@ -468,6 +535,7 @@ def detect_top(frame: np.ndarray, bg: np.ndarray,
     for kp in keypoints:
         comp = int(labels[kp.point[1] - box[0].start, kp.point[0] - box[1].start])
         by_comp.setdefault(comp, []).append(kp)
+    f = params.downsample
     out = []
     for comp in sorted(by_comp):
         for kp in _select_head_keypoints(by_comp[comp]):
@@ -487,19 +555,31 @@ def detect_front(frame: np.ndarray, bg: np.ndarray,
     background on the detection grid, as for `detect_top`.
     """
     f = params.downsample
-    pre = preprocess(np.asarray(frame)[::f, ::f], bg)
-    hist = np.bincount(pre.ravel(), minlength=256)
-    try:
-        t = entropy_threshold(hist)
-    except DetectError:
+    return detect_front_grid(np.asarray(frame)[::f, ::f], bg, params,
+                             frame_index)
+
+
+def detect_front_grid(grid: np.ndarray, bg: np.ndarray,
+                      params: DetectParams = DetectParams(),
+                      frame_index: int = 0) -> list[Detection]:
+    """`detect_front` on a frame already on the detection grid.
+
+    A stable sort of the foreground pixels by label puts each blob's
+    pixels together, in raster order.
+    """
+    mask = _foreground(grid, bg, entropy_threshold)
+    if mask is None:
         return []
-    mask = pre > t
     labels, n = ndimage.label(mask, structure=_BOX8)
     if n == 0:
         return []
-    counts = np.bincount(labels[mask])  # areas; counts[0] is not read
+    pixels = np.flatnonzero(mask)
+    label_of = labels.ravel()[pixels]
+    counts = np.bincount(label_of)  # areas; counts[0] is 0
+    ends = np.cumsum(counts)
+    pixels = pixels[np.argsort(label_of, kind="stable")]
     order = sorted(range(1, n + 1), key=lambda lbl: (-counts[lbl], lbl))
-    slices = ndimage.find_objects(labels)
+    f = params.downsample
     out = []
     for lbl in order:
         area = int(counts[lbl])
@@ -507,10 +587,7 @@ def detect_front(frame: np.ndarray, bg: np.ndarray,
             continue
         if len(out) >= 2 * params.n_fish:
             break
-        sl = slices[lbl - 1]
-        ys, xs = np.nonzero(labels[sl] == lbl)
-        ys = ys + sl[0].start
-        xs = xs + sl[1].start
+        ys, xs = np.divmod(pixels[ends[lbl - 1]:ends[lbl]], mask.shape[1])
         mean_x = float(xs.mean())
         mean_y = float(ys.mean())
         min_x, max_x = float(xs.min()), float(xs.max())

@@ -9,9 +9,14 @@ weights, for tests of path extraction on hand-made or random DAGs.
 detector's thinning and keypoint response: every pass of the thinning
 sums the neighbours of every pixel, and the response is a 5x5
 convolution. `preprocess` normalizes the difference image in floats and
-then takes `ndimage.median_filter`; `skeleton_keypoints` visits every
-skeleton pixel, weights it with `np.cov` and suppresses with one
-`box_overlap_pct` call per pair; `detect_top` works on the whole grid.
+then takes `ndimage.median_filter`; `foreground` thresholds that image
+at the threshold of its histogram. `estimate_background` runs its bit
+passes over the whole stack, and `modes` walks the histogram bin by bin.
+`skeleton_keypoints` visits every skeleton pixel, weights it with
+`np.cov` and suppresses with one `box_overlap_pct` call per pair;
+`fill_holes` collects the background labels on the image's edges;
+`detect_top` works on the whole grid, and `detect_front` takes each
+blob's pixels from its `ndimage.find_objects` box.
 `match_frames` and `id_metrics` score one (ground truth, prediction) pair
 at a time with `np.linalg.norm`. `match_frames` returns a `Record` of
 dicts keyed by frame and fish id; `record` turns the library's match
@@ -161,6 +166,62 @@ def preprocess(frame: np.ndarray, bg: np.ndarray) -> np.ndarray:
     return ndimage.median_filter(img, size=5, mode="nearest")
 
 
+def foreground(grid, bg, threshold):
+    """`preprocess(grid, bg) > t` for t = threshold(its histogram), or None
+    when the threshold fails."""
+    pre = preprocess(grid, bg)
+    try:
+        t = threshold(np.bincount(pre.ravel(), minlength=256))
+    except detect.DetectError:
+        return None
+    return pre > t
+
+
+def estimate_background(stack: np.ndarray) -> np.ndarray:
+    """Lower per-pixel median of an (n, h, w) uint8 stack, each of the
+    eight bit passes comparing the whole stack."""
+    n = len(stack)
+    med = np.zeros(stack.shape[1:], dtype=np.uint8)
+    for bit in (128, 64, 32, 16, 8, 4, 2, 1):
+        cand = med | bit
+        below = (stack < cand).sum(axis=0)
+        np.copyto(med, cand, where=below <= (n - 1) // 2)
+    return med
+
+
+def modes(hist) -> list:
+    """Local maxima positions; a plateau of equal bins is one mode at its
+    midpoint, and the array is treated as -inf padded at both ends."""
+    found = []
+    n = len(hist)
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and hist[j + 1] == hist[i]:
+            j += 1
+        left_ok = i == 0 or hist[i - 1] < hist[i]
+        right_ok = j == n - 1 or hist[j + 1] < hist[j]
+        if left_ok and right_ok and hist[i] > 0:
+            found.append((i + j) / 2.0)
+        i = j + 1
+    return found
+
+
+def fill_holes(mask: np.ndarray) -> np.ndarray:
+    """Fill the holes of the mask: 4-connected background components that
+    touch no edge of the image, found by labelling and then collecting
+    the labels on the four edges."""
+    mask = np.asarray(mask) > 0
+    labels, n = ndimage.label(~mask, structure=[[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+    if n == 0:
+        return mask
+    border = np.zeros(n + 1, dtype=bool)
+    for edge in (labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]):
+        border[np.unique(edge)] = True
+    border[0] = True
+    return mask | ~border[labels]
+
+
 def window_weight(blob: np.ndarray, x: int, y: int) -> float:
     h, w = blob.shape
     r0, r1 = max(0, y - 10), min(h, y + 10)
@@ -222,7 +283,7 @@ def detect_top(frame, bg, params: DetectParams = DetectParams(),
         t = detect.intermodes_threshold(np.bincount(pre.ravel(), minlength=256))
     except detect.DetectError:
         return []
-    mask = detect.fill_holes(pre > t)
+    mask = fill_holes(pre > t)
     skel = skeletonize(mask)
     labels, _ = ndimage.label(skel > 0, structure=np.ones((3, 3), dtype=int))
     by_comp: dict = {}
@@ -234,6 +295,48 @@ def detect_top(frame, bg, params: DetectParams = DetectParams(),
             head = (float(kp.point[0] * f), float(kp.point[1] * f))
             out.append(Detection(frame=frame_index, view="top", head=head,
                                  candidates=(head,)))
+    return out
+
+
+def detect_front(frame, bg, params: DetectParams = DetectParams(),
+                 frame_index: int = 0) -> list:
+    """The front-view detector, taking each blob's pixels from its
+    `find_objects` box. It calls `detect.preprocess` through the module."""
+    f = params.downsample
+    pre = detect.preprocess(np.asarray(frame)[::f, ::f], bg)
+    try:
+        t = detect.entropy_threshold(np.bincount(pre.ravel(), minlength=256))
+    except detect.DetectError:
+        return []
+    mask = pre > t
+    labels, n = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
+    counts = np.bincount(labels[mask], minlength=n + 1)
+    slices = ndimage.find_objects(labels)
+    out = []
+    for lbl in sorted(range(1, n + 1), key=lambda lbl: (-counts[lbl], lbl)):
+        if counts[lbl] < params.min_blob_area:
+            continue
+        if len(out) >= 2 * params.n_fish:
+            break
+        sl = slices[lbl - 1]
+        ys, xs = np.nonzero(labels[sl] == lbl)
+        ys = ys + sl[0].start
+        xs = xs + sl[1].start
+        mean_x, mean_y = float(xs.mean()), float(ys.mean())
+        min_x, max_x = float(xs.min()), float(xs.max())
+        min_y, max_y = float(ys.min()), float(ys.max())
+        w_px, h_px = max_x - min_x + 1.0, max_y - min_y + 1.0
+        if w_px > h_px:
+            proxies = ((min_x, mean_y), (max_x, mean_y))
+        else:
+            proxies = ((mean_x, min_y), (mean_x, max_y))
+        cov = np.cov(np.stack([xs.astype(float), ys.astype(float)]), bias=True)
+        centroid = (mean_x * f, mean_y * f)
+        out.append(Detection(
+            frame=frame_index, view="front", head=centroid,
+            candidates=(centroid,) + tuple((x * f, y * f) for x, y in proxies),
+            centroid=centroid, cov=cov * (f * f),
+            bbox=(min_x * f, min_y * f, w_px * f, h_px * f)))
     return out
 
 

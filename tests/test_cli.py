@@ -175,6 +175,23 @@ def test_evaluate_2d_tracklets(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_evaluate_refuses_view_with_tracks(tmp_path, capsys):
+    # --view picks the view of 2D tracklets; 3D tracks have none.
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "run3d"
+    assert main(["pipeline", "--config", cfg, "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    (out / "report.json").unlink()
+    assert main(["evaluate", "--config", cfg, "--out-dir", str(out),
+                 "--annotations", str(out / "annotations.csv"),
+                 "--tracks", str(out / "tracks.csv"), "--view", "top"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --view selects the view of 2D tracklets "
+                            "and does not apply to --tracks\n")
+    assert not (out / "report.json").exists()
+
+
 def test_detect_external_roundtrip(tmp_path):
     from stereomot.detect import Detection
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy import ndimage
 import reference
 from stereomot import Detection, DetectParams, detect
 from stereomot.detect import (
+    _BG_ROWS,
     _COLUMN_SORT,
     _MEDIAN_NET,
     _MEDIAN_OUT,
@@ -17,7 +19,10 @@ from stereomot.detect import (
     _ZHANG_SUEN,
     DetectError,
     Keypoint,
+    _foreground,
+    _histogram,
     _median_5x5,
+    _modes,
     _suppress,
     ENDPOINT_VALUES,
     JUNCTION_VALUES,
@@ -466,17 +471,21 @@ CROP_MASKS = [
 ]
 
 
+IDENTITY = np.arange(256, dtype=np.uint8)
+
+
 def check_top_crop(mask):
-    # The detector's view of `mask`: patch `preprocess` to return it, so
-    # the threshold falls between 0 and 255 and the foreground is the mask.
-    # The keypoints it finds, weights included, are recorded and compared
-    # with the whole-grid reference's.
+    # The detector's view of `mask`: patch the median-and-table step to
+    # return it with the identity table, so the threshold falls between 0
+    # and 255 and the foreground is the mask. The keypoints it finds,
+    # weights included, are recorded and compared with the whole-grid
+    # reference's, which reads the same step through `preprocess`.
     pre = np.where(mask > 0, 255, 0).astype(np.uint8)
-    filled = fill_holes(pre)
+    filled = reference.fill_holes(pre)
     skel = reference.skeletonize(filled)
     found = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(detect, "preprocess", lambda frame, bg: pre)
+        mp.setattr(detect, "_median_diff", lambda grid, bg: (pre, IDENTITY))
         mp.setattr(detect, "skeleton_keypoints", lambda *args: found.append(
             skeleton_keypoints(*args)) or found[-1])
         for params in (DetectParams(), DetectParams(downsample=1),
@@ -511,6 +520,174 @@ def test_detect_top_on_scenes_equals_the_whole_grid():
 
 
 @st.composite
+def frame_pairs(draw, max_side=12):
+    """(frame, background) uint8 pairs: full-range noise or a few grey
+    levels (so the difference may stop below 255), against an independent
+    background, the frame itself (a zero-range difference) or the frame
+    shifted by a constant. Heights include 1, odd sizes and 257 rows."""
+    shape = (draw(st.sampled_from([1, 7, 257]) | st.integers(1, max_side)),
+             draw(st.integers(1, max_side)))
+    if draw(st.booleans()):
+        levels = st.integers(0, 255)
+    else:
+        levels = st.sampled_from(draw(st.lists(st.integers(0, 255),
+                                               min_size=1, max_size=4)))
+    frame = draw(arrays(np.uint8, shape, elements=levels))
+    bg = draw(st.sampled_from(["own", "same", "shift"]))
+    if bg == "same":
+        return frame, frame.copy()
+    if bg == "shift":
+        return frame, (frame + np.uint8(draw(st.integers(1, 255))))
+    return frame, draw(arrays(np.uint8, shape, elements=levels))
+
+
+def check_foreground(frame, bg):
+    assert np.array_equal(_histogram(frame),
+                          np.bincount(frame.ravel(), minlength=256))
+    for threshold in (intermodes_threshold, entropy_threshold):
+        got = _foreground(frame, bg, threshold)
+        want = reference.foreground(frame, bg, threshold)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.dtype == bool and np.array_equal(got, want)
+
+
+# A 1x1 pair, a zero-range difference, 257 rows of noise, and a
+# difference that stops at 40.
+FOREGROUND_PAIRS = [
+    (np.zeros((1, 1), dtype=np.uint8), np.full((1, 1), 9, dtype=np.uint8)),
+    (np.full((7, 9), 40, dtype=np.uint8), np.full((7, 9), 40, dtype=np.uint8)),
+    (np.random.default_rng(0).integers(0, 256, (257, 5), dtype=np.uint8),
+     np.random.default_rng(1).integers(0, 256, (257, 5), dtype=np.uint8)),
+    (np.random.default_rng(2).integers(0, 41, (31, 33), dtype=np.uint8),
+     np.zeros((31, 33), dtype=np.uint8)),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@with_examples(FOREGROUND_PAIRS)
+@given(frame_pairs())
+def test_thresholds_on_the_median_equal_thresholding_the_normalized_image(
+        pair):
+    check_foreground(*pair)
+
+
+@pytest.mark.slow
+@settings(max_examples=600, deadline=None)
+@given(frame_pairs(max_side=40))
+def test_thresholds_on_the_median_equal_thresholding_at_length(pair):
+    check_foreground(*pair)
+
+
+def same_detections(got, want):
+    """Equal lists of detections, their covariances compared as arrays."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.cov is None) == (b.cov is None)
+        assert a.cov is None or np.array_equal(a.cov, b.cov)
+        assert replace(a, cov=None) == replace(b, cov=None)
+
+
+def check_front_blobs(mask):
+    # As in check_top_crop: the foreground is the mask, and the reference
+    # takes each blob's pixels from its find_objects box.
+    pre = np.where(mask > 0, 255, 0).astype(np.uint8)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(detect, "_median_diff", lambda grid, bg: (pre, IDENTITY))
+        for params in (DetectParams(n_fish=1, min_blob_area=1),
+                       DetectParams(n_fish=3, min_blob_area=2, downsample=1),
+                       DetectParams(n_fish=2, min_blob_area=5, downsample=3)):
+            same_detections(detect_front(pre, None, params, frame_index=2),
+                            reference.detect_front(pre, None, params,
+                                                   frame_index=2))
+
+
+# Dense noise: large blobs of many pixels each, whose covariance bits
+# depend on the order their pixels are summed in.
+NOISE_MASKS = [(np.random.default_rng(seed).random((80, 90)) < p) * 255
+               for seed, p in ((0, 0.3), (1, 0.55))]
+
+
+@settings(max_examples=60, deadline=None)
+@with_examples(CROP_MASKS + NOISE_MASKS)
+@given(placed_masks())
+def test_front_blobs_equal_the_find_objects_walk(mask):
+    check_front_blobs(mask)
+
+
+@pytest.mark.slow
+@settings(max_examples=600, deadline=None)
+@given(placed_masks(max_side=40, max_margin=25))
+def test_front_blobs_equal_the_find_objects_walk_at_length(mask):
+    check_front_blobs(mask)
+
+
+def test_front_blobs_on_scenes_equal_the_find_objects_walk():
+    img, bg = make_front_scene()
+    for params in (DetectParams(n_fish=2), DetectParams(downsample=1)):
+        f = params.downsample
+        same_detections(detect_front(img, bg[::f, ::f], params),
+                        reference.detect_front(img, bg[::f, ::f], params))
+
+
+HISTOGRAMS = [[], [0.0], [4.0], [0.0, 0.0], [2.0, 2.0, 2.0], [1.0, 3.0, 3.0, 1.0],
+              [3.0, 3.0, 1.0, 3.0, 3.0], [0.0, 5.0, 0.0, 5.0, 5.0, 0.0]]
+
+
+def check_modes(hist):
+    assert _modes(np.array(hist, dtype=np.float64)) == reference.modes(hist)
+
+
+@settings(max_examples=200, deadline=None)
+@with_examples(HISTOGRAMS)
+@given(st.lists(st.sampled_from([0.0, 1.0, 2.0, 5.0]) | st.floats(0, 9),
+                max_size=30))
+def test_modes_equal_the_loop(hist):
+    check_modes(hist)
+
+
+@pytest.mark.slow
+@settings(max_examples=3000, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0, 9),
+                max_size=300))
+def test_modes_equal_the_loop_at_length(hist):
+    check_modes(hist)
+
+
+def check_background(stack):
+    before = stack.copy()
+    got = estimate_background(stack)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, reference.estimate_background(stack))
+    assert np.array_equal(estimate_background(iter(stack)), got)
+    assert np.array_equal(stack, before)
+
+
+def background_stacks(max_n, max_width):
+    """(n, h, w) uint8 stacks with n even or odd and heights on both
+    sides of the chunk edges."""
+    heights = st.sampled_from([1, _BG_ROWS - 1, _BG_ROWS, _BG_ROWS + 1,
+                               2 * _BG_ROWS + 3]) | st.integers(1, 40)
+    return st.tuples(st.integers(1, max_n), heights,
+                     st.integers(1, max_width)).flatmap(
+        lambda shape: arrays(np.uint8, shape, elements=st.integers(0, 255)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(background_stacks(max_n=8, max_width=5))
+def test_estimate_background_in_chunks_equals_the_whole_stack(stack):
+    check_background(stack)
+
+
+@pytest.mark.slow
+@settings(max_examples=300, deadline=None)
+@given(background_stacks(max_n=41, max_width=17))
+def test_estimate_background_in_chunks_equals_the_whole_stack_at_length(
+        stack):
+    check_background(stack)
+
+
+@st.composite
 def keypoint_lists(draw):
     """Keypoints sorted as the detector sorts them, on a small grid so
     boxes overlap, with zero and negative weights and repeated points and
@@ -527,6 +704,15 @@ def keypoint_lists(draw):
 def test_suppress_equals_the_pairwise_loop(found, thresh):
     got = _suppress(found, thresh)
     assert [id(k) for k in got] == [id(k) for k in reference.suppress(found, thresh)]
+
+
+@settings(max_examples=200, deadline=None)
+@with_examples(EDGE_MASKS + CROP_MASKS)
+@given(placed_masks())
+def test_fill_holes_equals_the_edge_label_walk(mask):
+    got = fill_holes(mask)
+    assert got.dtype == bool
+    assert np.array_equal(got, reference.fill_holes(mask))
 
 
 def test_fill_holes_ring_and_open_shape():

@@ -5,10 +5,12 @@ change that is meant to alter outputs, and say so in CHANGES.md."""
 
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from stereomot import cli
 from stereomot.cli import main
 from stereomot.config import PipelineConfig
 from stereomot.crossview import build_graph
@@ -63,22 +65,73 @@ def test_pipeline_outputs_are_unchanged(name, tmp_path, capsys):
         assert len(graph.edges) > 0
 
 
-def test_frame_detector_output_is_unchanged(tmp_path):
-    # simulate --dump-frames, then detect --frames-dir on the dumped PGMs,
-    # for every case: the default grid, a sampled background (n_bg below
-    # the frame count), a grid step that does not divide the frame, and
-    # the full 800-row grid, which is no multiple of the median's strips.
-    got = {}
+@pytest.fixture(scope="module")
+def golden_frames(tmp_path_factory):
+    """Each detect_frames case's config file and dumped frames directory,
+    from `simulate --dump-frames`."""
+    root = tmp_path_factory.mktemp("golden_frames")
+    cases = {}
     for name, case in DETECT_FRAMES.items():
-        cfg_path = tmp_path / f"{name}.cfg"
+        cfg_path = root / f"{name}.cfg"
         cfg_path.write_text("".join(f"{k} = {v}\n"
                                     for k, v in case["config"].items()))
-        sim, det = tmp_path / name / "sim", tmp_path / name / "det"
+        sim = root / name
         assert main(["simulate", "--config", str(cfg_path), "--out-dir",
                      str(sim), "--dump-frames", str(case["dump_frames"])]) == 0
+        cases[name] = (cfg_path, sim / "frames")
+    return cases
+
+
+def test_frame_detector_output_is_unchanged(golden_frames, tmp_path):
+    # detect --frames-dir on the dumped PGMs, for every case: the default
+    # grid, a sampled background (n_bg below the frame count), a grid step
+    # that does not divide the frame, and the full 800-row grid, which is
+    # no multiple of the median's strips.
+    got = {}
+    for name, (cfg_path, frames) in golden_frames.items():
+        det = tmp_path / name
         assert main(["detect", "--config", str(cfg_path), "--out-dir",
-                     str(det), "--frames-dir", str(sim / "frames")]) == 0
+                     str(det), "--frames-dir", str(frames)]) == 0
         got[name] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                      for p in sorted(det.iterdir())}
     assert got == {name: case["sha256"]
                    for name, case in DETECT_FRAMES.items()}
+
+
+@pytest.mark.parametrize("name", ["default", "sampled_bg"])
+def test_detect_frames_reads_each_file_once(name, golden_frames, tmp_path,
+                                            monkeypatch, capsys):
+    # `default` samples every frame for the background (n_bg is at least
+    # the frame count), `sampled_bg` only some: either way each file is
+    # read once, and sampled frames are detected from the background stack.
+    cfg_path, frames = golden_frames[name]
+    paths = sorted(frames.iterdir())
+    n_bg = PipelineConfig.from_file(cfg_path).get("detect.n_bg")
+    assert (n_bg >= len(paths) // 2) == (name == "default")
+    reads = Counter()
+    read_pgm = cli.read_pgm
+    monkeypatch.setattr(cli, "read_pgm", lambda path: reads.update(
+        [Path(path).name]) or read_pgm(path))
+    assert main(["detect", "--config", str(cfg_path), "--out-dir",
+                 str(tmp_path / "det"), "--frames-dir", str(frames)]) == 0
+    assert reads == Counter(p.name for p in paths)
+
+    # A frame of another size is still refused, naming the file, whether
+    # it is sampled (the last frame always is) or read for detection only
+    # (frame 1 of `sampled_bg`, whose sample steps over it).
+    h, w = read_pgm(paths[0]).shape
+    names = [f"top_{len(paths) // 2 - 1:06d}.pgm"]
+    if name == "sampled_bg":
+        names.append("top_000001.pgm")
+    for bad_name in names:
+        bad = tmp_path / f"bad_{bad_name}"
+        bad.mkdir()
+        for p in paths:
+            (bad / p.name).symlink_to(p)
+        (bad / bad_name).unlink()
+        (bad / bad_name).write_bytes(b"P5 4 4 255\n" + bytes(16))
+        assert main(["detect", "--config", str(cfg_path), "--out-dir",
+                     str(tmp_path / "out"), "--frames-dir", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad / bad_name}: frame is 4x4 px, expected {w}x{h} "
+            f"px\n")
