@@ -17,8 +17,7 @@ import numpy as np
 
 from .config import ConfigError, PipelineConfig, describe_defaults
 from .crossview import build_graph, extract_3d_tracklets
-from .detect import (DetectError, Detection, detect_front,
-                     detect_front_grid, detect_top, detect_top_grid,
+from .detect import (DetectError, Detection, detect_front, detect_top,
                      estimate_background, ingest_external_detections)
 from .formats import (FormatError, format_complexity_table,
                       format_report_table, group_detections,
@@ -112,13 +111,11 @@ def stage_detect_frames(cfg: PipelineConfig, frames_dir: Path,
             row[...] = _read_frame(paths[i], first.shape)[::d, ::d]
         bg = estimate_background(stack)
         rows = dict(zip(sample.tolist(), stack))
-        top = view == "top"
-        on_grid = detect_top_grid if top else detect_front_grid
-        detector = detect_top if top else detect_front
+        detector = detect_top if view == "top" else detect_front
         dets[view] = {
-            f: (on_grid(rows[i], bg, params, frame_index=f) if i in rows
-                else detector(_read_frame(paths[i], first.shape), bg, params,
-                              frame_index=f))
+            f: detector(rows[i] if i in rows
+                        else _read_frame(paths[i], first.shape)[::d, ::d],
+                        bg, params, frame_index=f)
             for i, f in enumerate(numbers)}
     write_detections_csv(out / "detections.csv", dets, _meta(cfg))
 

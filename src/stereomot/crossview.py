@@ -99,11 +99,6 @@ def node_weight(top: Tracklet2D, front: Tracklet2D, rig: StereoRig,
     return NodeCandidate(top=top, front=front, points=points, weight=w)
 
 
-def _extent_overlap(a: Tracklet2D, b: Tracklet2D) -> bool:
-    # Sharing even a single frame counts as overlap.
-    return a.first_frame <= b.last_frame and b.first_frame <= a.last_frame
-
-
 def edge_weight(src: NodeCandidate, dst: NodeCandidate,
                 params: AssocParams = AssocParams(),
                 fps: float = 60.0) -> float:
@@ -151,9 +146,9 @@ def build_graph(top_tracklets: list[Tracklet2D],
             share_front = src.front.id == dst.front.id
             if share_top == share_front:  # need exactly one shared view
                 continue
-            if share_top and _extent_overlap(src.front, dst.front):
+            if share_top and overlap_frames(src.front, dst.front) >= 1:
                 continue
-            if share_front and _extent_overlap(src.top, dst.top):
+            if share_front and overlap_frames(src.top, dst.top) >= 1:
                 continue
             if src.last_valid < dst.first_valid:
                 edges[(src.node_id, dst.node_id)] = edge_weight(
@@ -226,6 +221,14 @@ class Extent3D:
     @property
     def duration(self) -> int:
         return self.last_frame - self.first_frame + 1
+
+
+def overlap_frames(a, b) -> int:
+    """Frames two extents share, 1 - the gap between them when they share
+    none: of 2D and 3D tracklets and tracks alike, by `first_frame` and
+    `last_frame`. Sharing even a single frame counts as overlap."""
+    return (min(a.last_frame, b.last_frame)
+            - max(a.first_frame, b.first_frame) + 1)
 
 
 @dataclass

@@ -8,8 +8,8 @@ entropy threshold and connected-component blobs with a centroid plus two
 edge proxy points per blob. External (box-style) detections are ingested
 by confidence and reduced to box centers.
 
-All detector outputs are in full-resolution pixel coordinates; the
-internal 2x decimation never leaks downstream.
+The detectors take frames on the detection grid, `frame[::downsample,
+::downsample]`, and give every output in full-resolution pixels.
 """
 
 from __future__ import annotations
@@ -156,53 +156,33 @@ def _median_5x5(img: np.ndarray) -> np.ndarray:
 _BG_ROWS = 32  # rows per chunk of the background's bit passes
 
 
-def estimate_background(frames) -> np.ndarray:
-    """Per-pixel median of the frames (lower median when even), as uint8.
+def estimate_background(stack: np.ndarray) -> np.ndarray:
+    """Per-pixel median of an (n, h, w) uint8 stack (lower median when n
+    is even), as uint8; the stack is left as it is.
 
-    `frames` is an (n, h, w) uint8 array, used in place and left as it
-    is, or any iterable of equally sized images, such as a generator that
-    reads them one at a time; the detectors take it on their grid,
-    `frame[::downsample, ::downsample]`. An iterable's frames are copied
-    into one uint8 stack, which grows by doubling. The median is selected
-    from the high bit down: a bit stays set when at most k = (n-1)//2
-    frames lie below the value so far. Each chunk of `_BG_ROWS` rows runs
-    all eight bit passes before the next, so a pass reads from cache.
+    The detectors take the background on their grid, `frame[::downsample,
+    ::downsample]`. The median is selected from the high bit down: a bit
+    stays set when at most k = (n-1)//2 frames lie below the value so far.
+    Each chunk of `_BG_ROWS` rows runs all eight bit passes before the
+    next, so a pass reads from cache.
     """
-    if not (isinstance(frames, np.ndarray) and frames.ndim == 3
-            and frames.dtype == np.uint8):
-        frames = _stack(frames)
-    n = len(frames)
+    if not (isinstance(stack, np.ndarray) and stack.ndim == 3
+            and stack.dtype == np.uint8):
+        raise DetectError("estimate_background takes an (n, h, w) uint8 "
+                          "array")
+    n = len(stack)
     if n == 0:
         raise DetectError("estimate_background needs at least one frame")
     k = (n - 1) // 2
     count = np.min_scalar_type(n)
-    med = np.zeros(frames.shape[1:], dtype=np.uint8)
+    med = np.zeros(stack.shape[1:], dtype=np.uint8)
     for r0 in range(0, med.shape[0], _BG_ROWS):
-        chunk, part = frames[:, r0:r0 + _BG_ROWS], med[r0:r0 + _BG_ROWS]
+        chunk, part = stack[:, r0:r0 + _BG_ROWS], med[r0:r0 + _BG_ROWS]
         for bit in (128, 64, 32, 16, 8, 4, 2, 1):
             cand = part | bit
             below = (chunk < cand).sum(axis=0, dtype=count)
             np.copyto(part, cand, where=below <= k)
     return med
-
-
-def _stack(frames) -> np.ndarray:
-    """An iterable's frames as one (n, h, w) uint8 array."""
-    stack = np.empty((0, 0, 0), dtype=np.uint8)
-    n = 0
-    for frame in frames:
-        frame = np.asarray(frame)
-        if n == 0:
-            stack = np.empty((1,) + frame.shape, dtype=np.uint8)
-        elif frame.shape != stack.shape[1:]:
-            raise DetectError("background frames must share dimensions")
-        if n == len(stack):
-            grown = np.empty((2 * n,) + frame.shape, dtype=np.uint8)
-            grown[:n] = stack
-            stack = grown
-        stack[n] = frame
-        n += 1
-    return stack[:n]
 
 
 def _median_diff(grid: np.ndarray, bg: np.ndarray):
@@ -282,7 +262,10 @@ def _modes(hist: np.ndarray) -> list[float]:
     return ((first[keep] + last[keep]) / 2.0).tolist()
 
 
-def intermodes_threshold(hist, max_iter: int = 10000) -> int:
+_INTERMODES_MAX_ITER = 10000  # smoothing passes before giving up
+
+
+def intermodes_threshold(hist) -> int:
     """Iteratively mean-smooth the histogram until exactly two modes remain;
     the threshold is the floor of the mode midpoint."""
     hist = np.asarray(hist, dtype=np.float64)
@@ -297,9 +280,9 @@ def intermodes_threshold(hist, max_iter: int = 10000) -> int:
     while len(_modes(work)) != 2:
         work = np.convolve(work, np.array([1.0, 1.0, 1.0]), mode="same") / 3.0
         iters += 1
-        if iters > max_iter:
-            raise DetectError(
-                f"histogram did not become bimodal within {max_iter} iterations")
+        if iters > _INTERMODES_MAX_ITER:
+            raise DetectError(f"histogram did not become bimodal within "
+                              f"{_INTERMODES_MAX_ITER} iterations")
     m1, m2 = _modes(work)
     return int(np.floor((m1 + m2) / 2.0)) + minbin
 
@@ -503,20 +486,12 @@ def _select_head_keypoints(kps: list[Keypoint]) -> list[Keypoint]:
     return [winner] + rest[:len(rest) // 2]
 
 
-def detect_top(frame: np.ndarray, bg: np.ndarray,
+def detect_top(grid: np.ndarray, bg: np.ndarray,
                params: DetectParams = DetectParams(),
                frame_index: int = 0) -> list[Detection]:
-    """Skeleton-keypoint head detector for the top view; `bg` is the
-    background on the detection grid, `frame[::downsample, ::downsample]`."""
-    f = params.downsample
-    return detect_top_grid(np.asarray(frame)[::f, ::f], bg, params,
-                           frame_index)
-
-
-def detect_top_grid(grid: np.ndarray, bg: np.ndarray,
-                    params: DetectParams = DetectParams(),
-                    frame_index: int = 0) -> list[Detection]:
-    """`detect_top` on a frame already on the detection grid."""
+    """Skeleton-keypoint head detector for the top view. `grid` is the
+    frame on the detection grid, `frame[::downsample, ::downsample]`, and
+    `bg` the background on the same grid."""
     fg = _foreground(grid, bg, intermodes_threshold)
     if fg is None:
         return []
@@ -545,27 +520,16 @@ def detect_top_grid(grid: np.ndarray, bg: np.ndarray,
     return out
 
 
-def detect_front(frame: np.ndarray, bg: np.ndarray,
+def detect_front(grid: np.ndarray, bg: np.ndarray,
                  params: DetectParams = DetectParams(),
                  frame_index: int = 0) -> list[Detection]:
-    """Entropy-threshold blob detector for the front view.
+    """Entropy-threshold blob detector for the front view, on the grid as
+    for `detect_top`.
 
     Emits up to 2*n_fish blobs (largest first, minimum area applied), each
-    with centroid, pixel covariance, and two edge proxy points. `bg` is the
-    background on the detection grid, as for `detect_top`.
-    """
-    f = params.downsample
-    return detect_front_grid(np.asarray(frame)[::f, ::f], bg, params,
-                             frame_index)
-
-
-def detect_front_grid(grid: np.ndarray, bg: np.ndarray,
-                      params: DetectParams = DetectParams(),
-                      frame_index: int = 0) -> list[Detection]:
-    """`detect_front` on a frame already on the detection grid.
-
-    A stable sort of the foreground pixels by label puts each blob's
-    pixels together, in raster order.
+    with centroid, pixel covariance, and two edge proxy points. A stable
+    sort of the foreground pixels by label puts each blob's pixels
+    together, in raster order.
     """
     mask = _foreground(grid, bg, entropy_threshold)
     if mask is None:

@@ -657,7 +657,7 @@ def read_pgm(path) -> np.ndarray:
         raise FormatError(f"{path}: image is {w}x{h} px, with no pixels")
     if maxval != 255:
         raise FormatError(f"{path}: only maxval 255 supported, got {maxval}")
-    pixels = np.frombuffer(data[m.end():], dtype=np.uint8)
+    pixels = np.frombuffer(data, dtype=np.uint8, offset=m.end())
     if pixels.size != w * h:
         raise FormatError(f"{path}: pixel payload is {pixels.size} bytes, "
                           f"expected {w * h}")

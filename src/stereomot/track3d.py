@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .crossview import Extent3D, Tracklet3D
+from .crossview import Extent3D, Tracklet3D, overlap_frames
 
 log = logging.getLogger(__name__)
 
@@ -44,19 +44,9 @@ class Track3D(Extent3D):
     sources: list[int] = field(default_factory=list)
 
 
-def _overlap_frames(a, b) -> int:
-    """Frames the two extents share; 1 - the gap between them when none."""
-    return (min(a.last_frame, b.last_frame)
-            - max(a.first_frame, b.first_frame) + 1)
-
-
-def _overlaps(a, b) -> bool:
-    return _overlap_frames(a, b) >= 1
-
-
 def temporal_gap(a, b) -> int:
     """Frames separating two extents; 0 when they intersect."""
-    return max(0, 1 - _overlap_frames(a, b))
+    return max(0, 1 - overlap_frames(a, b))
 
 
 def select_initial(tracklets: list[Tracklet3D], n_fish: int,
@@ -129,8 +119,8 @@ def gallery_rank(galleries: list[Tracklet3D],
     head, tail = [], []
     for g in galleries:
         gaps = [temporal_gap(g, m) for m in mains]
-        (tail if all(_overlaps(g, m) for m in mains) else head).append(
-            (min(gaps), g))
+        overlaps_all = all(overlap_frames(g, m) >= 1 for m in mains)
+        (tail if overlaps_all else head).append((min(gaps), g))
     head.sort(key=lambda item: item[0])
     return [g for _, g in head] + [g for _, g in tail]
 
@@ -143,7 +133,7 @@ def _switch_path(gallery, main) -> list[float] | None:
     Nodes live at every frame either tracklet has a point; consecutive
     occupied frames are fully connected with L2 edge weights. None when no
     walk can touch both tracklets (single occupied frame, one node)."""
-    if not _overlaps(gallery, main):
+    if overlap_frames(gallery, main) < 1:
         return None
     layers = []
     for f in sorted(set(gallery.points) | set(main.points)):
@@ -201,7 +191,7 @@ def assignment_cost(gallery: Tracklet3D, mains: list[Track3D],
     normalized endpoint distance and temporal gap. When the gallery
     overlaps every main, they compete on mean switch-edge cost, overlapped
     frame count, and overlap fraction of the gallery."""
-    overlapping = [_overlaps(gallery, m) for m in mains]
+    overlapping = [overlap_frames(gallery, m) >= 1 for m in mains]
     costs: list[float | None] = [None] * len(mains)
     if not all(overlapping):
         idx = [i for i, ov in enumerate(overlapping) if not ov]
@@ -216,7 +206,7 @@ def assignment_cost(gallery: Tracklet3D, mains: list[Track3D],
                 continue
             idx.append(i)
             switch.append(sum(edges) / len(edges) if edges else 0.0)
-            ov = float(_overlap_frames(gallery, m))
+            ov = float(overlap_frames(gallery, m))
             inter.append(ov)
             ratio.append(ov / gallery.duration)
         if not idx:

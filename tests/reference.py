@@ -273,12 +273,13 @@ def skeleton_keypoints(skel: np.ndarray, blob: np.ndarray,
             if k.weight >= params.min_keypoint_weight]
 
 
-def detect_top(frame, bg, params: DetectParams = DetectParams(),
+def detect_top(grid, bg, params: DetectParams = DetectParams(),
                frame_index: int = 0) -> list:
     """The top-view detector with every step on the whole grid. It calls
-    `detect.preprocess` through the module, as the library does."""
+    `detect.preprocess` through the module, so a test that patches
+    `detect._median_diff` patches it and the library alike."""
     f = params.downsample
-    pre = detect.preprocess(np.asarray(frame)[::f, ::f], bg)
+    pre = detect.preprocess(grid, bg)
     try:
         t = detect.intermodes_threshold(np.bincount(pre.ravel(), minlength=256))
     except detect.DetectError:
@@ -298,12 +299,12 @@ def detect_top(frame, bg, params: DetectParams = DetectParams(),
     return out
 
 
-def detect_front(frame, bg, params: DetectParams = DetectParams(),
+def detect_front(grid, bg, params: DetectParams = DetectParams(),
                  frame_index: int = 0) -> list:
     """The front-view detector, taking each blob's pixels from its
     `find_objects` box. It calls `detect.preprocess` through the module."""
     f = params.downsample
-    pre = detect.preprocess(np.asarray(frame)[::f, ::f], bg)
+    pre = detect.preprocess(grid, bg)
     try:
         t = detect.entropy_threshold(np.bincount(pre.ravel(), minlength=256))
     except detect.DetectError:

@@ -218,6 +218,8 @@ def test_pgm_roundtrip(tmp_path):
     out = read_pgm(path)
     assert out.shape == (10, 20)
     assert np.array_equal(out, img)
+    out[0, 0] = 99  # a writable array of its own, not a view of the file
+    assert np.array_equal(read_pgm(path), img)
 
 
 def test_pgm_rejects_bad_input(tmp_path):
@@ -228,10 +230,12 @@ def test_pgm_rejects_bad_input(tmp_path):
     with pytest.raises(FormatError, match="P5"):
         read_pgm(path)
     write_pgm(path, np.zeros((4, 4), dtype=np.uint8))
-    truncated = path.read_bytes()[:-3]
-    path.write_bytes(truncated)
-    with pytest.raises(FormatError):
-        read_pgm(path)
+    whole = path.read_bytes()
+    for cut in (3, 16):  # a short and an empty payload
+        path.write_bytes(whole[:-cut])
+        with pytest.raises(FormatError, match=(
+                rf"img\.pgm: pixel payload is {16 - cut} bytes, expected 16")):
+            read_pgm(path)
 
 
 def test_pgm_header_comment_lines(tmp_path):

@@ -135,3 +135,26 @@ def test_detect_frames_reads_each_file_once(name, golden_frames, tmp_path,
         assert capsys.readouterr().err == (
             f"error: {bad / bad_name}: frame is 4x4 px, expected {w}x{h} "
             f"px\n")
+
+
+@pytest.mark.parametrize("name", ["default", "sampled_bg"])
+def test_detect_frames_detects_each_frame_once(name, golden_frames, tmp_path,
+                                               monkeypatch):
+    # Sampled and unsampled frames alike reach the detector through
+    # `cli.detect_top` / `cli.detect_front`, on the background's grid: one
+    # call per frame file and view.
+    cfg_path, frames = golden_frames[name]
+    calls = Counter()
+    for view in ("top", "front"):
+        detector = getattr(cli, f"detect_{view}")
+
+        def counted(grid, bg, params, frame_index, _view=view,
+                    _detector=detector):
+            assert grid.shape == bg.shape
+            calls.update([f"{_view}_{frame_index:06d}.pgm"])
+            return _detector(grid, bg, params, frame_index=frame_index)
+
+        monkeypatch.setattr(cli, f"detect_{view}", counted)
+    assert main(["detect", "--config", str(cfg_path), "--out-dir",
+                 str(tmp_path / "det"), "--frames-dir", str(frames)]) == 0
+    assert calls == Counter(p.name for p in frames.iterdir())

@@ -1,5 +1,6 @@
 import logging
 import math
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -154,6 +155,48 @@ def test_gallery_rank_stable_on_ties():
     b = t3d(11, 110, 115)
     assert gallery_rank([a, b], mains) == [a, b]
     assert gallery_rank([b, a], mains) == [b, a]
+
+
+@st.composite
+def stitch_scenes(draw):
+    """One to three mains and one to four galleries on frames 0..55, with
+    small integer points. The first gallery starts after the first main
+    ends, so a gap ranks it; the others fall anywhere."""
+    coords = st.lists(st.integers(-3, 3), min_size=3, max_size=3)
+
+    def points(start, length):
+        return {f: np.array(draw(coords), dtype=float)
+                for f in range(start, start + length)}
+
+    extent = st.tuples(st.integers(0, 40), st.integers(1, 15))
+    mains = [Track3D(fish_id=i + 1, points=points(*draw(extent)))
+             for i in range(draw(st.integers(1, 3)))]
+    after = mains[0].last_frame + draw(st.integers(1, 10))
+    galleries = [Tracklet3D(id=10, points=points(after,
+                                                 draw(st.integers(1, 10))))]
+    galleries += [Tracklet3D(id=11 + k, points=points(*draw(extent)))
+                  for k in range(draw(st.integers(0, 3)))]
+    return mains, galleries
+
+
+def shifted(extent, by):
+    """The tracklet or track with every frame moved by `by`."""
+    return replace(extent, points={f + by: p for f, p in extent.points.items()})
+
+
+@settings(max_examples=150, deadline=None)
+@given(stitch_scenes(), st.integers(1, 10_000))
+def test_gallery_rank_and_assignment_cost_ignore_a_frame_shift(scene, by):
+    # Only frame differences matter: moving every frame of the mains and
+    # galleries by one constant keeps the ranking and every cost.
+    mains, galleries = scene
+    moved_mains = [shifted(m, by) for m in mains]
+    moved = [shifted(g, by) for g in galleries]
+    assert ([g.id for g in gallery_rank(moved, moved_mains)]
+            == [g.id for g in gallery_rank(galleries, mains)])
+    for g, g_moved in zip(galleries, moved):
+        assert (assignment_cost(g_moved, moved_mains)
+                == assignment_cost(g, mains))
 
 
 def test_switch_cost_hand_geometry():
