@@ -11,12 +11,14 @@ Byte layout of every CSV file:
   bit; an int is str(); a flag is 1 or 0; an absent value is an empty
   field.
 
-Readers and writers work a column at a time. A reader takes csv.reader's
-rows in blocks, parses each column with Python's int() and float() and
-runs each check once per column.
+Readers and writers work a column at a time. Each file's columns are
+declared once, as {column: kind} in header order. A reader takes 512 rows
+at a time, parses and checks each column of the block, and drops the
+block's text before it reads the next; no block after a bad one is read.
 Malformed input is reported as path:line: message, naming the error a
-row-by-row reader would meet first: the earliest bad line, and on that
-line the first bad field in the reader's order.
+row-by-row reader would meet first: the earliest bad line, a bad '# key:'
+line counting as line 1, and on that line its fields in header order,
+then the line's duplicate or out-of-range key.
 """
 
 from __future__ import annotations
@@ -25,7 +27,11 @@ import csv
 import json
 import math
 import re
-from itertools import groupby, islice, repeat
+from contextlib import suppress
+from functools import partial
+from itertools import islice, repeat
+from operator import is_not
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,18 +45,6 @@ from .track3d import Track3D
 
 REPORT_SCHEMA_VERSION = 1
 
-DETECTIONS_HEADER = ("frame", "view", "x", "y", "bbox_x", "bbox_y", "bbox_w",
-                     "bbox_h", "confidence", "c1x", "c1y", "c2x", "c2y",
-                     "c3x", "c3y")
-TRACKLETS_HEADER = ("tracklet_id", "view", "frame", "x", "y", "c1x", "c1y",
-                    "c2x", "c2y", "c3x", "c3y", "covxx", "covxy", "covyy")
-TRACKLETS3D_HEADER = ("tracklet_id", "frame", "x", "y", "z",
-                      "top_tracklet_id", "front_tracklet_id")
-TRACKS_HEADER = ("frame", "fish_id", "x", "y", "z")
-ANNOTATIONS_HEADER = ("frame", "fish_id", "view", "bbox_x", "bbox_y",
-                      "bbox_w", "bbox_h", "head_x", "head_y", "occluded",
-                      "x3d", "y3d", "z3d")
-_CANDIDATE_KEYS = ("c1x", "c1y", "c2x", "c2y", "c3x", "c3y")
 _QUOTED = frozenset(',"\r\n')  # csv.writer quotes a cell holding one
 
 
@@ -150,26 +144,8 @@ def read_meta(path) -> dict[str, str]:
     return meta
 
 
-def _not_int(key, text) -> str:
-    return f"field {key!r} must be an integer, got {text!r}"
-
-
-def _not_number(key, text) -> str:
-    return f"field {key!r} must be a number, got {text!r}"
-
-
-def _parse_cells(cells, parse, optional: bool) -> list:
-    if optional and "" in cells:
-        return [None if c == "" else parse(c) for c in cells]
-    return list(map(parse, cells))
-
-
-def _parses(parse, text: str) -> bool:
-    try:
-        parse(text)
-    except ValueError:
-        return False
-    return True
+_NOT_INT = "field {k!r} must be an integer, got {c!r}"
+_NOT_NUMBER = "field {k!r} must be a number, got {c!r}"
 
 
 def _meta_number(path, meta, key, parse):
@@ -182,133 +158,152 @@ def _meta_number(path, meta, key, parse):
             return value
     except ValueError:
         pass
-    message = _not_int if parse is int else _not_number
-    raise FormatError(f"{path}:1: {message(key, text)}")
+    message = _NOT_INT if parse is int else _NOT_NUMBER
+    raise FormatError(f"{path}:1: {message.format(k=key, c=text)}")
+
+
+class _Kind(NamedTuple):
+    """How a column's cells read: through `parse` (a refused cell gets
+    message `bad`), then each (ok, message) of `checks`, formatted with the
+    column k, cell c and value v. A `blank` cell reads as None, unchecked."""
+    parse: Callable
+    bad: str
+    checks: tuple
+    blank: bool = False
+
+
+_INT = _Kind(int, _NOT_INT, ((range(-2**63, 2**63).__contains__,
+                              "field {k!r} must be a 64-bit integer, "
+                              "got {c!r}"),))
+_FLOAT = _Kind(float, _NOT_NUMBER, ((math.isfinite, _NOT_NUMBER),))
+_SIZE = _FLOAT._replace(checks=(*_FLOAT.checks, (
+    (0.0).__le__, "field {k!r} must be >= 0, got {c!r}")))
+_VIEW = _Kind(str, "", ((frozenset(VIEWS).__contains__,
+                         "view must be 'top' or 'front', got {c!r}"),))
+_FLAG = _INT._replace(checks=(*_INT.checks, (
+    frozenset((0, 1)).__contains__, "{k} must be 0 or 1, got {v}")))
+# The same kinds, a blank cell allowed.
+_OPT_INT, _OPT_FLOAT, _OPT_SIZE = (
+    k._replace(blank=True) for k in (_INT, _FLOAT, _SIZE))
+
+# Each file's columns in header order, with the kind of each.
+_CANDIDATES = dict.fromkeys(("c1x", "c1y", "c2x", "c2y", "c3x", "c3y"),
+                            _OPT_FLOAT)
+_BOX = ("bbox_x", "bbox_y", "bbox_w", "bbox_h")
+_DETECTIONS = {"frame": _INT, "view": _VIEW, "x": _FLOAT, "y": _FLOAT,
+               "bbox_x": _OPT_FLOAT, "bbox_y": _OPT_FLOAT,
+               "bbox_w": _OPT_SIZE, "bbox_h": _OPT_SIZE,
+               "confidence": _OPT_FLOAT, **_CANDIDATES}
+_TRACKLETS = {"tracklet_id": _INT, "view": _VIEW, "frame": _INT, "x": _FLOAT,
+              "y": _FLOAT, **_CANDIDATES,
+              **dict.fromkeys(("covxx", "covxy", "covyy"), _OPT_FLOAT)}
+_TRACKLETS3D = {"tracklet_id": _INT, "frame": _INT,
+                **dict.fromkeys("xyz", _OPT_FLOAT),
+                "top_tracklet_id": _OPT_INT, "front_tracklet_id": _OPT_INT}
+_TRACKS = {"frame": _INT, "fish_id": _INT, **dict.fromkeys("xyz", _FLOAT)}
+_ANNOTATIONS = {"frame": _INT, "fish_id": _INT, "view": _VIEW,
+                "bbox_x": _FLOAT, "bbox_y": _FLOAT, "bbox_w": _SIZE,
+                "bbox_h": _SIZE, "head_x": _FLOAT, "head_y": _FLOAT,
+                "occluded": _FLAG,
+                **dict.fromkeys(("x3d", "y3d", "z3d"), _OPT_FLOAT)}
+_BLOCK = 512  # data rows a reader holds as text at a time
 
 
 class _Table:
-    """A CSV file's data rows as columns of cells, checked column by column.
+    """A CSV file's data rows read against its column declaration.
 
-    A failed check records its first bad row, and later checks look only at
-    the rows before it (`n` rows stay in play). So `check()` raises the
-    error a row-by-row reader would meet first: the earliest bad line, and
-    on that line the first failed check in the order the checks ran.
-    """
+    Iterating yields each block of rows as {column: values}, and then the
+    reader runs its row checks on it. A failed check records its row, and
+    later checks see only the rows before it (`n` rows stay in play). Asked
+    for the next block, the table raises the first failure instead."""
 
-    def __init__(self, path, header):
+    def __init__(self, path, columns: dict[str, _Kind]):
         self.path = path
+        self.columns = columns
+
+    def __iter__(self):
+        path, header = self.path, tuple(self.columns)
         with open(path, newline="") as fh:
             reader = _rows(path, fh)
             for line_no, row in enumerate(reader, start=1):
                 if not row or row[0].startswith("#"):
                     continue
-                if tuple(c.strip() for c in row) != tuple(header):
+                if tuple(c.strip() for c in row) != header:
                     raise FormatError(
                         f"{path}:{line_no}: expected header "
                         f"{','.join(header)}, got {','.join(row)}")
                 break
             else:
                 raise FormatError(f"{path}:1: missing header row")
-            # Rows become columns a block at a time, so the garbage
-            # collector never holds a whole file of row lists.
-            self.lines: list[int] = []  # csv row numbers, blank rows skipped
-            columns: list[list[str]] = [[] for _ in header]
-            while block := list(islice(reader, 512)):
-                self.lines += [n for n, row in enumerate(block, line_no + 1)
-                               if row]
+            more = True  # a file without rows is one empty block
+            while more:
+                block = list(islice(reader, _BLOCK))
+                more = len(block) == _BLOCK
+                self.lines = [n for n, row in enumerate(block, line_no + 1)
+                              if row]  # csv row numbers, blank rows skipped
                 line_no += len(block)
                 block = [row for row in block if row]
+                self.n, self.error = len(block), None
                 if set(map(len, block)) - {len(header)}:
                     i = next(i for i, row in enumerate(block)
                              if len(row) != len(header))
-                    raise FormatError(
-                        f"{path}:{self.lines[i - len(block)]}: expected "
-                        f"{len(header)} fields, got {len(block[i])}")
-                for column, cells in zip(columns, zip(*block)):
-                    column.extend(cells)
-        self.cells = dict(zip(header, columns))
-        self.n = len(self.lines)
-        self.error: str | None = None
+                    self.fail(i, f"expected {len(header)} fields, "
+                                 f"got {len(block[i])}")
+                cells = list(zip(*block[:self.n])) or [()] * len(header)
+                values = {k: self._column(k, c) for k, c in zip(header, cells)}
+                yield {k: v[:self.n] for k, v in values.items()}
+                if self.error is not None:
+                    raise FormatError(self.error)
+
+    def _column(self, key, cells) -> list:
+        """The rows in play of one column, read as its kind."""
+        kind, cells = self.columns[key], cells[:self.n]
+        blank = kind.blank and "" in cells
+        try:
+            if blank:
+                values = [None if c == "" else kind.parse(c) for c in cells]
+            else:
+                values = list(map(kind.parse, cells))
+        except ValueError:
+            values = []  # the cells before the one parse refuses, c
+            with suppress(ValueError):
+                for c in cells:
+                    values.append(None if blank and c == "" else kind.parse(c))
+            self.fail(len(values), kind.bad.format(k=key, c=c))
+        for ok, message in kind.checks:
+            self.expect(values, ok, lambda i: message.format(
+                k=key, c=cells[i], v=values[i]))
+        return values
 
     def fail(self, i: int, message: str) -> None:
         self.n = i
         self.error = f"{self.path}:{self.lines[i]}: {message}"
 
-    def check(self) -> None:
-        if self.error is not None:
-            raise FormatError(self.error)
-
     def expect(self, values, ok, message) -> None:
-        """Fail at the first row in play whose value fails ok(value);
-        message(i) says why."""
-        i = next((i for i, v in enumerate(values[:self.n]) if not ok(v)),
-                 None)
-        if i is not None:
+        """Fail at the first row in play whose value is not None and fails
+        ok(value); message(i) says why."""
+        values = values[:self.n]
+        if not all(map(ok, values if None not in values
+                       else filter(partial(is_not, None), values))):
+            i = next(i for i, v in enumerate(values)
+                     if v is not None and not ok(v))
             self.fail(i, message(i))
 
-    def unique(self, keys, message) -> None:
-        """Fail at the first row in play whose key an earlier row has;
-        message(key) says why."""
-        keys = keys[:self.n]
-        if len(set(keys)) < len(keys):
-            seen: set = set()
-            i = next(i for i, k in enumerate(keys) if k in seen or seen.add(k))
-            self.fail(i, message(keys[i]))
-
-    def parse(self, key, parse, message, optional=False) -> list:
-        """The column through `parse` (None for a blank cell if optional);
-        a cell it refuses fails its row."""
-        cells = self.cells[key][:self.n]
-        try:
-            return _parse_cells(cells, parse, optional)
-        except ValueError:
-            i = next(i for i, c in enumerate(cells)
-                     if not (optional and c == "") and not _parses(parse, c))
-            self.fail(i, message(key, cells[i]))
-            return _parse_cells(cells[:i], parse, optional)
-
-    def ints(self, key, optional=False) -> list:
-        """64-bit integers; a larger one fails its row too."""
-        values = self.parse(key, int, _not_int, optional)
-        present = _present(values)
-        if present and not -2**63 <= min(present) <= max(present) < 2**63:
-            self.expect(values, lambda v: v is None or -2**63 <= v < 2**63,
-                        lambda i: f"field {key!r} must be a 64-bit integer, "
-                                  f"got {self.cells[key][i]!r}")
-        return values
-
-    def floats(self, key, optional=False) -> list:
-        """Finite floats; a non-finite value fails its row too."""
-        values = self.parse(key, float, _not_number, optional)
-        if not all(map(math.isfinite, _present(values))):
-            self.expect(values, lambda v: v is None or math.isfinite(v),
-                        lambda i: _not_number(key, self.cells[key][i]))
-        return values
-
-    def views(self) -> list:
-        views = self.cells["view"][:self.n]
-        if not set(views) <= set(VIEWS):
-            self.expect(views, VIEWS.__contains__, lambda i: (
-                f"view must be 'top' or 'front', got {views[i]!r}"))
-        return views
-
-    def box(self, optional=False) -> list[list]:
-        """bbox_x..bbox_h as floats; a negative width or height is an
-        error."""
-        box = [self.floats(k, optional)
-               for k in ("bbox_x", "bbox_y", "bbox_w", "bbox_h")]
-        for key, size in zip(("bbox_w", "bbox_h"), box[2:]):
-            if min(_present(size[:self.n]), default=0) < 0:
-                self.expect(size, lambda v: v is None or v >= 0,
-                            lambda i, key=key: f"field {key!r} must be >= 0, "
-                                               f"got {self.cells[key][i]!r}")
-        return box
+    def add(self, groups: dict, rows, message) -> None:
+        """Set groups[group][key] = value for each (group, key, value) row
+        in play; a row whose key its group has already fails, and
+        message(group, key) says why."""
+        for i, (group, key, value) in enumerate(islice(rows, self.n)):
+            into = groups.setdefault(group, {})
+            if key in into:
+                return self.fail(i, message(group, key))
+            into[key] = value
 
 
-def _present(values: list) -> list:
-    """The values that are not None."""
-    return values if None not in values else [v for v in values
-                                              if v is not None]
+def _array(block: dict, keys) -> np.ndarray:
+    """The block's columns `keys` as a (rows, keys) float array, NaN blank."""
+    return np.array([block[k] for k in keys], dtype=float).T.reshape(
+        -1, len(keys))
 
 
 def _cand_columns(dets: list[Detection]) -> list[list]:
@@ -322,12 +317,6 @@ def _cand_columns(dets: list[Detection]) -> list[list]:
 def _fields(items: list, keys) -> list[list]:
     """A column of item[key] per key; blank where an item is None."""
     return [[None if x is None else x[k] for x in items] for k in keys]
-
-
-def _groups(keys: list):
-    """(key, row indices) in key order; each key's rows in file order."""
-    return groupby(sorted(range(len(keys)), key=keys.__getitem__),
-                   key=keys.__getitem__)
 
 
 def _candidates(heads: list, cells: list[list]) -> list[tuple]:
@@ -352,7 +341,7 @@ def write_detections_csv(path, detections: dict[str, dict[int, list[Detection]]]
                          meta: dict | None = None) -> None:
     dets = [det for view in VIEWS for f in sorted(detections.get(view, {}))
             for det in detections[view][f]]
-    _write_columns(path, DETECTIONS_HEADER, [
+    _write_columns(path, _DETECTIONS, [
         [d.frame for d in dets], [d.view for d in dets],
         [d.head[0] for d in dets], [d.head[1] for d in dets],
         *_fields([d.bbox for d in dets], range(4)),
@@ -361,21 +350,19 @@ def write_detections_csv(path, detections: dict[str, dict[int, list[Detection]]]
 
 
 def read_detections_csv(path) -> list[tuple[int, Detection]]:
-    t = _Table(path, DETECTIONS_HEADER)
-    frames = t.ints("frame")
-    views = t.views()
-    x, y = t.floats("x"), t.floats("y")
-    box = t.box(optional=True)
-    cands = [t.floats(k, optional=True) for k in _CANDIDATE_KEYS]
-    confidence = t.floats("confidence", optional=True)
-    t.check()
-    heads = list(zip(x, y))
-    # Detection's fields in order: frame, view, head, candidates, centroid,
-    # cov, bbox, confidence.
-    return list(zip(t.lines, map(
-        Detection, frames, views, heads, _candidates(heads, cands),
-        repeat(None), repeat(None),
-        (None if None in b else b for b in zip(*box)), confidence)))
+    t = _Table(path, _DETECTIONS)
+    out = []
+    for c in t:
+        heads = list(zip(c["x"], c["y"]))
+        cands = _candidates(heads, [c[k] for k in _CANDIDATES])
+        boxes = (None if None in b else b
+                 for b in zip(*(c[k] for k in _BOX)))
+        # Detection's fields in order: frame, view, head, candidates,
+        # centroid, cov, bbox, confidence.
+        out += zip(t.lines, map(Detection, c["frame"], c["view"], heads, cands,
+                                repeat(None), repeat(None), boxes,
+                                c["confidence"]))
+    return out
 
 
 def group_detections(rows: list[tuple[int, Detection]]
@@ -394,7 +381,7 @@ def write_tracklets_csv(path, tracklets: list[Tracklet2D],
                         meta: dict | None = None) -> None:
     order = sorted(tracklets, key=lambda t: (t.view, t.id))
     dets = [t.detections[f] for t in order for f in t.frames]
-    _write_columns(path, TRACKLETS_HEADER, [
+    _write_columns(path, _TRACKLETS, [
         [t.id for t in order for _ in t.frames],
         [t.view for t in order for _ in t.frames],
         [f for t in order for f in t.frames],
@@ -404,31 +391,25 @@ def write_tracklets_csv(path, tracklets: list[Tracklet2D],
 
 
 def read_tracklets_csv(path) -> list[Tracklet2D]:
-    t = _Table(path, TRACKLETS_HEADER)
-    ids = t.ints("tracklet_id")
-    views = t.views()
-    frames = t.ints("frame")
-    t.unique(list(zip(views, ids, frames)), lambda k: (
-        f"duplicate row for {k[0]} tracklet {k[1]} at frame {k[2]}"))
-    x, y = t.floats("x"), t.floats("y")
-    xx, xy, yy = (t.floats(k, optional=True)
-                  for k in ("covxx", "covxy", "covyy"))
-    cands = [t.floats(k, optional=True) for k in _CANDIDATE_KEYS]
-    t.check()
-    heads = list(zip(x, y))
-    covs = np.array([xx, xy, xy, yy], dtype=float).T.reshape(-1, 2, 2)
-    full = (~np.isnan(covs).any(axis=(1, 2))).tolist()  # NaN where blank
-    # Fields in order: frame, view, head, candidates, centroid, cov.
-    dets = list(map(Detection, frames, views, heads, _candidates(heads, cands),
-                    [h if f else None for h, f in zip(heads, full)],
-                    [covs[i] if f else None for i, f in enumerate(full)]))
-    out = []
-    for (view, tid), rows in _groups(list(zip(views, ids))):
-        rows = sorted(rows, key=frames.__getitem__)
-        out.append(Tracklet2D(
-            id=tid, view=view, frames=[frames[i] for i in rows],
-            detections={frames[i]: dets[i] for i in rows}))
-    return out
+    t = _Table(path, _TRACKLETS)
+    tracklets: dict[tuple, dict] = {}  # (view, id) -> frame -> Detection
+    for c in t:
+        views, frames = c["view"], c["frame"]
+        heads = list(zip(c["x"], c["y"]))
+        covs = _array(c, ("covxx", "covxy", "covxy", "covyy"))
+        covs = covs.reshape(-1, 2, 2)
+        full = (~np.isnan(covs).any(axis=(1, 2))).tolist()  # NaN where blank
+        # Fields in order: frame, view, head, candidates, centroid, cov.
+        dets = map(Detection, frames, views, heads,
+                   _candidates(heads, [c[k] for k in _CANDIDATES]),
+                   [h if f else None for h, f in zip(heads, full)],
+                   [covs[i] if f else None for i, f in enumerate(full)])
+        t.add(tracklets, zip(zip(views, c["tracklet_id"]), frames, dets),
+              lambda key, f: f"duplicate row for {key[0]} tracklet {key[1]} "
+                             f"at frame {f}")
+    return [Tracklet2D(id=tid, view=view, frames=sorted(dets),
+                       detections=dict(sorted(dets.items())))
+            for (view, tid), dets in sorted(tracklets.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -439,32 +420,29 @@ def write_tracklets3d_csv(path, tracklets: list[Tracklet3D],
                           meta: dict | None = None) -> None:
     rows = [(t, f) for t in sorted(tracklets, key=lambda t: t.id)
             for f in t.frames]
-    _write_columns(path, TRACKLETS3D_HEADER, [
+    _write_columns(path, _TRACKLETS3D, [
         [t.id for t, _ in rows], [f for _, f in rows],
         *_fields([t.points.get(f) for t, f in rows], range(3)),
         *_fields([t.sources.get(f) for t, f in rows], range(2))], meta)
 
 
 def read_tracklets3d_csv(path) -> list[Tracklet3D]:
-    t = _Table(path, TRACKLETS3D_HEADER)
-    ids = t.ints("tracklet_id")
-    frames = t.ints("frame")
-    t.unique(list(zip(ids, frames)), lambda k: (
-        f"duplicate row for 3D tracklet {k[0]} at frame {k[1]}"))
-    xyz = [t.floats(k, optional=True) for k in ("x", "y", "z")]
-    sources = [t.ints(k, optional=True)
-               for k in ("top_tracklet_id", "front_tracklet_id")]
-    t.check()
-    points = np.array(xyz, dtype=float).T.copy()
-    full = (~np.isnan(points).any(axis=1)).tolist()  # NaN where blank
-    sources = list(zip(*sources))
-    out = []
-    for tid, rows in _groups(ids):
-        rows = list(rows)
-        out.append(Tracklet3D(
-            id=tid, points={frames[i]: points[i] for i in rows if full[i]},
-            sources={frames[i]: sources[i] for i in rows}))
-    return out
+    t = _Table(path, _TRACKLETS3D)
+    sources: dict[int, dict] = {}  # id -> frame -> (top id, front id)
+    points: dict[int, dict] = {}  # id -> frame -> point
+    for c in t:
+        ids, frames = c["tracklet_id"], c["frame"]
+        t.add(sources, zip(ids, frames, zip(c["top_tracklet_id"],
+                                            c["front_tracklet_id"])),
+              lambda tid, f: (
+                  f"duplicate row for 3D tracklet {tid} at frame {f}"))
+        xyz = _array(c, "xyz")  # NaN where blank
+        full = (~np.isnan(xyz).any(axis=1)).tolist()
+        for tid, f, p, has_point in zip(ids, frames, xyz, full):
+            if has_point:
+                points.setdefault(tid, {})[f] = p
+    return [Tracklet3D(id=tid, points=points.get(tid, {}), sources=s)
+            for tid, s in sorted(sources.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -476,22 +454,18 @@ def write_tracks_csv(path, tracks: list[Track3D],
     # Rows by frame, then by fish id (stable for equal ids).
     order = sorted(tracks, key=lambda t: t.fish_id)
     keys = sorted((f, k) for k, t in enumerate(order) for f in t.points)
-    _write_columns(path, TRACKS_HEADER, [
+    _write_columns(path, _TRACKS, [
         [f for f, _ in keys], [order[k].fish_id for _, k in keys],
         *_fields([order[k].points[f] for f, k in keys], range(3))], meta)
 
 
 def read_tracks_csv(path) -> list[Track3D]:
-    t = _Table(path, TRACKS_HEADER)
-    frames = t.ints("frame")
-    fish = t.ints("fish_id")
-    t.unique(list(zip(frames, fish)), lambda k: (
-        f"duplicate row for fish {k[1]} at frame {k[0]}"))
-    xyz = [t.floats(k) for k in ("x", "y", "z")]
-    t.check()
-    points = np.array(xyz, dtype=float).T.copy()
-    return [Track3D(fish_id=fid, points={frames[i]: points[i] for i in rows})
-            for fid, rows in _groups(fish)]
+    t = _Table(path, _TRACKS)
+    tracks: dict[int, dict] = {}  # fish id -> frame -> point
+    for c in t:
+        t.add(tracks, zip(c["fish_id"], c["frame"], _array(c, "xyz")),
+              lambda fid, f: f"duplicate row for fish {fid} at frame {f}")
+    return [Track3D(fish_id=fid, points=tracks[fid]) for fid in sorted(tracks)]
 
 
 # ---------------------------------------------------------------------------
@@ -511,12 +485,22 @@ def write_annotations_csv(path, gt: GroundTruth,
     points = gt.points3d[f, j]
     absent = np.isnan(points[:, 0]).tolist()
     ids = gt.fish_ids
-    _write_columns(path, ANNOTATIONS_HEADER, [
+    _write_columns(path, _ANNOTATIONS, [
         f.tolist(), [ids[i] for i in j.tolist()],
         [VIEWS[i] for i in k.tolist()], *boxes[f, j, k].T.tolist(),
         *heads[f, j, k].T.tolist(), occluded[f, j, k].astype(int).tolist(),
         *zip(*((None,) * 3 if a else p
                for a, p in zip(absent, points.tolist())))], meta)
+
+
+def _frame_count(path) -> int:
+    """1 + the largest frame of the annotation rows that read: the frame
+    count of a file without a '# n_frames:' line."""
+    frames = [-1]
+    with suppress(FormatError):
+        for c in _Table(path, _ANNOTATIONS):
+            frames += c["frame"]
+    return 1 + max(frames)
 
 
 def read_annotations_csv(path) -> GroundTruth:
@@ -527,45 +511,42 @@ def read_annotations_csv(path) -> GroundTruth:
     if fps <= 0:
         raise FormatError(
             f"{path}:1: '# fps:' must be positive, got {meta['fps']!r}")
-    t = _Table(path, ANNOTATIONS_HEADER)
-    frames = t.ints("frame")
-    fish = t.ints("fish_id")
-    views = t.views()
-    box = t.box()
-    heads = [t.floats("head_x"), t.floats("head_y")]
-    occluded = t.ints("occluded")
-    if not set(occluded) <= {0, 1}:
-        t.expect(occluded, (0, 1).__contains__,
-                 lambda i: f"occluded must be 0 or 1, got {occluded[i]}")
-    coords = [t.floats(k, optional=True) for k in ("x3d", "y3d", "z3d")]
-    t.check()
+    n_frames = None
     if "n_frames" in meta:
         n_frames = _meta_number(path, meta, "n_frames", int)
         if n_frames < 0:
             raise FormatError(f"{path}:1: '# n_frames:' must be >= 0, "
                               f"got {n_frames}")
-    else:
-        n_frames = 1 + max(frames, default=-1)
+    in_range = (0).__le__ if n_frames is None else range(n_frames).__contains__
+    t = _Table(path, _ANNOTATIONS)
+    parts, seen = [], {}  # seen: (view, fish id) -> frame -> None
+    for c in t:
+        frames = c["frame"]
+        t.expect(frames, in_range, lambda i: (
+            f"frame {frames[i]} outside [0, n_frames = "
+            f"{_frame_count(path) if n_frames is None else n_frames})"))
+        t.add(seen, zip(zip(c["view"], c["fish_id"]), frames, repeat(None)),
+              lambda key, f: f"duplicate row for fish {key[1]} in view "
+                             f"{key[0]} at frame {f}")
+        parts.append((np.array(frames, dtype=np.intp),
+                      np.array(c["fish_id"], dtype=np.int64),
+                      np.array(c["view"], dtype=str), _array(c, _BOX),
+                      _array(c, ("head_x", "head_y")),
+                      np.array(c["occluded"], dtype=bool),
+                      _array(c, ("x3d", "y3d", "z3d"))))  # NaN where blank
+    f, fish, views, box, heads, occluded, points = map(np.concatenate,
+                                                       zip(*parts))
+    if n_frames is None:
+        n_frames = 1 + int(f.max(initial=-1))
     try:
-        gt = GroundTruth(fps, n_frames, sorted(set(fish)))
+        gt = GroundTruth(fps, n_frames, np.unique(fish))
     except (MemoryError, ValueError):  # numpy: too large, or too many dims
         raise FormatError(f"{path}:1: '# n_frames: {n_frames}' is too large "
                           f"to allocate") from None
-    if frames and not 0 <= min(frames) <= max(frames) < n_frames:
-        t.expect(frames, lambda f: 0 <= f < n_frames, lambda i: (
-            f"frame {frames[i]} outside [0, n_frames = {n_frames})"))
-    t.unique(list(zip(views, frames, fish)), lambda k: (
-        f"duplicate row for fish {k[2]} in view {k[0]} at frame {k[1]}"))
-    t.check()
     if n_frames == 0:  # so there is no row either
         raise FormatError(f"{path}: the annotations cover no frame")
 
-    f = np.array(frames, dtype=np.intp)
     j = np.searchsorted(gt.fish_ids, fish)
-    box = np.array(box, dtype=float).T
-    heads = np.array(heads, dtype=float).T
-    occluded = np.array(occluded, dtype=bool)
-    views = np.array(views, dtype=str)
     for view in VIEWS:
         m = views == view
         gt.boxes[view][f[m], j[m]] = box[m]
@@ -573,7 +554,6 @@ def read_annotations_csv(path) -> GroundTruth:
         gt.occluded[view][f[m], j[m]] = occluded[m]
     # A (frame, fish) with 3D coordinates in both views' rows takes the
     # later row's.
-    points = np.array(coords, dtype=float).T  # NaN where blank
     rows = np.flatnonzero(~np.isnan(points).any(axis=1))
     _, last = np.unique((f * gt.n_fish + j)[rows][::-1], return_index=True)
     rows = rows[len(rows) - 1 - last]

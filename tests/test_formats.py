@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -293,3 +296,96 @@ def test_a_cell_csv_writer_would_quote_is_refused(tmp_path, a, special, b):
         _write_columns(tmp_path / "t.csv", ["x", "y"],
                        [[1.5, 2], ["top", a + special + b]])
     assert not (tmp_path / "t.csv").exists()
+
+
+# Malformed files with two faults: the reader reports the earlier line, and
+# on one line its fields in header order, then the line's duplicate key.
+TRACKS_HEADER = "frame,fish_id,x,y,z\n"
+ANNOTATIONS_HEADER = ("frame,fish_id,view,bbox_x,bbox_y,bbox_w,bbox_h,"
+                      "head_x,head_y,occluded,x3d,y3d,z3d")
+ANNOTATION = "{f},1,top,1.0,1.0,2.0,2.0,{head},1.0,0,,,"
+
+
+def test_a_bad_field_wins_over_a_later_block(tmp_path):
+    rows = [f"{f},1,1.0,2.0,3.0\n" for f in range(1000)]
+    rows[1] = "1,1,oops,2.0,3.0\n"
+    rows[700] = "700,1,1.0,2.0\n"  # a field short, in the second block
+    path = tmp_path / "tracks.csv"
+    path.write_text(TRACKS_HEADER + "".join(rows))
+    with pytest.raises(FormatError, match=(
+            rf"^{path}:3: field 'x' must be a number, got 'oops'$")):
+        read_tracks_csv(path)
+
+
+def test_a_duplicate_wins_over_a_bad_field_in_a_later_block(tmp_path):
+    rows = [f"{f},1,1.0,2.0,3.0\n" for f in range(1000)]
+    rows[5] = rows[4]
+    rows[600] = "600,one,1.0,2.0,3.0\n"
+    path = tmp_path / "tracks.csv"
+    path.write_text(TRACKS_HEADER + "".join(rows))
+    with pytest.raises(FormatError, match=(
+            rf"^{path}:7: duplicate row for fish 1 at frame 4$")):
+        read_tracks_csv(path)
+
+
+@pytest.mark.parametrize("lines, line, message", [
+    (["# fps: 60.0", "# n_frames: 2", ANNOTATIONS_HEADER,
+      ANNOTATION.format(f=5, head="1.0")], 4,
+     "frame 5 outside [0, n_frames = 2)"),
+    (["# fps: 60.0", ANNOTATIONS_HEADER, ANNOTATION.format(f=0, head="1.0"),
+      ANNOTATION.format(f=0, head="1.0")], 4,
+     "duplicate row for fish 1 in view top at frame 0"),
+    (["# n_frames: x", "# fps: 60.0", ANNOTATIONS_HEADER], 1,
+     "field 'n_frames' must be an integer, got 'x'"),
+], ids=["frame range", "duplicate", "n_frames line"])
+def test_annotations_report_the_earliest_line(tmp_path, lines, line, message):
+    # Each file's next line holds a bad field.
+    path = tmp_path / "annotations.csv"
+    path.write_text("\n".join(lines + [ANNOTATION.format(f=1, head="oops")]))
+    with pytest.raises(FormatError) as e:
+        read_annotations_csv(path)
+    assert str(e.value) == f"{path}:{line}: {message}"
+
+
+def test_a_line_names_its_first_bad_field_in_header_order(tmp_path):
+    path = tmp_path / "detections.csv"
+    path.write_text("frame,view,x,y,bbox_x,bbox_y,bbox_w,bbox_h,confidence,"
+                    "c1x,c1y,c2x,c2y,c3x,c3y\n"
+                    "0,top,1.0,2.0,,,,,high,oops,2.0,,,,\n")
+    with pytest.raises(FormatError, match=(
+            rf"^{path}:2: field 'confidence' must be a number, got 'high'$")):
+        read_detections_csv(path)
+
+
+def test_readers_hold_one_block_of_text(tmp_path):
+    # What a reader allocates beyond what it returns stays a small multiple
+    # of the file: it never holds a whole file of cell strings.
+    frames = [i // 2 for i in range(20_000)]
+    views = ["top", "front"] * 10_000
+    x = [f + UGLY for f in frames]
+    y = [2.0 * f for f in frames]
+    blank = [None] * len(frames)
+    cov = [f if v == "front" else None for f, v in zip(frames, views)]
+    files = {
+        "detections.csv": (
+            "frame,view,x,y,bbox_x,bbox_y,bbox_w,bbox_h,confidence,c1x,c1y,"
+            "c2x,c2y,c3x,c3y", [frames, views, x, y, x, y, [3.0] * len(x), y,
+                                [97.5] * len(x), *[blank] * 6],
+            read_detections_csv),
+        "tracklets.csv": (
+            "tracklet_id,view,frame,x,y,c1x,c1y,c2x,c2y,c3x,c3y,covxx,covxy,"
+            "covyy", [[f // 500 for f in frames], views, frames, x, y,
+                      *[blank] * 6, cov, blank, cov],
+            read_tracklets_csv)}
+    for name, (header, columns, read) in files.items():
+        path = tmp_path / name
+        _write_columns(path, header.split(","), columns)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            out = read(path)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(out) in (20_000, 40), name  # rows, or tracklets
+        assert peak - kept <= 4 * path.stat().st_size, name
