@@ -254,7 +254,8 @@ def extract_3d_tracklets(graph: AssociationGraph) -> list[Tracklet3D]:
             for f in sorted(set(node.top.frames) | set(node.front.frames)):
                 if f in node.points and f not in tracklet.points:
                     tracklet.points[f] = node.points[f]
-                if f not in tracklet.sources:
+                    tracklet.sources[f] = node.node_id
+                elif f not in tracklet.sources:
                     tracklet.sources[f] = (
                         node.top.id if f in node.top.detections else None,
                         node.front.id if f in node.front.detections else None)

@@ -209,6 +209,9 @@ def test_extract_3d_tracklets_bridges_front_split(rig, tank):
     assert set(t.points) == set(range(0, 50)) | set(range(60, 120))
     for f in range(50, 60):
         assert t.sources[f] == (0, None)
+    # each point names the pair it was triangulated from
+    for f in range(60, 120):
+        assert t.sources[f] == (0, front_b.id)
     for f in (0, 30, 80, 119):
         assert np.linalg.norm(t.points[f] - wave_path(f)) < 1e-6
         assert t.sources[f][0] == 0
