@@ -147,6 +147,16 @@ def _format_value(v) -> str:
     return str(v)
 
 
+def _euclidean_front_gate(values: dict, given) -> None:
+    """Euclidean front gating is in pixels: a call that sets the front mode
+    to it but sets no gate takes the pixel default, materialized so that
+    dump() round-trips the effective configuration."""
+    if (values["track2d.front_mode"] == EUCLIDEAN_HEAD
+            and "track2d.front_mode" in given
+            and "track2d.delta_front" not in given):
+        values["track2d.delta_front"] = 15.0
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     values: dict
@@ -177,11 +187,7 @@ class PipelineConfig:
                                   f"{name!r}")
             seen[name] = f"{source}:{line_no}"
             values[name] = _parse_value(name, raw, seen[name])
-        # Euclidean front gating is in pixels; materialize the matching
-        # default so dump() round-trips the effective configuration.
-        if (values["track2d.front_mode"] == EUCLIDEAN_HEAD
-                and "track2d.delta_front" not in seen):
-            values["track2d.delta_front"] = 15.0
+        _euclidean_front_gate(values, seen)
         cfg = cls(values=values)
         cfg.validate(seen)
         return cfg
@@ -199,6 +205,7 @@ class PipelineConfig:
             if name not in _DEFAULTS:
                 raise ConfigError(f"unknown parameter {name!r}")
             values[name] = v
+        _euclidean_front_gate(values, overrides)
         cfg = PipelineConfig(values=values)
         cfg.validate()
         return cfg

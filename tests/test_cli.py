@@ -72,6 +72,19 @@ def test_euclidean_front_gate_materializes():
     assert PipelineConfig.defaults().get("track2d.delta_front") == 0.5
 
 
+def test_euclidean_front_gate_from_overrides():
+    # The same rule as a config file: setting the mode without a gate
+    # takes the pixel default, and dump() round-trips it.
+    mode = {"track2d.front_mode": "euclidean-head"}
+    cfg = PipelineConfig.defaults().with_overrides(**mode)
+    assert cfg.get("track2d.delta_front") == 15.0
+    assert PipelineConfig.from_text(cfg.dump()).values == cfg.values
+    explicit = PipelineConfig.defaults().with_overrides(
+        **mode, **{"track2d.delta_front": 3.0})
+    assert explicit.get("track2d.delta_front") == 3.0
+    assert explicit.with_overrides(seed=7).get("track2d.delta_front") == 3.0
+
+
 def test_simulate_writes_outputs(tmp_path):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "sim"

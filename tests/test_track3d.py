@@ -149,6 +149,14 @@ def test_gallery_rank_order_and_relegation():
     assert gallery_rank([c, b, a], mains) == [a, b, c]
 
 
+def test_gallery_rank_compares_gaps_across_the_recording():
+    # The later gallery has the smaller gap. Galleries on both sides of
+    # frame 1000 catch a gap scaled by a step of the absolute frame.
+    mains = [main3d(1, 0, 69), main3d(2, 1200, 1299)]
+    early, late = t3d(10, 100, 119), t3d(11, 1320, 1339)
+    assert gallery_rank([early, late], mains) == [late, early]
+
+
 def test_gallery_rank_stable_on_ties():
     mains = [main3d(1, 0, 100)]
     a = t3d(10, 110, 120)
