@@ -165,7 +165,7 @@ def _meta_number(path, meta, key, parse):
 class _Kind(NamedTuple):
     """How a column's cells read: through `parse` (a refused cell gets
     message `bad`), then each (ok, message) of `checks`, formatted with the
-    column k, cell c and value v. A `blank` cell reads as None, unchecked."""
+    column k, cell c and value v. With `blank`, "" reads as None, unchecked."""
     parse: Callable
     bad: str
     checks: tuple
@@ -496,11 +496,11 @@ def write_annotations_csv(path, gt: GroundTruth,
 def _frame_count(path) -> int:
     """1 + the largest frame of the annotation rows that read: the frame
     count of a file without a '# n_frames:' line."""
-    frames = [-1]
+    last = -1
     with suppress(FormatError):
         for c in _Table(path, _ANNOTATIONS):
-            frames += c["frame"]
-    return 1 + max(frames)
+            last = max([last, *c["frame"]])
+    return last + 1
 
 
 def read_annotations_csv(path) -> GroundTruth:
