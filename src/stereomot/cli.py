@@ -20,13 +20,12 @@ from .crossview import build_graph, extract_3d_tracklets
 from .detect import (DetectError, Detection, detect_front, detect_top,
                      estimate_background, ingest_external_detections)
 from .formats import (FormatError, format_complexity_table,
-                      format_report_table, group_detections,
-                      read_annotations_csv, read_detections_csv, read_pgm,
-                      read_tracklets3d_csv, read_tracklets_csv,
-                      read_tracks_csv, write_annotations_csv,
-                      write_detections_csv, write_pgm, write_report_json,
-                      write_tracklets3d_csv, write_tracklets_csv,
-                      write_tracks_csv)
+                      format_report_table, read_annotations_csv,
+                      read_detections_csv, read_pgm, read_tracklets3d_csv,
+                      read_tracklets_csv, read_tracks_csv,
+                      write_annotations_csv, write_detections_csv, write_pgm,
+                      write_report_json, write_tracklets3d_csv,
+                      write_tracklets_csv, write_tracks_csv)
 from .geometry import VIEWS, load_calibration, save_calibration
 from .metrics import complexity_report, evaluate_tracks, tracks_to_pred
 from .simulator import annotate, degrade, perfect_detections, render, simulate
@@ -115,7 +114,7 @@ def stage_detect_frames(cfg: PipelineConfig, frames_dir: Path,
         dets[view] = {
             f: detector(rows[i] if i in rows
                         else _read_frame(paths[i], first.shape)[::d, ::d],
-                        bg, params, frame_index=f)
+                        bg, params)
             for i, f in enumerate(numbers)}
     write_detections_csv(out / "detections.csv", dets, _meta(cfg))
 
@@ -129,11 +128,11 @@ def stage_detect_external(cfg: PipelineConfig, external: Path,
 
 def stage_track2d(cfg: PipelineConfig, detections_path: Path,
                   out: Path) -> None:
-    grouped = group_detections(read_detections_csv(detections_path))
+    detections = read_detections_csv(detections_path)
     params = cfg.track2d_params()
     tracklets = []
     for view in VIEWS:
-        tracklets.extend(build_tracklets(grouped[view], params, view=view))
+        tracklets.extend(build_tracklets(detections[view], params, view=view))
     write_tracklets_csv(out / "tracklets.csv", tracklets, _meta(cfg))
 
 
@@ -164,8 +163,8 @@ def stage_evaluate(cfg: PipelineConfig, annotations_path: Path, out: Path,
     if tracklets_path is not None:
         if view not in VIEWS:
             raise ConfigError("2D evaluation needs --view top|front")
-        pred = {t.id: {f: np.asarray(t.detections[f].head, dtype=float)
-                       for f in t.frames}
+        pred = {t.id: {f: np.asarray(d.head, dtype=float)
+                       for f, d in t.detections.items()}
                 for t in read_tracklets_csv(tracklets_path) if t.view == view}
         gate = cfg.get("eval.dist_2d")
     else:

@@ -32,7 +32,7 @@ class AssocParams:
 
 
 def frame_intersection(top: Tracklet2D, front: Tracklet2D) -> list[int]:
-    return sorted(set(top.frames) & set(front.frames))
+    return sorted(top.detections.keys() & front.detections)
 
 
 @dataclass
@@ -94,7 +94,7 @@ def node_weight(top: Tracklet2D, front: Tracklet2D, rig: StereoRig,
     best = best[inside]
     points = dict(zip(np.array(common)[inside].tolist(), pts[best]))
     weights = [math.exp(-params.lambda_err * e) for e in errs[best].tolist()]
-    union = len(set(top.frames) | set(front.frames))
+    union = len(top.detections.keys() | front.detections)
     w = float(np.median(weights)) * len(weights) / union
     return NodeCandidate(top=top, front=front, points=points, weight=w)
 
@@ -126,8 +126,8 @@ def build_graph(top_tracklets: list[Tracklet2D],
                 rig: StereoRig, tank: TankBounds,
                 params: AssocParams = AssocParams(),
                 fps: float = 60.0) -> AssociationGraph:
-    tops = [t for t in top_tracklets if len(t.frames) >= params.alpha]
-    fronts = [t for t in front_tracklets if len(t.frames) >= params.alpha]
+    tops = [t for t in top_tracklets if len(t.detections) >= params.alpha]
+    fronts = [t for t in front_tracklets if len(t.detections) >= params.alpha]
 
     cands: list[NodeCandidate] = []
     for top in tops:
@@ -251,7 +251,7 @@ def extract_3d_tracklets(graph: AssociationGraph) -> list[Tracklet3D]:
         tracklet = Tracklet3D(id=tid)
         for nid in path:
             node = graph.nodes[nid]
-            for f in sorted(set(node.top.frames) | set(node.front.frames)):
+            for f in sorted(node.top.detections.keys() | node.front.detections):
                 if f in node.points and f not in tracklet.points:
                     tracklet.points[f] = node.points[f]
                     tracklet.sources[f] = node.node_id

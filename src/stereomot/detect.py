@@ -14,7 +14,7 @@ The detectors take frames on the detection grid, `frame[::downsample,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -33,13 +33,11 @@ class DetectError(ValueError):
 
 @dataclass
 class Detection:
-    """One 2D observation: a head point plus optional blob statistics."""
+    """One 2D observation: a head point plus optional blob statistics. Its
+    frame and view are the keys it is kept under."""
 
-    frame: int
-    view: str
     head: tuple[float, float]
     candidates: tuple[tuple[float, float], ...]
-    centroid: tuple[float, float] | None = None
     cov: np.ndarray | None = None
     bbox: tuple[float, float, float, float] | None = None
     confidence: float | None = None
@@ -487,8 +485,7 @@ def _select_head_keypoints(kps: list[Keypoint]) -> list[Keypoint]:
 
 
 def detect_top(grid: np.ndarray, bg: np.ndarray,
-               params: DetectParams = DetectParams(),
-               frame_index: int = 0) -> list[Detection]:
+               params: DetectParams = DetectParams()) -> list[Detection]:
     """Skeleton-keypoint head detector for the top view. `grid` is the
     frame on the detection grid, `frame[::downsample, ::downsample]`, and
     `bg` the background on the same grid."""
@@ -515,14 +512,12 @@ def detect_top(grid: np.ndarray, bg: np.ndarray,
     for comp in sorted(by_comp):
         for kp in _select_head_keypoints(by_comp[comp]):
             head = (float(kp.point[0] * f), float(kp.point[1] * f))
-            out.append(Detection(frame=frame_index, view="top", head=head,
-                                 candidates=(head,)))
+            out.append(Detection(head=head, candidates=(head,)))
     return out
 
 
 def detect_front(grid: np.ndarray, bg: np.ndarray,
-                 params: DetectParams = DetectParams(),
-                 frame_index: int = 0) -> list[Detection]:
+                 params: DetectParams = DetectParams()) -> list[Detection]:
     """Entropy-threshold blob detector for the front view, on the grid as
     for `detect_top`.
 
@@ -565,11 +560,10 @@ def detect_front(grid: np.ndarray, bg: np.ndarray,
         cov = np.cov(np.stack([xs.astype(float), ys.astype(float)]), bias=True)
         centroid = (mean_x * f, mean_y * f)
         out.append(Detection(
-            frame=frame_index, view="front", head=centroid,
+            head=centroid,
             candidates=(centroid,
                         (proxies[0][0] * f, proxies[0][1] * f),
                         (proxies[1][0] * f, proxies[1][1] * f)),
-            centroid=centroid,
             cov=cov * (f * f),
             bbox=(min_x * f, min_y * f, w_px * f, h_px * f),
         ))
@@ -579,22 +573,20 @@ def detect_front(grid: np.ndarray, bg: np.ndarray,
 def ingest_external_detections(path, min_confidence: float = 95.0,
                                ) -> dict[str, dict[int, list[Detection]]]:
     """Read a detection CSV, keep rows with confidence >= min_confidence,
-    and reduce each box to its center point. Returns view -> frame ->
+    and reduce each box to its center point. Every row needs its box and
+    its confidence: a blank one is a FormatError at its line, the earliest
+    bad line of the file being the one reported. Returns view -> frame ->
     [Detection], in file order within a frame: the shape every detection
     producer returns."""
-    from .formats import group_detections, read_detections_csv
+    from .formats import _EXTERNAL_DETECTIONS, _read_detections
 
-    kept = []
-    for line_no, det in read_detections_csv(path):
-        if det.confidence is None or det.bbox is None:
-            raise DetectError(
-                f"{path}:{line_no}: external detection rows need bbox and "
-                f"confidence fields")
-        if det.confidence < min_confidence:
-            continue
-        bx, by, bw, bh = det.bbox
-        head = (bx + bw / 2.0, by + bh / 2.0)
-        kept.append((line_no, Detection(
-            frame=det.frame, view=det.view, head=head, candidates=(head,),
-            bbox=det.bbox, confidence=det.confidence)))
-    return group_detections(kept)
+    out = _read_detections(path, _EXTERNAL_DETECTIONS)
+    for frames in out.values():
+        for f, dets in frames.items():
+            frames[f] = []
+            for d in dets:
+                if d.confidence >= min_confidence:
+                    bx, by, bw, bh = d.bbox
+                    head = (bx + bw / 2.0, by + bh / 2.0)
+                    frames[f].append(replace(d, head=head, candidates=(head,)))
+    return out

@@ -44,6 +44,9 @@ from .track2d import Tracklet2D
 from .track3d import Track3D
 
 REPORT_SCHEMA_VERSION = 1
+# The most bytes a '# n_frames:' line may ask of a one-fish GroundTruth: a
+# larger count is refused at line 1, before any row is read.
+_MAX_GT_BYTES = 1 << 30
 
 _QUOTED = frozenset(',"\r\n')  # csv.writer quotes a cell holding one
 
@@ -194,6 +197,9 @@ _DETECTIONS = {"frame": _INT, "view": _VIEW, "x": _FLOAT, "y": _FLOAT,
                "bbox_x": _OPT_FLOAT, "bbox_y": _OPT_FLOAT,
                "bbox_w": _OPT_SIZE, "bbox_h": _OPT_SIZE,
                "confidence": _OPT_FLOAT, **_CANDIDATES}
+# An external detector's rows: each has its box and its confidence.
+_EXTERNAL_DETECTIONS = {**_DETECTIONS, "bbox_x": _FLOAT, "bbox_y": _FLOAT,
+                        "bbox_w": _SIZE, "bbox_h": _SIZE, "confidence": _FLOAT}
 _TRACKLETS = {"tracklet_id": _INT, "view": _VIEW, "frame": _INT, "x": _FLOAT,
               "y": _FLOAT, **_CANDIDATES,
               **dict.fromkeys(("covxx", "covxy", "covyy"), _OPT_FLOAT)}
@@ -339,38 +345,38 @@ def _candidates(heads: list, cells: list[list]) -> list[tuple]:
 
 def write_detections_csv(path, detections: dict[str, dict[int, list[Detection]]],
                          meta: dict | None = None) -> None:
-    dets = [det for view in VIEWS for f in sorted(detections.get(view, {}))
-            for det in detections[view][f]]
+    lists = [(view, f, detections[view][f]) for view in VIEWS
+             for f in sorted(detections.get(view, {}))]
+    dets = [det for _, _, ds in lists for det in ds]
     _write_columns(path, _DETECTIONS, [
-        [d.frame for d in dets], [d.view for d in dets],
+        [f for _, f, ds in lists for _ in ds],
+        [view for view, _, ds in lists for _ in ds],
         [d.head[0] for d in dets], [d.head[1] for d in dets],
         *_fields([d.bbox for d in dets], range(4)),
         [d.confidence for d in dets],
         *_cand_columns(dets)], meta)
 
 
-def read_detections_csv(path) -> list[tuple[int, Detection]]:
-    t = _Table(path, _DETECTIONS)
-    out = []
-    for c in t:
+def _read_detections(path, columns: dict[str, _Kind]
+                     ) -> dict[str, dict[int, list[Detection]]]:
+    """view -> frame -> [Detection] in file order, read against `columns`."""
+    out: dict[str, dict[int, list[Detection]]] = {v: {} for v in VIEWS}
+    for c in _Table(path, columns):
         heads = list(zip(c["x"], c["y"]))
         cands = _candidates(heads, [c[k] for k in _CANDIDATES])
         boxes = (None if None in b else b
                  for b in zip(*(c[k] for k in _BOX)))
-        # Detection's fields in order: frame, view, head, candidates,
-        # centroid, cov, bbox, confidence.
-        out += zip(t.lines, map(Detection, c["frame"], c["view"], heads, cands,
-                                repeat(None), repeat(None), boxes,
-                                c["confidence"]))
+        # Detection's fields in order: head, candidates, cov, bbox,
+        # confidence.
+        dets = map(Detection, heads, cands, repeat(None), boxes,
+                   c["confidence"])
+        for view, f, det in zip(c["view"], c["frame"], dets):
+            out[view].setdefault(f, []).append(det)
     return out
 
 
-def group_detections(rows: list[tuple[int, Detection]]
-                     ) -> dict[str, dict[int, list[Detection]]]:
-    out: dict[str, dict[int, list[Detection]]] = {v: {} for v in VIEWS}
-    for _, det in rows:
-        out[det.view].setdefault(det.frame, []).append(det)
-    return out
+def read_detections_csv(path) -> dict[str, dict[int, list[Detection]]]:
+    return _read_detections(path, _DETECTIONS)
 
 
 # ---------------------------------------------------------------------------
@@ -380,11 +386,11 @@ def group_detections(rows: list[tuple[int, Detection]]
 def write_tracklets_csv(path, tracklets: list[Tracklet2D],
                         meta: dict | None = None) -> None:
     order = sorted(tracklets, key=lambda t: (t.view, t.id))
-    dets = [t.detections[f] for t in order for f in t.frames]
+    dets = [d for t in order for d in t.detections.values()]
     _write_columns(path, _TRACKLETS, [
-        [t.id for t in order for _ in t.frames],
-        [t.view for t in order for _ in t.frames],
-        [f for t in order for f in t.frames],
+        [t.id for t in order for _ in t.detections],
+        [t.view for t in order for _ in t.detections],
+        [f for t in order for f in t.detections],
         [d.head[0] for d in dets], [d.head[1] for d in dets],
         *_cand_columns(dets),
         *_fields([d.cov for d in dets], ((0, 0), (0, 1), (1, 1)))], meta)
@@ -399,16 +405,14 @@ def read_tracklets_csv(path) -> list[Tracklet2D]:
         covs = _array(c, ("covxx", "covxy", "covxy", "covyy"))
         covs = covs.reshape(-1, 2, 2)
         full = (~np.isnan(covs).any(axis=(1, 2))).tolist()  # NaN where blank
-        # Fields in order: frame, view, head, candidates, centroid, cov.
-        dets = map(Detection, frames, views, heads,
+        # Fields in order: head, candidates, cov.
+        dets = map(Detection, heads,
                    _candidates(heads, [c[k] for k in _CANDIDATES]),
-                   [h if f else None for h, f in zip(heads, full)],
                    [covs[i] if f else None for i, f in enumerate(full)])
         t.add(tracklets, zip(zip(views, c["tracklet_id"]), frames, dets),
               lambda key, f: f"duplicate row for {key[0]} tracklet {key[1]} "
                              f"at frame {f}")
-    return [Tracklet2D(id=tid, view=view, frames=sorted(dets),
-                       detections=dict(sorted(dets.items())))
+    return [Tracklet2D(id=tid, view=view, detections=dict(sorted(dets.items())))
             for (view, tid), dets in sorted(tracklets.items())]
 
 
@@ -517,6 +521,12 @@ def read_annotations_csv(path) -> GroundTruth:
         if n_frames < 0:
             raise FormatError(f"{path}:1: '# n_frames:' must be >= 0, "
                               f"got {n_frames}")
+        one = GroundTruth(fps, 1, [0])  # one frame of one fish
+        arrays = (one.points3d, *one.heads.values(), *one.boxes.values(),
+                  *one.occluded.values())
+        if n_frames * sum(a.nbytes for a in arrays) > _MAX_GT_BYTES:
+            raise FormatError(f"{path}:1: '# n_frames: {n_frames}' is too "
+                              f"large to allocate")
     in_range = (0).__le__ if n_frames is None else range(n_frames).__contains__
     t = _Table(path, _ANNOTATIONS)
     parts, seen = [], {}  # seen: (view, fish id) -> frame -> None

@@ -226,8 +226,8 @@ def perfect_detections(gt: GroundTruth) -> dict[str, dict[int, list[Detection]]]
         for f, j in np.argwhere(~np.isnan(gt.heads[view][..., 0])).tolist():
             head = tuple(heads[f][j])
             out[view][f].append(Detection(
-                frame=f, view=view, head=head, candidates=(head,),
-                bbox=tuple(boxes[f][j]), confidence=100.0))
+                head=head, candidates=(head,), bbox=tuple(boxes[f][j]),
+                confidence=100.0))
     return out
 
 
@@ -271,7 +271,7 @@ def degrade(detections: dict[str, dict[int, list[Detection]]],
             for _ in range(rng.poisson(model.ghost_rate)):
                 head = (float(rng.random() * image_size[0]),
                         float(rng.random() * image_size[1]))
-                kept.append(Detection(frame=f, view=view, head=head,
-                                      candidates=(head,), confidence=100.0))
+                kept.append(Detection(head=head, candidates=(head,),
+                                      confidence=100.0))
             out[view][f] = kept
     return out

@@ -1,16 +1,16 @@
 """Per-view 2D tracklet construction by gated global assignment.
 
 Each frame's detections are matched to live tracklets with the Hungarian
-algorithm on gated distances (L2 on head points, or Mahalanobis on blob
-centroids). There is deliberately no motion model: unmatched detections
-start new tracklets and tracklets idle for more than tau_k frames are
-terminated, yielding short, conservative fragments.
+algorithm on gated distances (L2 on head points, or Mahalanobis on head
+points under the blob covariance). There is deliberately no motion model:
+unmatched detections start new tracklets and tracklets idle for more than
+tau_k frames are terminated, yielding short, conservative fragments.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -74,29 +74,32 @@ class Track2DParams:
 
 @dataclass
 class Tracklet2D:
-    """Ordered per-view detection sequence; frames are the assigned frames."""
+    """One view's detections, as {frame: Detection} in ascending frame
+    order; its frames are the keys."""
 
     id: int
     view: str
-    frames: list[int] = field(default_factory=list)
     detections: dict[int, Detection] = field(default_factory=dict)
 
     @property
+    def frames(self) -> list[int]:
+        return list(self.detections)
+
+    @property
     def first_frame(self) -> int:
-        return self.frames[0]
+        return next(iter(self.detections))
 
     @property
     def last_frame(self) -> int:
-        return self.frames[-1]
+        return next(reversed(self.detections))
 
     @property
     def last_detection(self) -> Detection:
-        return self.detections[self.frames[-1]]
+        return self.detections[self.last_frame]
 
     def append(self, frame: int, det: Detection) -> None:
-        if self.frames and frame <= self.frames[-1]:
+        if self.detections and frame <= self.last_frame:
             raise ValueError("tracklet frames must strictly increase")
-        self.frames.append(frame)
         self.detections[frame] = det
 
 
@@ -105,19 +108,17 @@ def gate_matrix(dets: list[Detection], lasts: list[Detection],
     """(len(dets), len(lasts)) distances from each detection to each live
     tracklet's last detection.
 
-    Euclidean mode: head to head. Mahalanobis mode: centroid (else head) to
-    centroid (else head), under the last detection's covariance, else the
-    new detection's, else the identity.
+    Euclidean mode: head to head. Mahalanobis mode: the same, under the
+    last detection's covariance, else the new detection's, else the
+    identity.
     """
     if mode == EUCLIDEAN_HEAD:
         return np.array([[math.hypot(d.head[0] - last.head[0],
                                      d.head[1] - last.head[1])
                           for last in lasts] for d in dets])
     eye = np.eye(2)
-    points = np.array([d.head if d.centroid is None else d.centroid
-                       for d in dets], dtype=float)
-    centers = np.array([t.head if t.centroid is None else t.centroid
-                        for t in lasts], dtype=float)
+    points = np.array([d.head for d in dets], dtype=float)
+    centers = np.array([t.head for t in lasts], dtype=float)
     own = np.array([eye if d.cov is None else d.cov for d in dets],
                    dtype=float)
     last = np.array([eye if t.cov is None else t.cov for t in lasts],
@@ -133,11 +134,8 @@ def _box_cov(det: Detection) -> Detection:
     if det.cov is not None or det.bbox is None:
         return det
     w, h = det.bbox[2], det.bbox[3]
-    return Detection(
-        frame=det.frame, view=det.view, head=det.head,
-        candidates=det.candidates, bbox=det.bbox, confidence=det.confidence,
-        centroid=det.head if det.centroid is None else det.centroid,
-        cov=np.array([[w * w / 12.0, 0.0], [0.0, h * h / 12.0]]))
+    return replace(det, cov=np.array([[w * w / 12.0, 0.0],
+                                      [0.0, h * h / 12.0]]))
 
 
 def build_tracklets(frames_dets: dict[int, list[Detection]],
@@ -148,7 +146,7 @@ def build_tracklets(frames_dets: dict[int, list[Detection]],
     Termination is strict: a tracklet may still receive a detection at
     frame f iff f - last_assigned_frame <= tau_k. In Mahalanobis mode a
     detection with a box but no covariance gets the uniform-box surrogate
-    diag(w^2/12, h^2/12), centered on its head if it has no centroid.
+    diag(w^2/12, h^2/12), centered on its head.
     """
     gate = params.gate(view)
     mode = params.mode(view)
@@ -160,7 +158,7 @@ def build_tracklets(frames_dets: dict[int, list[Detection]],
         for t in active:
             (still if f - t.last_frame <= params.tau_k else done).append(t)
         active = still
-        dets = [d for d in frames_dets[f] if d.view == view]
+        dets = frames_dets[f]
         if mode == MAHALANOBIS_CENTROID:
             dets = [_box_cov(d) for d in dets]
         assigned = [False] * len(dets)

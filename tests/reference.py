@@ -273,8 +273,7 @@ def skeleton_keypoints(skel: np.ndarray, blob: np.ndarray,
             if k.weight >= params.min_keypoint_weight]
 
 
-def detect_top(grid, bg, params: DetectParams = DetectParams(),
-               frame_index: int = 0) -> list:
+def detect_top(grid, bg, params: DetectParams = DetectParams()) -> list:
     """The top-view detector with every step on the whole grid. It calls
     `detect.preprocess` through the module, so a test that patches
     `detect._median_diff` patches it and the library alike."""
@@ -294,13 +293,11 @@ def detect_top(grid, bg, params: DetectParams = DetectParams(),
     for comp in sorted(by_comp):
         for kp in detect._select_head_keypoints(by_comp[comp]):
             head = (float(kp.point[0] * f), float(kp.point[1] * f))
-            out.append(Detection(frame=frame_index, view="top", head=head,
-                                 candidates=(head,)))
+            out.append(Detection(head=head, candidates=(head,)))
     return out
 
 
-def detect_front(grid, bg, params: DetectParams = DetectParams(),
-                 frame_index: int = 0) -> list:
+def detect_front(grid, bg, params: DetectParams = DetectParams()) -> list:
     """The front-view detector, taking each blob's pixels from its
     `find_objects` box. It calls `detect.preprocess` through the module."""
     f = params.downsample
@@ -334,9 +331,9 @@ def detect_front(grid, bg, params: DetectParams = DetectParams(),
         cov = np.cov(np.stack([xs.astype(float), ys.astype(float)]), bias=True)
         centroid = (mean_x * f, mean_y * f)
         out.append(Detection(
-            frame=frame_index, view="front", head=centroid,
+            head=centroid,
             candidates=(centroid,) + tuple((x * f, y * f) for x, y in proxies),
-            centroid=centroid, cov=cov * (f * f),
+            cov=cov * (f * f),
             bbox=(min_x * f, min_y * f, w_px * f, h_px * f)))
     return out
 

@@ -252,8 +252,7 @@ def random_projected_pair(rng, rig):
     top = Tracklet2D(id=0, view="top")
     for f in range(a0, min(a1, 60)):
         uv = project(path[f], rig.top)
-        top.append(f, Detection(frame=f, view="top", head=uv,
-                                candidates=(uv,)))
+        top.append(f, Detection(head=uv, candidates=(uv,)))
     front = Tracklet2D(id=1, view="front")
     for f in range(b0, min(b1, 60)):
         uv = project(path[f], rig.front)
@@ -262,8 +261,7 @@ def random_projected_pair(rng, rig):
             du = float(rng.choice([-1, 1]) * rng.uniform(25, 80))
             cands.append((uv[0] + du, uv[1] + float(rng.uniform(-8, 8))))
         rng.shuffle(cands)
-        front.append(f, Detection(frame=f, view="front",
-                                  head=tuple(cands[0]),
+        front.append(f, Detection(head=tuple(cands[0]),
                                   candidates=tuple(tuple(c) for c in cands)))
     return top, front
 
@@ -291,8 +289,9 @@ def synth_node(tid, fid, f0, f1, rng, weight):
     frames = list(range(f0, f1))
     pts = rng.uniform([2, 2, 2], [28, 28, 13], size=(len(frames), 3))
     return NodeCandidate(
-        top=Tracklet2D(id=tid, view="top", frames=frames),
-        front=Tracklet2D(id=fid, view="front", frames=frames),
+        top=Tracklet2D(id=tid, view="top", detections=dict.fromkeys(frames)),
+        front=Tracklet2D(id=fid, view="front",
+                         detections=dict.fromkeys(frames)),
         points={f: pts[k] for k, f in enumerate(frames)},
         weight=weight)
 
@@ -431,8 +430,7 @@ def with_box_cov(items):
     for d in items:
         if d.cov is None and d.bbox is not None:
             w, h = d.bbox[2], d.bbox[3]
-            out.append(replace(d, cov=np.diag([w * w / 12.0, h * h / 12.0]),
-                               centroid=d.head))
+            out.append(replace(d, cov=np.diag([w * w / 12.0, h * h / 12.0])))
         else:
             out.append(d)
     return out

@@ -94,7 +94,8 @@ def test_simulate_writes_outputs(tmp_path):
     gt = read_annotations_csv(out / "annotations.csv")
     assert gt.n_frames == 120 and gt.n_fish == 2
     dets = read_detections_csv(out / "detections.csv")
-    assert len(dets) == 120 * 2 * 2  # frames x fish x views
+    n_dets = sum(len(ds) for frames in dets.values() for ds in frames.values())
+    assert n_dets == 120 * 2 * 2  # frames x fish x views
     for view in ("top", "front"):
         for f in range(2):
             assert (out / "frames" / f"{view}_{f:06d}.pgm").is_file()
@@ -209,12 +210,10 @@ def test_detect_external_roundtrip(tmp_path):
     from stereomot.detect import Detection
 
     raw = tmp_path / "external.csv"
-    rows = {"top": {0: [Detection(frame=0, view="top", head=(0.0, 0.0),
-                                  candidates=((0.0, 0.0),),
+    rows = {"top": {0: [Detection(head=(0.0, 0.0), candidates=((0.0, 0.0),),
                                   bbox=(10.0, 20.0, 4.0, 6.0),
                                   confidence=99.0),
-                        Detection(frame=0, view="top", head=(0.0, 0.0),
-                                  candidates=((0.0, 0.0),),
+                        Detection(head=(0.0, 0.0), candidates=((0.0, 0.0),),
                                   bbox=(50.0, 60.0, 4.0, 6.0),
                                   confidence=10.0)]},
             "front": {}}
@@ -223,8 +222,9 @@ def test_detect_external_roundtrip(tmp_path):
     assert main(["detect", "--external", str(raw),
                  "--out-dir", str(out)]) == 0
     kept = read_detections_csv(out / "detections.csv")
-    assert len(kept) == 1  # low-confidence row filtered out
-    assert kept[0][1].head == (12.0, 23.0)  # bbox center replaces the head
+    assert kept["front"] == {}
+    (det,) = kept["top"][0]  # low-confidence row filtered out
+    assert det.head == (12.0, 23.0)  # bbox center replaces the head
 
 
 def test_detect_frames_subcommand(tmp_path):
@@ -236,9 +236,8 @@ def test_detect_frames_subcommand(tmp_path):
     assert main(["detect", "--config", cfg, "--out-dir", str(det_out),
                  "--frames-dir", str(out / "frames")]) == 0
     found = read_detections_csv(det_out / "detections.csv")
-    by_view = {"top": 0, "front": 0}
-    for _, d in found:
-        by_view[d.view] += 1
+    by_view = {view: sum(map(len, frames.values()))
+               for view, frames in found.items()}
     assert by_view["top"] >= 25 and by_view["front"] >= 25
 
 
@@ -259,8 +258,9 @@ def test_detect_frames_numbers_frames_by_file_name(tmp_path, capsys):
                  "--frames-dir", str(frames)]) == 0
 
     def rows(name):
-        return [(d.frame, d.view, d.head) for _, d in
-                read_detections_csv(tmp_path / name / "detections.csv")]
+        found = read_detections_csv(tmp_path / name / "detections.csv")
+        return [(f, view, d.head) for view, frames in found.items()
+                for f, dets in frames.items() for d in dets]
 
     full, gap = rows("all"), rows("gap")
     assert {(3, "top"), (6, "top")} <= {r[:2] for r in full}

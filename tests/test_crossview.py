@@ -32,15 +32,16 @@ def projected_tracklet(rig, tid, view, frames, path=wave_path, decoys=()):
     for f in frames:
         uv = project(path(f), cam)
         cands = tuple([uv] + [(uv[0] + dx, uv[1] + dy) for dx, dy in decoys])
-        t.append(f, Detection(frame=f, view=view, head=uv, candidates=cands))
+        t.append(f, Detection(head=uv, candidates=cands))
     return t
 
 
 def test_frame_intersection():
-    a = Tracklet2D(id=0, view="top", frames=list(range(1, 11)))
-    b = Tracklet2D(id=1, view="front", frames=list(range(5, 16)))
+    a = Tracklet2D(id=0, view="top", detections=dict.fromkeys(range(1, 11)))
+    b = Tracklet2D(id=1, view="front", detections=dict.fromkeys(range(5, 16)))
     assert set(frame_intersection(a, b)) == set(range(5, 11))
-    c = Tracklet2D(id=2, view="front", frames=list(range(20, 25)))
+    c = Tracklet2D(id=2, view="front",
+                   detections=dict.fromkeys(range(20, 25)))
     assert not set(frame_intersection(a, c))
 
 
@@ -102,8 +103,9 @@ def test_node_weight_matches_direct_formula(rig, tank, rng):
 
 
 def make_node(top_id, front_id, frames, pts, weight):
-    top = Tracklet2D(id=top_id, view="top", frames=list(frames))
-    front = Tracklet2D(id=front_id, view="front", frames=list(frames))
+    top = Tracklet2D(id=top_id, view="top", detections=dict.fromkeys(frames))
+    front = Tracklet2D(id=front_id, view="front",
+                       detections=dict.fromkeys(frames))
     points = {f: np.asarray(p, dtype=float) for f, p in zip(frames, pts)}
     return NodeCandidate(top=top, front=front, points=points, weight=weight)
 
@@ -225,8 +227,7 @@ def test_extraction_removes_sharing_nodes(rig, tank):
     for f in range(0, 60):
         uv = project(wave_path(f), rig.front)
         uv = (uv[0] + 6.0, uv[1])
-        front_decoy.append(f, Detection(frame=f, view="front", head=uv,
-                                        candidates=(uv,)))
+        front_decoy.append(f, Detection(head=uv, candidates=(uv,)))
     graph = build_graph([top], [front_true, front_decoy], rig, tank)
     assert set(graph.nodes) == {(0, 10), (0, 11)}
     tracklets = extract_3d_tracklets(graph)

@@ -38,7 +38,7 @@ from stereomot.detect import (
     skeleton_keypoints,
     skeletonize,
 )
-from stereomot.formats import write_detections_csv
+from stereomot.formats import FormatError, write_detections_csv
 
 BG = 235
 FISH = 45
@@ -491,8 +491,8 @@ def check_top_crop(mask):
         for params in (DetectParams(), DetectParams(downsample=1),
                        DetectParams(downsample=3, min_keypoint_weight=0.5)):
             found.clear()
-            want = reference.detect_top(pre, None, params, frame_index=4)
-            assert detect_top(pre, None, params, frame_index=4) == want
+            want = reference.detect_top(pre, None, params)
+            assert detect_top(pre, None, params) == want
             assert found == ([reference.skeleton_keypoints(skel, filled, params)]
                              if pre.min() < pre.max() else [])
 
@@ -597,9 +597,8 @@ def check_front_blobs(mask):
         for params in (DetectParams(n_fish=1, min_blob_area=1),
                        DetectParams(n_fish=3, min_blob_area=2, downsample=1),
                        DetectParams(n_fish=2, min_blob_area=5, downsample=3)):
-            same_detections(detect_front(pre, None, params, frame_index=2),
-                            reference.detect_front(pre, None, params,
-                                                   frame_index=2))
+            same_detections(detect_front(pre, None, params),
+                            reference.detect_front(pre, None, params))
 
 
 # Dense noise: large blobs of many pixels each, whose covariance bits
@@ -741,7 +740,6 @@ def test_detect_top_picks_wide_end():
     dets = detect_top(img[::2, ::2], bg[::2, ::2], DetectParams(n_fish=1))
     assert dets
     best = dets[0]
-    assert best.view == "top"
     assert best.candidates == (best.head,)
     assert abs(best.head[1] - 100) < 10
     # nearer the wide end than the tail
@@ -774,14 +772,14 @@ def test_detect_front_blobs():
     img, bg = make_front_scene()
     dets = detect_front(img[::2, ::2], bg[::2, ::2], DetectParams(n_fish=2))
     assert len(dets) == 2
-    centers = sorted(d.centroid for d in dets)
+    centers = sorted(d.head for d in dets)  # a blob's head is its centroid
     assert abs(centers[0][0] - 50) < 6 and abs(centers[0][1] - 60) < 6
     assert abs(centers[1][0] - 140) < 6 and abs(centers[1][1] - 120) < 6
     for d in dets:
         assert len(d.candidates) == 3
         # wider than tall: proxies sit left and right of the centroid
         xs = sorted(c[0] for c in d.candidates)
-        assert xs[0] < d.centroid[0] < xs[2]
+        assert xs[0] < d.head[0] < xs[2]
         assert d.cov is not None and d.cov[0, 0] > d.cov[1, 1]
         assert d.bbox is not None
 
@@ -802,11 +800,9 @@ def test_detect_front_area_filter_and_cap():
 
 def test_ingest_external_detections(tmp_path):
     rows = {
-        "top": {0: [Detection(frame=0, view="top", head=(1.0, 1.0),
-                              candidates=((1.0, 1.0),),
+        "top": {0: [Detection(head=(1.0, 1.0), candidates=((1.0, 1.0),),
                               bbox=(10.0, 20.0, 4.0, 6.0), confidence=99.0),
-                    Detection(frame=0, view="top", head=(2.0, 2.0),
-                              candidates=((2.0, 2.0),),
+                    Detection(head=(2.0, 2.0), candidates=((2.0, 2.0),),
                               bbox=(0.0, 0.0, 2.0, 2.0), confidence=10.0)]},
         "front": {},
     }
@@ -821,11 +817,27 @@ def test_ingest_external_detections(tmp_path):
 
 def test_ingest_requires_bbox(tmp_path):
     rows = {
-        "top": {0: [Detection(frame=0, view="top", head=(1.0, 1.0),
-                              candidates=((1.0, 1.0),), confidence=99.0)]},
+        "top": {0: [Detection(head=(1.0, 1.0), candidates=((1.0, 1.0),),
+                              confidence=99.0)]},
         "front": {},
     }
     path = tmp_path / "detections.csv"
     write_detections_csv(path, rows, {})
-    with pytest.raises(DetectError, match=str(path)):
+    with pytest.raises(FormatError) as e:
         ingest_external_detections(path)
+    assert str(e.value) == f"{path}:3: field 'bbox_x' must be a number, got ''"
+
+
+def test_ingest_reports_the_earliest_bad_line(tmp_path):
+    # Line 4 has no confidence, and line 900, in a later block of rows, a
+    # bad x: the error names line 4, as a row-by-row reader would.
+    rows = [f"{f},top,1.0,1.0,0.0,0.0,2.0,2.0,99.0,,,,,," for f in range(899)]
+    rows[2] = "2,top,1.0,1.0,0.0,0.0,2.0,2.0,,,,,,,"
+    rows[898] = "898,top,abc,1.0,0.0,0.0,2.0,2.0,99.0,,,,,,"
+    path = tmp_path / "detections.csv"
+    path.write_text("frame,view,x,y,bbox_x,bbox_y,bbox_w,bbox_h,confidence,"
+                    "c1x,c1y,c2x,c2y,c3x,c3y\n" + "\n".join(rows) + "\n")
+    with pytest.raises(FormatError) as e:
+        ingest_external_detections(path)
+    assert str(e.value) == (
+        f"{path}:4: field 'confidence' must be a number, got ''")

@@ -13,7 +13,6 @@ from stereomot.formats import (
     FormatError,
     _cells,
     _write_columns,
-    group_detections,
     read_annotations_csv,
     read_detections_csv,
     read_meta,
@@ -33,21 +32,20 @@ from stereomot.formats import (
 UGLY = 0.1 + 0.2  # 0.30000000000000004, must survive a round trip
 
 
-def det(frame, view, head, **kw):
+def det(head, **kw):
     kw.setdefault("candidates", (head,))
-    return Detection(frame=frame, view=view, head=head, **kw)
+    return Detection(head=head, **kw)
 
 
 def test_detections_roundtrip(tmp_path):
     path = tmp_path / "dets.csv"
-    d1 = det(0, "top", (UGLY, 2.0), candidates=((UGLY, 2.0), (9.5, 1.25)),
+    d1 = det((UGLY, 2.0), candidates=((UGLY, 2.0), (9.5, 1.25)),
              bbox=(1.0, 2.0, 3.0, 4.0), confidence=97.5)
-    d2 = det(0, "front", (5.0, 6.0))  # no bbox, no confidence
-    d3 = det(3, "top", (7.0, 8.0), confidence=100.0)
+    d2 = det((5.0, 6.0))  # no bbox, no confidence
+    d3 = det((7.0, 8.0), confidence=100.0)
     write_detections_csv(path, {"top": {0: [d1], 3: [d3]}, "front": {0: [d2]}},
                          meta={"seed": 42})
-    rows = read_detections_csv(path)
-    grouped = group_detections(rows)
+    grouped = read_detections_csv(path)
     r1 = grouped["top"][0][0]
     assert r1.head == (UGLY, 2.0)
     assert r1.candidates == ((UGLY, 2.0), (9.5, 1.25))
@@ -65,13 +63,10 @@ def test_detections_roundtrip(tmp_path):
 def test_tracklets_roundtrip(tmp_path):
     path = tmp_path / "tracklets.csv"
     a = Tracklet2D(id=4, view="front")
-    a.append(2, det(2, "front", (1.5, UGLY), centroid=(1.5, UGLY),
-                    cov=np.array([[2.0, 0.5], [0.5, 1.0]])))
-    a.append(5, det(5, "front", (2.5, 3.5), centroid=(2.5, 3.5),
-                    cov=np.array([[1.0, 0.0], [0.0, 1.0]])))
+    a.append(2, det((1.5, UGLY), cov=np.array([[2.0, 0.5], [0.5, 1.0]])))
+    a.append(5, det((2.5, 3.5), cov=np.array([[1.0, 0.0], [0.0, 1.0]])))
     b = Tracklet2D(id=0, view="top")
-    b.append(0, det(0, "top", (10.0, 20.0), candidates=((10.0, 20.0),
-                                                        (11.0, 21.0))))
+    b.append(0, det((10.0, 20.0), candidates=((10.0, 20.0), (11.0, 21.0))))
     write_tracklets_csv(path, [a, b])
     out = read_tracklets_csv(path)
     assert [(t.view, t.id) for t in out] == [("front", 4), ("top", 0)]
@@ -347,6 +342,32 @@ def test_annotations_report_the_earliest_line(tmp_path, lines, line, message):
     assert str(e.value) == f"{path}:{line}: {message}"
 
 
+def test_an_unallocatable_n_frames_is_refused_before_any_row(tmp_path):
+    # The count is refused at line 1 from the size of a one-fish
+    # GroundTruth alone: no row is read, so line 4's bad frame is not the
+    # one reported, and nothing of that size is allocated.
+    path = tmp_path / "annotations.csv"
+    path.write_text("\n".join([
+        "# fps: 60.0", "# n_frames: 1000000000000000", ANNOTATIONS_HEADER,
+        ANNOTATION.format(f=-1, head="1.0")]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as e:
+            read_annotations_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(e.value) == (
+        f"{path}:1: '# n_frames: 1000000000000000' is too large to allocate")
+    assert peak < 1 << 20
+
+    # A 12 000-frame recording is well within the limit.
+    path.write_text("\n".join([
+        "# fps: 60.0", "# n_frames: 12000", ANNOTATIONS_HEADER,
+        ANNOTATION.format(f=11999, head="1.0")]))
+    assert read_annotations_csv(path).n_frames == 12000
+
+
 def test_a_line_names_its_first_bad_field_in_header_order(tmp_path):
     path = tmp_path / "detections.csv"
     path.write_text("frame,view,x,y,bbox_x,bbox_y,bbox_w,bbox_h,confidence,"
@@ -387,5 +408,8 @@ def test_readers_hold_one_block_of_text(tmp_path):
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        if name == "detections.csv":  # view -> frame -> detections
+            out = [d for frames in out.values() for ds in frames.values()
+                   for d in ds]
         assert len(out) in (20_000, 40), name  # rows, or tracklets
         assert peak - kept <= 4 * path.stat().st_size, name

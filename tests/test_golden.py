@@ -8,19 +8,43 @@ import json
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stereomot import cli
 from stereomot.cli import main
 from stereomot.config import PipelineConfig
 from stereomot.crossview import build_graph
-from stereomot.formats import read_tracklets_csv
+from stereomot.formats import (read_pgm, read_tracklets3d_csv,
+                               read_tracklets_csv, read_tracks_csv)
 from stereomot.geometry import load_calibration
 
 DATA = Path(__file__).parent / "data"
 PIPELINE = json.loads((DATA / "pipeline_sha256.json").read_text())
 DETECT_FRAMES = json.loads((DATA / "detect_frames_sha256.json").read_text())
 EVALUATE_2D = json.loads((DATA / "evaluate_2d_sha256.json").read_text())
+
+
+def assert_outputs_agree(out: Path) -> None:
+    """The pipeline's outputs agree across files: each 3D tracklet point
+    has both source ids; each source id names a 2D tracklet of its view
+    with a row at that frame; and each track point is, bit for bit, a 3D
+    tracklet point of its frame."""
+    rows = {(t.view, t.id): t.detections.keys()
+            for t in read_tracklets_csv(out / "tracklets.csv")}
+    tracklets3d = read_tracklets3d_csv(out / "tracklets3d.csv")
+    for t in tracklets3d:
+        for f in t.points:
+            assert None not in t.sources.get(f, (None,)), (t.id, f)
+        for f, ids in t.sources.items():
+            for view, tid in zip(("top", "front"), ids):
+                assert tid is None or f in rows.get((view, tid), ()), (
+                    t.id, f, view, tid)
+    points = {(f, p.tobytes()) for t in tracklets3d
+              for f, p in t.points.items()}
+    for track in read_tracks_csv(out / "tracks.csv"):
+        for f, p in track.points.items():
+            assert (f, p.tobytes()) in points, (track.fish_id, f)
 
 
 def test_defaults_text_is_unchanged(capsys):
@@ -37,6 +61,7 @@ def test_pipeline_outputs_are_unchanged(name, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["pipeline", "--config", str(cfg_path),
                  "--out-dir", str(out)]) == 0
+    assert_outputs_agree(out)
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in sorted(out.iterdir())}
     assert got == case["sha256"]
@@ -142,17 +167,21 @@ def test_detect_frames_detects_each_frame_once(name, golden_frames, tmp_path,
                                                monkeypatch):
     # Sampled and unsampled frames alike reach the detector through
     # `cli.detect_top` / `cli.detect_front`, on the background's grid: one
-    # call per frame file and view.
+    # call per frame file and view. A call's frame is the file whose pixels,
+    # on the grid, are its grid.
     cfg_path, frames = golden_frames[name]
+    d = PipelineConfig.from_file(cfg_path).get("detect.downsample")
+    grids = {p.name: read_pgm(p)[::d, ::d] for p in frames.iterdir()}
     calls = Counter()
     for view in ("top", "front"):
         detector = getattr(cli, f"detect_{view}")
 
-        def counted(grid, bg, params, frame_index, _view=view,
-                    _detector=detector):
+        def counted(grid, bg, params, _view=view, _detector=detector):
             assert grid.shape == bg.shape
-            calls.update([f"{_view}_{frame_index:06d}.pgm"])
-            return _detector(grid, bg, params, frame_index=frame_index)
+            calls.update(name for name, pixels in grids.items()
+                         if name.startswith(_view)
+                         and np.array_equal(pixels, grid))
+            return _detector(grid, bg, params)
 
         monkeypatch.setattr(cli, f"detect_{view}", counted)
     assert main(["detect", "--config", str(cfg_path), "--out-dir",

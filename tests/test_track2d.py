@@ -1,6 +1,5 @@
 import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,10 +11,9 @@ from stereomot.track2d import (EUCLIDEAN_HEAD, MAHALANOBIS_CENTROID,
                                _box_cov, gate_matrix, hungarian, mahalanobis)
 
 
-def det(frame, x, y, view="top", cov=None, centroid=None):
+def det(x, y, cov=None):
     head = (float(x), float(y))
-    return Detection(frame=frame, view=view, head=head, candidates=(head,),
-                     centroid=centroid or head, cov=cov)
+    return Detection(head=head, candidates=(head,), cov=cov)
 
 
 def brute_force_assignment(cost):
@@ -77,7 +75,7 @@ def test_params_validation():
 
 
 def test_single_object_single_tracklet():
-    frames = {f: [det(f, 10 + f, 20)] for f in range(30)}
+    frames = {f: [det(10 + f, 20)] for f in range(30)}
     out = build_tracklets(frames, Track2DParams(), view="top")
     assert len(out) == 1
     assert out[0].frames == list(range(30))
@@ -85,18 +83,18 @@ def test_single_object_single_tracklet():
 
 
 def test_gate_splits_tracklets():
-    frames = {0: [det(0, 10, 10)], 1: [det(1, 10 + 14.9, 10)],
-              2: [det(2, 10 + 14.9 + 15.1, 10)]}
+    frames = {0: [det(10, 10)], 1: [det(10 + 14.9, 10)],
+              2: [det(10 + 14.9 + 15.1, 10)]}
     out = build_tracklets(frames, Track2DParams(), view="top")
     assert [t.frames for t in out] == [[0, 1], [2]]
 
 
 def test_idle_timeout_boundary():
     # gap of exactly tau_k frames rejoins, one more terminates
-    frames = {0: [det(0, 10, 10)], 10: [det(10, 11, 10)]}
+    frames = {0: [det(10, 10)], 10: [det(11, 10)]}
     out = build_tracklets(frames, Track2DParams(tau_k=10), view="top")
     assert len(out) == 1
-    frames = {0: [det(0, 10, 10)], 11: [det(11, 11, 10)]}
+    frames = {0: [det(10, 10)], 11: [det(11, 10)]}
     out = build_tracklets(frames, Track2DParams(tau_k=10), view="top")
     assert len(out) == 2
 
@@ -104,7 +102,7 @@ def test_idle_timeout_boundary():
 def test_two_objects_stay_separated():
     frames = {}
     for f in range(40):
-        frames[f] = [det(f, 50 + f, 100), det(f, 50 + f, 300)]
+        frames[f] = [det(50 + f, 100), det(50 + f, 300)]
     out = build_tracklets(frames, Track2DParams(), view="top")
     assert len(out) == 2
     ys = sorted({d.head[1] for t in out for d in t.detections.values()})
@@ -115,7 +113,7 @@ def test_two_objects_stay_separated():
 
 
 def test_new_tracklets_in_input_order():
-    frames = {0: [det(0, 10, 10), det(0, 200, 200), det(0, 400, 400)]}
+    frames = {0: [det(10, 10), det(200, 200), det(400, 400)]}
     out = build_tracklets(frames, Track2DParams(), view="top")
     assert [t.detections[0].head[0] for t in out] == [10.0, 200.0, 400.0]
     assert [t.id for t in out] == [0, 1, 2]
@@ -124,35 +122,34 @@ def test_new_tracklets_in_input_order():
 def test_mahalanobis_mode_direction_sensitive():
     cov = np.array([[100.0, 0.0], [0.0, 1.0]])
     params = Track2DParams(front_mode="mahalanobis-centroid", delta_front=0.5)
-    along = {0: [det(0, 10, 10, view="front", cov=cov)],
-             1: [det(1, 14, 10, view="front", cov=cov)]}
+    along = {0: [det(10, 10, cov=cov)],
+             1: [det(14, 10, cov=cov)]}
     assert len(build_tracklets(along, params, view="front")) == 1
-    across = {0: [det(0, 10, 10, view="front", cov=cov)],
-              1: [det(1, 10, 14, view="front", cov=cov)]}
+    across = {0: [det(10, 10, cov=cov)],
+              1: [det(10, 14, cov=cov)]}
     assert len(build_tracklets(across, params, view="front")) == 2
 
 
 def test_mahalanobis_mode_uses_box_surrogate():
     params = Track2DParams(front_mode="mahalanobis-centroid")
-    boxed = Detection(frame=0, view="front", head=(5.0, 6.0),
-                      candidates=((5.0, 6.0),), bbox=(0.0, 0.0, 6.0, 12.0))
+    boxed = Detection(head=(5.0, 6.0), candidates=((5.0, 6.0),),
+                      bbox=(0.0, 0.0, 6.0, 12.0))
     (t,) = build_tracklets({0: [boxed]}, params, view="front")
     d = t.detections[0]
     assert np.array_equal(d.cov, np.diag([3.0, 12.0]))
-    assert d.centroid == (5.0, 6.0)
-    (t,) = build_tracklets({0: [replace(boxed, view="top")]}, params,
-                           view="top")
+    assert d.head == (5.0, 6.0)
+    (t,) = build_tracklets({0: [boxed]}, params, view="top")
     assert t.detections[0].cov is None  # euclidean-head mode leaves it
 
 
 def test_tracklet_append_monotonic():
     t = Tracklet2D(id=0, view="top")
-    t.append(3, det(3, 1, 1))
+    t.append(3, det(1, 1))
     with pytest.raises(ValueError):
-        t.append(3, det(3, 2, 2))
+        t.append(3, det(2, 2))
     with pytest.raises(ValueError):
-        t.append(1, det(1, 2, 2))
-    t.append(5, det(5, 2, 2))
+        t.append(1, det(2, 2))
+    t.append(5, det(2, 2))
     assert t.first_frame == 3
     assert t.last_frame == 5
     assert t.last_detection.head == (2.0, 2.0)
@@ -165,7 +162,7 @@ def test_tracklet_append_monotonic():
     min_size=1, max_size=25))
 def test_partition_invariants(frames_spec):
     frames = {
-        f: [det(f, x, y) for (x, y) in dets]
+        f: [det(x, y) for (x, y) in dets]
         for f, dets in enumerate(frames_spec)}
     params = Track2DParams(tau_k=3)
     out = build_tracklets(frames, params, view="top")
@@ -201,12 +198,10 @@ def scalar_distance(det, last, mode) -> float:
     if mode == EUCLIDEAN_HEAD:
         return math.hypot(det.head[0] - last.head[0],
                           det.head[1] - last.head[1])
-    point = det.centroid if det.centroid is not None else det.head
-    center = last.centroid if last.centroid is not None else last.head
     cov = last.cov if last.cov is not None else det.cov
     if cov is None:
         cov = np.eye(2)
-    return scalar_mahalanobis(point, center, cov)
+    return scalar_mahalanobis(det.head, last.head, cov)
 
 
 coords = st.floats(0.0, 800.0, allow_nan=False)
@@ -215,9 +210,9 @@ point = st.tuples(coords, coords)
 
 @st.composite
 def gate_detection(draw):
-    """A detection as build_tracklets sees it: a head, maybe a centroid, and
-    a blob covariance, a box (whose surrogate may be singular: zero width
-    or height) or neither."""
+    """A detection as build_tracklets sees it: a head, and a blob
+    covariance, a box (whose surrogate may be singular: zero width or
+    height) or neither."""
     head = draw(point)
     kind = draw(st.sampled_from(["none", "box", "blob"]))
     cov = bbox = None
@@ -229,9 +224,7 @@ def gate_detection(draw):
         c = draw(st.floats(0.5, 400.0))
         b = draw(st.floats(-0.9, 0.9)) * math.sqrt(a * c)
         cov = np.array([[a, b], [b, c]])
-    centroid = draw(st.one_of(st.none(), point))
-    det = Detection(frame=0, view="front", head=head, candidates=(head,),
-                    centroid=centroid, cov=cov, bbox=bbox)
+    det = Detection(head=head, candidates=(head,), cov=cov, bbox=bbox)
     return _box_cov(det)
 
 
@@ -251,13 +244,11 @@ def test_gate_matrix_covers_singular_and_missing_covariances():
     # Zero-width and zero-height boxes give singular surrogates; a last
     # detection without any covariance falls back to the new detection's,
     # then to the identity.
-    flat = _box_cov(Detection(frame=0, view="front", head=(5.0, 6.0),
-                              candidates=((5.0, 6.0),),
+    flat = _box_cov(Detection(head=(5.0, 6.0), candidates=((5.0, 6.0),),
                               bbox=(0.0, 0.0, 0.0, 12.0)))
-    thin = _box_cov(Detection(frame=0, view="front", head=(7.0, 2.0),
-                              candidates=((7.0, 2.0),),
+    thin = _box_cov(Detection(head=(7.0, 2.0), candidates=((7.0, 2.0),),
                               bbox=(0.0, 0.0, 9.0, 0.0)))
-    bare = det(0, 3.0, 4.0, view="front")
+    bare = det(3.0, 4.0)
     assert np.linalg.eigvalsh(flat.cov)[0] < 1e-12
     dets, lasts = [flat, thin, bare], [bare, flat, thin]
     want = np.array([[scalar_distance(d, t, MAHALANOBIS_CENTROID)
