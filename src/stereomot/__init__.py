@@ -11,15 +11,14 @@ __version__ = "0.1.0"
 from .geometry import (CameraModel, StereoRig, TankBounds, default_rig,
                        in_tank, load_calibration, project_batch,
                        save_calibration, triangulate_batch)
-from .detect import (DetectError, Detection, DetectParams, detect_front,
+from .detect import (DetectError, DetectionTable, DetectParams, detect_front,
                      detect_top, estimate_background,
                      ingest_external_detections)
 from .track2d import (Track2DParams, Tracklet2D, build_tracklets, hungarian,
                       mahalanobis)
 from .crossview import (AssocParams, AssociationGraph, NodeCandidate,
                         Tracklet3D, build_graph, edge_weight,
-                        extract_3d_tracklets, extract_paths,
-                        frame_intersection, node_weight)
+                        extract_3d_tracklets, extract_paths, node_weight)
 from .track3d import (StitchParams, Track3D, assignment_cost, associate,
                       gallery_rank, select_initial)
 from .metrics import (ComplexityReport, EvalReport, GroundTruth, clear_mot,
@@ -35,13 +34,13 @@ __all__ = [
     "CameraModel", "StereoRig", "TankBounds", "default_rig", "in_tank",
     "load_calibration", "project_batch", "save_calibration",
     "triangulate_batch",
-    "DetectError", "Detection", "DetectParams", "detect_front", "detect_top",
+    "DetectError", "DetectionTable", "DetectParams", "detect_front", "detect_top",
     "estimate_background", "ingest_external_detections",
     "Track2DParams", "Tracklet2D", "build_tracklets", "hungarian",
     "mahalanobis",
     "AssocParams", "AssociationGraph", "NodeCandidate",
     "Tracklet3D", "build_graph", "edge_weight", "extract_3d_tracklets",
-    "extract_paths", "frame_intersection", "node_weight",
+    "extract_paths", "node_weight",
     "StitchParams", "Track3D", "assignment_cost", "associate",
     "gallery_rank", "select_initial",
     "ComplexityReport", "EvalReport", "GroundTruth", "clear_mot",

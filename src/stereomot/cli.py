@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import ConfigError, PipelineConfig, describe_defaults
 from .crossview import build_graph, extract_3d_tracklets
-from .detect import (DetectError, Detection, detect_front, detect_top,
+from .detect import (DetectError, DetectionTable, detect_front, detect_top,
                      estimate_background, ingest_external_detections)
 from .formats import (FormatError, format_complexity_table,
                       format_report_table, read_annotations_csv,
@@ -94,7 +94,7 @@ def stage_detect_frames(cfg: PipelineConfig, frames_dir: Path,
                         out: Path) -> None:
     params = cfg.detect_params()
     d = params.downsample
-    dets: dict[str, dict[int, list[Detection]]] = {}
+    dets = {}
     for view in VIEWS:
         numbers, paths = _frame_paths(frames_dir, view)
         n_bg = min(params.n_bg, len(paths))
@@ -111,11 +111,11 @@ def stage_detect_frames(cfg: PipelineConfig, frames_dir: Path,
         bg = estimate_background(stack)
         rows = dict(zip(sample.tolist(), stack))
         detector = detect_top if view == "top" else detect_front
-        dets[view] = {
-            f: detector(rows[i] if i in rows
-                        else _read_frame(paths[i], first.shape)[::d, ::d],
-                        bg, params)
-            for i, f in enumerate(numbers)}
+        dets[view] = DetectionTable.concat([
+            detector(rows[i] if i in rows
+                     else _read_frame(paths[i], first.shape)[::d, ::d],
+                     bg, params)
+            for i in range(len(numbers))], frames=numbers)
     write_detections_csv(out / "detections.csv", dets, _meta(cfg))
 
 
@@ -163,8 +163,7 @@ def stage_evaluate(cfg: PipelineConfig, annotations_path: Path, out: Path,
     if tracklets_path is not None:
         if view not in VIEWS:
             raise ConfigError("2D evaluation needs --view top|front")
-        pred = {t.id: {f: np.asarray(d.head, dtype=float)
-                       for f, d in t.detections.items()}
+        pred = {t.id: dict(zip(t.frames.tolist(), t.detections.head))
                 for t in read_tracklets_csv(tracklets_path) if t.view == view}
         gate = cfg.get("eval.dist_2d")
     else:

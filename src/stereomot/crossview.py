@@ -31,10 +31,6 @@ class AssocParams:
             raise ValueError("AssocParams values must be positive")
 
 
-def frame_intersection(top: Tracklet2D, front: Tracklet2D) -> list[int]:
-    return sorted(top.detections.keys() & front.detections)
-
-
 @dataclass
 class NodeCandidate:
     """Stereo evidence for one (top, front) tracklet pairing."""
@@ -67,34 +63,31 @@ def node_weight(top: Tracklet2D, front: Tracklet2D, rig: StereoRig,
     candidate and the lowest-reprojection-error candidate wins (first wins
     ties). W = median(V) * |V| / |F_top U F_front| over in-tank frames.
     """
-    common = frame_intersection(top, front)
-    if not common:
+    common, at_top, at_front = np.intersect1d(
+        top.frames, front.frames, assume_unique=True, return_indices=True)
+    if not len(common):
         return None
-    tops, fronts, counts = [], [], []
-    for f in common:
-        cands = front.detections[f].candidates
-        tops.extend([top.detections[f].head] * len(cands))
-        fronts.extend(cands)
-        counts.append(len(cands))
-    pts, errs = triangulate_batch(np.asarray(tops, dtype=float),
-                                  np.asarray(fronts, dtype=float),
-                                  rig.top, rig.front)
+    # Each shared frame's top head against its present front candidates,
+    # which come first in a row: one contiguous slice of rows per frame.
+    cands = front.detections.cands[at_front]
+    present = ~np.isnan(cands[..., 0])
+    counts = present.sum(axis=1)
+    pts, errs = triangulate_batch(
+        np.repeat(top.detections.head[at_top], counts, axis=0),
+        cands[present], rig.top, rig.front)
 
-    # Each frame's candidates form one contiguous slice of the rows. Pad
-    # the slices with inf to one row per frame; argmin keeps the first of
-    # equal errors.
-    counts = np.array(counts)
-    slots = np.arange(counts.max()) < counts[:, None]
-    padded = np.full(slots.shape, np.inf)
-    padded[slots] = errs
+    # Pad the slices with inf to one row per frame; argmin keeps the first
+    # of equal errors.
+    padded = np.full(present.shape, np.inf)
+    padded[present] = errs
     best = np.cumsum(counts) - counts + padded.argmin(axis=1)
     inside = np.isfinite(errs[best]) & in_tank(pts[best], tank)
     if not inside.any():
         return None
     best = best[inside]
-    points = dict(zip(np.array(common)[inside].tolist(), pts[best]))
+    points = dict(zip(common[inside].tolist(), pts[best]))
     weights = [math.exp(-params.lambda_err * e) for e in errs[best].tolist()]
-    union = len(top.detections.keys() | front.detections)
+    union = len(top.frames) + len(front.frames) - len(common)
     w = float(np.median(weights)) * len(weights) / union
     return NodeCandidate(top=top, front=front, points=points, weight=w)
 
@@ -251,13 +244,16 @@ def extract_3d_tracklets(graph: AssociationGraph) -> list[Tracklet3D]:
         tracklet = Tracklet3D(id=tid)
         for nid in path:
             node = graph.nodes[nid]
-            for f in sorted(node.top.detections.keys() | node.front.detections):
+            tops, fronts = node.top.frames, node.front.frames
+            frames = np.union1d(tops, fronts)
+            for f, in_top, in_front in zip(frames.tolist(),
+                                           np.isin(frames, tops).tolist(),
+                                           np.isin(frames, fronts).tolist()):
                 if f in node.points and f not in tracklet.points:
                     tracklet.points[f] = node.points[f]
                     tracklet.sources[f] = node.node_id
                 elif f not in tracklet.sources:
-                    tracklet.sources[f] = (
-                        node.top.id if f in node.top.detections else None,
-                        node.front.id if f in node.front.detections else None)
+                    tracklet.sources[f] = (node.top.id if in_top else None,
+                                           node.front.id if in_front else None)
         out.append(tracklet)
     return out

@@ -14,7 +14,7 @@ The detectors take frames on the detection grid, `frame[::downsample,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -31,16 +31,68 @@ class DetectError(ValueError):
     """Raised for invalid detector inputs or an unreachable threshold."""
 
 
-@dataclass
-class Detection:
-    """One 2D observation: a head point plus optional blob statistics. Its
-    frame and view are the keys it is kept under."""
+@dataclass(eq=False)
+class DetectionTable:
+    """One view's detections as columns, a row per detection: `frame`
+    (n,) int64, and in pixels `head` (n, 2), `cands` (n, 3, 2), `cov`
+    (n, 2, 2), `bbox` (n, 4) and `confidence` (n,). NaN is a blank, in
+    the optional columns only: `cands` holds a row's head candidates
+    first and NaN pairs after them, and `cov`, `bbox` and `confidence`
+    are NaN where a detection has none. Rows are sorted by frame, in
+    producer or file order within a frame."""
 
-    head: tuple[float, float]
-    candidates: tuple[tuple[float, float], ...]
-    cov: np.ndarray | None = None
-    bbox: tuple[float, float, float, float] | None = None
-    confidence: float | None = None
+    frame: np.ndarray
+    head: np.ndarray
+    cands: np.ndarray
+    cov: np.ndarray
+    bbox: np.ndarray
+    confidence: np.ndarray
+
+    @classmethod
+    def of(cls, head, frame=0, cands=None, cov=None, bbox=None,
+           confidence=None) -> DetectionTable:
+        """The rows `head`, with each other column broadcast to them: the
+        head alone as `cands` unless they are given (up to 3 a row), and
+        the rest blank unless given."""
+        head = np.array(head, dtype=float).reshape(-1, 2)
+        n = len(head)
+
+        def column(values, *shape):
+            out = np.full((n, *shape), np.nan)
+            if values is not None and n:  # into the leading slots
+                out[(slice(None), *map(slice, np.shape(values)[1:]))] = values
+            return out
+
+        return cls(np.array(np.broadcast_to(frame, n), dtype=np.int64), head,
+                   column(head[:, None] if cands is None else cands, 3, 2),
+                   column(cov, 2, 2), column(bbox, 4), column(confidence))
+
+    @classmethod
+    def concat(cls, tables, frames=None) -> DetectionTable:
+        """The rows of `tables` in order; with `frames`, each table's rows
+        take its frame number."""
+        out = cls(*map(np.concatenate, zip(*(
+            vars(t).values() for t in (cls.of(()), *tables)))))
+        if frames is not None:
+            out.frame = np.repeat(np.array(frames, dtype=np.int64),
+                                  [len(t) for t in tables])
+        return out
+
+    def __len__(self) -> int:
+        return len(self.frame)
+
+    def __getitem__(self, rows) -> DetectionTable:
+        """The rows `rows` (a slice, index array or mask) of every column."""
+        return DetectionTable(*(c[rows] for c in vars(self).values()))
+
+    def runs(self, key=None):
+        """(value, start, stop) of each run of rows with one value of
+        `key`, one value per row: by default each frame's rows."""
+        key = self.frame if key is None else key
+        cut = np.flatnonzero(key[1:] != key[:-1]) + 1
+        starts = np.r_[0, cut] if len(key) else cut
+        return zip(key[starts].tolist(), starts.tolist(),
+                   [*cut.tolist(), len(key)])
 
 
 @dataclass(frozen=True)
@@ -485,13 +537,14 @@ def _select_head_keypoints(kps: list[Keypoint]) -> list[Keypoint]:
 
 
 def detect_top(grid: np.ndarray, bg: np.ndarray,
-               params: DetectParams = DetectParams()) -> list[Detection]:
-    """Skeleton-keypoint head detector for the top view. `grid` is the
-    frame on the detection grid, `frame[::downsample, ::downsample]`, and
-    `bg` the background on the same grid."""
+               params: DetectParams = DetectParams()) -> DetectionTable:
+    """Skeleton-keypoint head detector for the top view, giving one
+    frame's rows (frame 0). `grid` is the frame on the detection grid,
+    `frame[::downsample, ::downsample]`, and `bg` the background on the
+    same grid."""
     fg = _foreground(grid, bg, intermodes_threshold)
     if fg is None:
-        return []
+        return DetectionTable.of(())
     # On the foreground's bounding box: all outside it is background joined
     # to the image edge, so a hole reaches the box's edge iff the image's.
     box = _bbox(fg)
@@ -501,25 +554,21 @@ def detect_top(grid: np.ndarray, bg: np.ndarray,
     skel[box] = skeletonize(mask[box])
     keypoints = skeleton_keypoints(skel, mask, params)
     if not keypoints:
-        return []
+        return DetectionTable.of(())
     labels, _ = ndimage.label(skel[box] > 0, structure=_BOX8)
     by_comp: dict[int, list[Keypoint]] = {}
     for kp in keypoints:
         comp = int(labels[kp.point[1] - box[0].start, kp.point[0] - box[1].start])
         by_comp.setdefault(comp, []).append(kp)
-    f = params.downsample
-    out = []
-    for comp in sorted(by_comp):
-        for kp in _select_head_keypoints(by_comp[comp]):
-            head = (float(kp.point[0] * f), float(kp.point[1] * f))
-            out.append(Detection(head=head, candidates=(head,)))
-    return out
+    heads = [kp.point for comp in sorted(by_comp)
+             for kp in _select_head_keypoints(by_comp[comp])]
+    return DetectionTable.of(np.multiply(heads, params.downsample))
 
 
 def detect_front(grid: np.ndarray, bg: np.ndarray,
-                 params: DetectParams = DetectParams()) -> list[Detection]:
-    """Entropy-threshold blob detector for the front view, on the grid as
-    for `detect_top`.
+                 params: DetectParams = DetectParams()) -> DetectionTable:
+    """Entropy-threshold blob detector for the front view, on the grid and
+    for one frame as `detect_top`.
 
     Emits up to 2*n_fish blobs (largest first, minimum area applied), each
     with centroid, pixel covariance, and two edge proxy points. A stable
@@ -528,10 +577,8 @@ def detect_front(grid: np.ndarray, bg: np.ndarray,
     """
     mask = _foreground(grid, bg, entropy_threshold)
     if mask is None:
-        return []
+        return DetectionTable.of(())
     labels, n = ndimage.label(mask, structure=_BOX8)
-    if n == 0:
-        return []
     pixels = np.flatnonzero(mask)
     label_of = labels.ravel()[pixels]
     counts = np.bincount(label_of)  # areas; counts[0] is 0
@@ -539,12 +586,12 @@ def detect_front(grid: np.ndarray, bg: np.ndarray,
     pixels = pixels[np.argsort(label_of, kind="stable")]
     order = sorted(range(1, n + 1), key=lambda lbl: (-counts[lbl], lbl))
     f = params.downsample
-    out = []
+    heads, cands, covs, boxes = [], [], [], []
     for lbl in order:
         area = int(counts[lbl])
         if area < params.min_blob_area:
             continue
-        if len(out) >= 2 * params.n_fish:
+        if len(heads) >= 2 * params.n_fish:
             break
         ys, xs = np.divmod(pixels[ends[lbl - 1]:ends[lbl]], mask.shape[1])
         mean_x = float(xs.mean())
@@ -558,35 +605,26 @@ def detect_front(grid: np.ndarray, bg: np.ndarray,
         else:
             proxies = ((mean_x, min_y), (mean_x, max_y))
         cov = np.cov(np.stack([xs.astype(float), ys.astype(float)]), bias=True)
-        centroid = (mean_x * f, mean_y * f)
-        out.append(Detection(
-            head=centroid,
-            candidates=(centroid,
-                        (proxies[0][0] * f, proxies[0][1] * f),
-                        (proxies[1][0] * f, proxies[1][1] * f)),
-            cov=cov * (f * f),
-            bbox=(min_x * f, min_y * f, w_px * f, h_px * f),
-        ))
-    return out
+        heads.append((mean_x * f, mean_y * f))
+        cands.append((heads[-1], *((x * f, y * f) for x, y in proxies)))
+        covs.append(cov * (f * f))
+        boxes.append((min_x * f, min_y * f, w_px * f, h_px * f))
+    return DetectionTable.of(heads, cands=cands, cov=covs, bbox=boxes)
 
 
 def ingest_external_detections(path, min_confidence: float = 95.0,
-                               ) -> dict[str, dict[int, list[Detection]]]:
+                               ) -> dict[str, DetectionTable]:
     """Read a detection CSV, keep rows with confidence >= min_confidence,
     and reduce each box to its center point. Every row needs its box and
     its confidence: a blank one is a FormatError at its line, the earliest
-    bad line of the file being the one reported. Returns view -> frame ->
-    [Detection], in file order within a frame: the shape every detection
-    producer returns."""
+    bad line of the file being the one reported. Returns view -> table, in
+    file order within a frame: the shape every detection producer
+    returns."""
     from .formats import _EXTERNAL_DETECTIONS, _read_detections
 
     out = _read_detections(path, _EXTERNAL_DETECTIONS)
-    for frames in out.values():
-        for f, dets in frames.items():
-            frames[f] = []
-            for d in dets:
-                if d.confidence >= min_confidence:
-                    bx, by, bw, bh = d.bbox
-                    head = (bx + bw / 2.0, by + bh / 2.0)
-                    frames[f].append(replace(d, head=head, candidates=(head,)))
+    for view, table in out.items():
+        table = out[view] = table[table.confidence >= min_confidence]
+        table.head = table.bbox[:, :2] + table.bbox[:, 2:] / 2.0
+        table.cands = DetectionTable.of(table.head).cands
     return out

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import __version__
 from .crossview import Tracklet3D
-from .detect import Detection
+from .detect import DetectionTable
 from .geometry import VIEWS
 from .metrics import EvalReport, GroundTruth
 from .track2d import Tracklet2D
@@ -74,31 +74,52 @@ def _cell_text(kind):
 
 
 def _cells(values) -> list[str]:
-    """One column's cells. Each type in the column picks its formatter
-    once, so a column of one type is formatted by one map(). Only str can
-    write a character csv.writer quotes, and such a cell is refused."""
+    """One column's cells. An array's floats are repr of the Python float,
+    blank where NaN. In a list, each type picks its formatter once, so a
+    column of one type is formatted by one map()."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
+        if values.dtype.kind != "f":
+            return list(map(int.__repr__, values.tolist()))
+        cells = list(map(float.__repr__, values.tolist()))
+        for i in np.flatnonzero(np.isnan(values)).tolist():
+            cells[i] = ""
+        return cells
+    values = list(values)
     text = {kind: _cell_text(kind) for kind in set(map(type, values))}
     if len(text) == 1:
-        cells = list(map(next(iter(text.values())), values))
-    else:
-        cells = [text[type(v)](v) for v in values]
-    if str in text.values() and not _QUOTED.isdisjoint("".join(cells)):
+        return list(map(next(iter(text.values())), values))
+    return [text[type(v)](v) for v in values]
+
+
+def _refuse_quoting(values) -> None:
+    """Refuse a column with a cell csv.writer would quote; only str
+    writes one."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
+        return
+    kinds = {k for k in set(map(type, values)) if _cell_text(k) is str}
+    cells = [str(v) for v in values if type(v) in kinds] if kinds else ()
+    if not _QUOTED.isdisjoint("".join(cells)):
         cell = next(c for c in cells if not _QUOTED.isdisjoint(c))
         raise FormatError(f"cell {cell!r} would need csv quoting")
-    return cells
 
 
-def _write_columns(path, header, columns, meta: dict | None = None) -> None:
-    """Write the comment lines, the header and one row per index of the
-    equally long value lists in `columns`."""
+def _write_columns(path, header, parts, meta: dict | None = None) -> None:
+    """Write the comment lines, the header and the rows of each part in
+    turn: a part is a list of equally long columns, one per header key,
+    formatted 512 rows at a time. A refused cell leaves no file."""
     meta = dict(meta or {})
     meta.setdefault("generator", f"stereomot {__version__}")
-    cells = list(map(_cells, columns))  # a refused cell leaves no file
+    for columns in parts:
+        for values in columns:
+            _refuse_quoting(values)
     with open(path, "w", newline="") as fh:
         for k, v in meta.items():
             fh.write(f"# {k}: {v}\n")
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(",".join(row) + "\r\n" for row in zip(*cells))
+        for columns in parts:
+            for i in range(0, len(columns[0]), _BLOCK):
+                cells = [_cells(c[i:i + _BLOCK]) for c in columns]
+                fh.writelines(",".join(row) + "\r\n" for row in zip(*cells))
 
 
 def read_text(path) -> str:
@@ -312,70 +333,77 @@ def _array(block: dict, keys) -> np.ndarray:
         -1, len(keys))
 
 
-def _cand_columns(dets: list[Detection]) -> list[list]:
-    """The c1x..c3y columns: each detection's first three head candidates,
-    blank where it has fewer."""
-    cands = [d.candidates for d in dets]
-    return [[c[k][i] if len(c) > k else None for c in cands]
-            for k in range(3) for i in range(2)]
-
-
 def _fields(items: list, keys) -> list[list]:
     """A column of item[key] per key; blank where an item is None."""
     return [[None if x is None else x[k] for x in items] for k in keys]
 
 
-def _candidates(heads: list, cells: list[list]) -> list[tuple]:
-    """Each row's head candidates from its c1x..c3y values, the pairs with
-    both values present, or its head alone when it has none."""
-    slots = [(cx, cy) for cx, cy in zip(cells[::2], cells[1::2])
-             if cx.count(None) < len(cx) and cy.count(None) < len(cy)]
-    if not slots:
-        return [(h,) for h in heads]
-    rows = list(zip(*(zip(cx, cy) for cx, cy in slots)))
-    if all(None not in cx and None not in cy for cx, cy in slots):
-        return rows
-    return [tuple(c for c in row if None not in c) or (h,)
-            for h, row in zip(heads, rows)]
+def _blank_partial(values: np.ndarray) -> np.ndarray:
+    """(rows, ...) values with each row that has a blank blank throughout."""
+    values[np.isnan(values).any(axis=tuple(range(1, values.ndim)))] = np.nan
+    return values
+
+
+def _candidates(c: dict, head: np.ndarray) -> np.ndarray:
+    """(rows, 3, 2) head candidates of the block's c1x..c3y columns: a
+    row's pairs with both values present, first, then blank pairs; its
+    head alone when it has none."""
+    cands = _array(c, _CANDIDATES).reshape(-1, 3, 2)
+    present = ~np.isnan(cands).any(axis=2)
+    order = np.argsort(~present, axis=1, kind="stable")
+    cands = np.take_along_axis(cands, order[..., None], axis=1)
+    cands[~np.take_along_axis(present, order, axis=1)] = np.nan
+    none = ~present.any(axis=1)
+    cands[none, 0] = head[none]
+    return cands
 
 
 # ---------------------------------------------------------------------------
 # detections
 
 
-def write_detections_csv(path, detections: dict[str, dict[int, list[Detection]]],
+def write_detections_csv(path, detections: dict[str, DetectionTable],
                          meta: dict | None = None) -> None:
-    lists = [(view, f, detections[view][f]) for view in VIEWS
-             for f in sorted(detections.get(view, {}))]
-    dets = [det for _, _, ds in lists for det in ds]
     _write_columns(path, _DETECTIONS, [
-        [f for _, f, ds in lists for _ in ds],
-        [view for view, _, ds in lists for _ in ds],
-        [d.head[0] for d in dets], [d.head[1] for d in dets],
-        *_fields([d.bbox for d in dets], range(4)),
-        [d.confidence for d in dets],
-        *_cand_columns(dets)], meta)
+        [t.frame, [view] * len(t), *t.head.T, *t.bbox.T, t.confidence,
+         *t.cands.reshape(-1, 6).T]
+        for view, t in ((v, detections[v]) for v in VIEWS if v in detections)
+    ], meta)
+
+
+def _join(blocks: list, *keys: list) -> tuple:
+    """The blocks as one table, with their key columns, sorted stably by
+    each key in turn and then by frame. The blocks give up their columns
+    one at a time, each once it is joined, and rows already in that order
+    are not copied again. A file has at least one block."""
+    keys = [np.concatenate(k) for k in keys]
+    order = np.lexsort([np.concatenate([b.frame for b in blocks]),
+                        *keys[::-1]])
+    if not (np.diff(order) != 1).any():
+        order = slice(None)
+    columns = [np.concatenate([vars(b).pop(name) for b in blocks])[order]
+               for name in [*vars(blocks[0])]]
+    return DetectionTable(*columns), *(k[order] for k in keys)
 
 
 def _read_detections(path, columns: dict[str, _Kind]
-                     ) -> dict[str, dict[int, list[Detection]]]:
-    """view -> frame -> [Detection] in file order, read against `columns`."""
-    out: dict[str, dict[int, list[Detection]]] = {v: {} for v in VIEWS}
+                     ) -> dict[str, DetectionTable]:
+    """view -> table, sorted by frame and in file order within a frame,
+    read against `columns`."""
+    blocks, front = [], []
     for c in _Table(path, columns):
-        heads = list(zip(c["x"], c["y"]))
-        cands = _candidates(heads, [c[k] for k in _CANDIDATES])
-        boxes = (None if None in b else b
-                 for b in zip(*(c[k] for k in _BOX)))
-        # Detection's fields in order: head, candidates, cov, bbox,
-        # confidence.
-        dets = map(Detection, heads, cands, repeat(None), boxes,
-                   c["confidence"])
-        for view, f, det in zip(c["view"], c["frame"], dets):
-            out[view].setdefault(f, []).append(det)
-    return out
+        head = _array(c, "xy")
+        blocks.append(DetectionTable.of(
+            head, frame=c["frame"], cands=_candidates(c, head),
+            bbox=_blank_partial(_array(c, _BOX)),
+            confidence=_array(c, ("confidence",))[:, 0]))
+        front.append(np.array(c["view"], dtype=str) == "front")
+    table, front = _join(blocks, front)  # the top view's rows first
+    n = len(front) - np.count_nonzero(front)
+    return {"top": table[:n], "front": table[n:]}
 
 
-def read_detections_csv(path) -> dict[str, dict[int, list[Detection]]]:
+def read_detections_csv(path) -> dict[str, DetectionTable]:
     return _read_detections(path, _DETECTIONS)
 
 
@@ -386,34 +414,38 @@ def read_detections_csv(path) -> dict[str, dict[int, list[Detection]]]:
 def write_tracklets_csv(path, tracklets: list[Tracklet2D],
                         meta: dict | None = None) -> None:
     order = sorted(tracklets, key=lambda t: (t.view, t.id))
-    dets = [d for t in order for d in t.detections.values()]
     _write_columns(path, _TRACKLETS, [
-        [t.id for t in order for _ in t.detections],
-        [t.view for t in order for _ in t.detections],
-        [f for t in order for f in t.detections],
-        [d.head[0] for d in dets], [d.head[1] for d in dets],
-        *_cand_columns(dets),
-        *_fields([d.cov for d in dets], ((0, 0), (0, 1), (1, 1)))], meta)
+        [[t.id] * len(t.frames), [t.view] * len(t.frames), t.frames,
+         *d.head.T, *d.cands.reshape(-1, 6).T, d.cov[:, 0, 0], d.cov[:, 0, 1],
+         d.cov[:, 1, 1]] for t, d in ((t, t.detections) for t in order)],
+        meta)
 
 
 def read_tracklets_csv(path) -> list[Tracklet2D]:
     t = _Table(path, _TRACKLETS)
-    tracklets: dict[tuple, dict] = {}  # (view, id) -> frame -> Detection
+    seen: dict[tuple, dict] = {}  # (view, id) -> frame -> None
+    blocks, top, ids = [], [], []
     for c in t:
-        views, frames = c["view"], c["frame"]
-        heads = list(zip(c["x"], c["y"]))
-        covs = _array(c, ("covxx", "covxy", "covxy", "covyy"))
-        covs = covs.reshape(-1, 2, 2)
-        full = (~np.isnan(covs).any(axis=(1, 2))).tolist()  # NaN where blank
-        # Fields in order: head, candidates, cov.
-        dets = map(Detection, heads,
-                   _candidates(heads, [c[k] for k in _CANDIDATES]),
-                   [covs[i] if f else None for i, f in enumerate(full)])
-        t.add(tracklets, zip(zip(views, c["tracklet_id"]), frames, dets),
+        t.add(seen, zip(zip(c["view"], c["tracklet_id"]), c["frame"],
+                        repeat(None)),
               lambda key, f: f"duplicate row for {key[0]} tracklet {key[1]} "
                              f"at frame {f}")
-    return [Tracklet2D(id=tid, view=view, detections=dict(sorted(dets.items())))
-            for (view, tid), dets in sorted(tracklets.items())]
+        head = _array(c, "xy")
+        cov = _array(c, ("covxx", "covxy", "covxy", "covyy"))
+        blocks.append(DetectionTable.of(
+            head, frame=c["frame"], cands=_candidates(c, head),
+            cov=_blank_partial(cov.reshape(-1, 2, 2))))
+        top.append(np.array(c["view"], dtype=str) == "top")
+        ids.append(np.array(c["tracklet_id"], dtype=np.int64))
+    del seen
+    # Tracklets in (view, id) order, "front" first; each one's rows are
+    # contiguous, frames ascending.
+    table, top, ids = _join(blocks, top, ids)
+    n = len(top) - np.count_nonzero(top)
+    return [Tracklet2D(id=tid, view=view, detections=rows[a:b])
+            for view, rows, key in (("front", table[:n], ids[:n]),
+                                    ("top", table[n:], ids[n:]))
+            for tid, a, b in rows.runs(key)]
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +456,10 @@ def write_tracklets3d_csv(path, tracklets: list[Tracklet3D],
                           meta: dict | None = None) -> None:
     rows = [(t, f) for t in sorted(tracklets, key=lambda t: t.id)
             for f in t.frames]
-    _write_columns(path, _TRACKLETS3D, [
+    _write_columns(path, _TRACKLETS3D, [[
         [t.id for t, _ in rows], [f for _, f in rows],
         *_fields([t.points.get(f) for t, f in rows], range(3)),
-        *_fields([t.sources.get(f) for t, f in rows], range(2))], meta)
+        *_fields([t.sources.get(f) for t, f in rows], range(2))]], meta)
 
 
 def read_tracklets3d_csv(path) -> list[Tracklet3D]:
@@ -458,9 +490,9 @@ def write_tracks_csv(path, tracks: list[Track3D],
     # Rows by frame, then by fish id (stable for equal ids).
     order = sorted(tracks, key=lambda t: t.fish_id)
     keys = sorted((f, k) for k, t in enumerate(order) for f in t.points)
-    _write_columns(path, _TRACKS, [
+    _write_columns(path, _TRACKS, [[
         [f for f, _ in keys], [order[k].fish_id for _, k in keys],
-        *_fields([order[k].points[f] for f, k in keys], range(3))], meta)
+        *_fields([order[k].points[f] for f, k in keys], range(3))]], meta)
 
 
 def read_tracks_csv(path) -> list[Track3D]:
@@ -486,25 +518,10 @@ def write_annotations_csv(path, gt: GroundTruth,
     heads, boxes, occluded = (np.stack([field[view] for view in VIEWS], axis=2)
                               for field in (gt.heads, gt.boxes, gt.occluded))
     f, j, k = np.nonzero(~np.isnan(heads[..., 0]))
-    points = gt.points3d[f, j]
-    absent = np.isnan(points[:, 0]).tolist()
-    ids = gt.fish_ids
-    _write_columns(path, _ANNOTATIONS, [
-        f.tolist(), [ids[i] for i in j.tolist()],
-        [VIEWS[i] for i in k.tolist()], *boxes[f, j, k].T.tolist(),
-        *heads[f, j, k].T.tolist(), occluded[f, j, k].astype(int).tolist(),
-        *zip(*((None,) * 3 if a else p
-               for a, p in zip(absent, points.tolist())))], meta)
-
-
-def _frame_count(path) -> int:
-    """1 + the largest frame of the annotation rows that read: the frame
-    count of a file without a '# n_frames:' line."""
-    last = -1
-    with suppress(FormatError):
-        for c in _Table(path, _ANNOTATIONS):
-            last = max([last, *c["frame"]])
-    return last + 1
+    _write_columns(path, _ANNOTATIONS, [[
+        f, np.array(gt.fish_ids)[j], np.array(VIEWS)[k], *boxes[f, j, k].T,
+        *heads[f, j, k].T, occluded[f, j, k].astype(int),
+        *gt.points3d[f, j].T]], meta)  # a blank point is NaN
 
 
 def read_annotations_csv(path) -> GroundTruth:
@@ -515,26 +532,29 @@ def read_annotations_csv(path) -> GroundTruth:
     if fps <= 0:
         raise FormatError(
             f"{path}:1: '# fps:' must be positive, got {meta['fps']!r}")
+    one = GroundTruth(fps, 1, [0])  # one frame of one fish
+    limit = _MAX_GT_BYTES // sum(a.nbytes for a in (
+        one.points3d, *one.heads.values(), *one.boxes.values(),
+        *one.occluded.values()))  # the frames a one-fish GroundTruth may have
     n_frames = None
     if "n_frames" in meta:
         n_frames = _meta_number(path, meta, "n_frames", int)
         if n_frames < 0:
             raise FormatError(f"{path}:1: '# n_frames:' must be >= 0, "
                               f"got {n_frames}")
-        one = GroundTruth(fps, 1, [0])  # one frame of one fish
-        arrays = (one.points3d, *one.heads.values(), *one.boxes.values(),
-                  *one.occluded.values())
-        if n_frames * sum(a.nbytes for a in arrays) > _MAX_GT_BYTES:
+        if n_frames > limit:
             raise FormatError(f"{path}:1: '# n_frames: {n_frames}' is too "
                               f"large to allocate")
-    in_range = (0).__le__ if n_frames is None else range(n_frames).__contains__
+    # Without a '# n_frames:' line the largest row frame sets the count.
+    in_range = range(limit if n_frames is None else n_frames).__contains__
+    bound = (f"[0, n_frames = {n_frames})" if n_frames is not None else
+             f"[0, {limit}): too many frames to allocate")
     t = _Table(path, _ANNOTATIONS)
     parts, seen = [], {}  # seen: (view, fish id) -> frame -> None
     for c in t:
         frames = c["frame"]
-        t.expect(frames, in_range, lambda i: (
-            f"frame {frames[i]} outside [0, n_frames = "
-            f"{_frame_count(path) if n_frames is None else n_frames})"))
+        t.expect(frames, in_range,
+                 lambda i: f"frame {frames[i]} outside {bound}")
         t.add(seen, zip(zip(c["view"], c["fish_id"]), frames, repeat(None)),
               lambda key, f: f"duplicate row for fish {key[1]} in view "
                              f"{key[0]} at frame {f}")

@@ -9,11 +9,11 @@ Everything downstream of a seed is reproducible bit-for-bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detect import Detection
+from .detect import DetectionTable
 from .geometry import (VIEWS, CameraModel, StereoRig, TankBounds, default_rig,
                        project_batch)
 from .metrics import GroundTruth, pair_overlap
@@ -217,17 +217,15 @@ def render(seq: SyntheticSequence,
     return out[0], out[1]
 
 
-def perfect_detections(gt: GroundTruth) -> dict[str, dict[int, list[Detection]]]:
-    """Head detections copied straight from the ground truth (both views)."""
-    out: dict[str, dict[int, list[Detection]]] = {
-        view: {f: [] for f in range(gt.n_frames)} for view in VIEWS}
+def perfect_detections(gt: GroundTruth) -> dict[str, DetectionTable]:
+    """Head detections copied straight from the ground truth (both views),
+    by frame and then fish."""
+    out = {}
     for view in VIEWS:
-        heads, boxes = gt.heads[view].tolist(), gt.boxes[view].tolist()
-        for f, j in np.argwhere(~np.isnan(gt.heads[view][..., 0])).tolist():
-            head = tuple(heads[f][j])
-            out[view][f].append(Detection(
-                head=head, candidates=(head,), bbox=tuple(boxes[f][j]),
-                confidence=100.0))
+        f, j = np.nonzero(~np.isnan(gt.heads[view][..., 0]))
+        out[view] = DetectionTable.of(gt.heads[view][f, j], frame=f,
+                                      bbox=gt.boxes[view][f, j],
+                                      confidence=100.0)
     return out
 
 
@@ -244,34 +242,42 @@ class DegradeModel:
             raise ValueError("jitter_px and ghost_rate must be >= 0")
 
 
-def degrade(detections: dict[str, dict[int, list[Detection]]],
-            model: DegradeModel, seed: int,
-            image_size: tuple[int, int] = (800, 800)
-            ) -> dict[str, dict[int, list[Detection]]]:
+def degrade(detections: dict[str, DetectionTable], model: DegradeModel,
+            seed: int, image_size: tuple[int, int] = (800, 800)
+            ) -> dict[str, DetectionTable]:
     """Apply dropout, jitter, and ghost detections, in that order.
 
     One generator drives everything, drawing in (view, frame, detection)
-    order, so a given seed and model yield identical corruption.
+    order, so a given seed and model yield identical corruption. Each
+    frame of the input draws its ghosts, whether or not a row of it
+    survives, and they follow that frame's kept rows.
     """
     rng = np.random.default_rng([seed, 31337])
-    out: dict[str, dict[int, list[Detection]]] = {}
+    out = {}
     for view in VIEWS:
-        frames = detections.get(view, {})
-        out[view] = {}
-        for f in sorted(frames):
-            kept = []
-            for det in frames[f]:
+        table = detections.get(view, DetectionTable.of(()))
+        rows, frames, ghosts, shifts = [], [], [], []  # a ghost's row is -1
+        for f, a, b in table.runs():
+            for i in range(a, b):
                 if rng.random() < model.drop_rate:
                     continue
+                rows.append(i)
                 if model.jitter_px > 0:
-                    dx, dy = rng.normal(0.0, model.jitter_px, 2)
-                    head = (det.head[0] + dx, det.head[1] + dy)
-                    det = replace(det, head=head, candidates=(head,))
-                kept.append(det)
+                    shifts.append(rng.normal(0.0, model.jitter_px, 2))
             for _ in range(rng.poisson(model.ghost_rate)):
-                head = (float(rng.random() * image_size[0]),
-                        float(rng.random() * image_size[1]))
-                kept.append(Detection(head=head, candidates=(head,),
-                                      confidence=100.0))
-            out[view][f] = kept
+                rows.append(-1)
+                ghosts.append((float(rng.random() * image_size[0]),
+                               float(rng.random() * image_size[1])))
+            frames += [f] * (len(rows) - len(frames))
+        rows = np.array(rows, dtype=np.intp)
+        ghost = rows < 0
+        out[view] = new = table[rows]  # a copy, whose ghost rows are reset
+        new.frame = np.array(frames, dtype=np.int64)
+        new.head[ghost] = np.reshape(ghosts, (-1, 2))
+        if shifts:
+            new.head[~ghost] += shifts
+        alone = ghost | (model.jitter_px > 0)  # rows whose head is moved
+        new.cands[alone] = DetectionTable.of(new.head[alone]).cands
+        new.cov[ghost] = new.bbox[ghost] = np.nan
+        new.confidence[ghost] = 100.0
     return out

@@ -10,12 +10,12 @@ tau_k frames are terminated, yielding short, conservative fragments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .detect import Detection
+from .detect import DetectionTable
 
 # Forbidden pairs get this cost; the optimum is validated post-hoc so the
 # solver can never silently commit a gated pair.
@@ -74,74 +74,60 @@ class Track2DParams:
 
 @dataclass
 class Tracklet2D:
-    """One view's detections, as {frame: Detection} in ascending frame
-    order; its frames are the keys."""
+    """One view's 2D tracklet: its own rows of a detection table, frames
+    strictly ascending."""
 
     id: int
     view: str
-    detections: dict[int, Detection] = field(default_factory=dict)
+    detections: DetectionTable
 
     @property
-    def frames(self) -> list[int]:
-        return list(self.detections)
+    def frames(self) -> np.ndarray:
+        return self.detections.frame
 
     @property
     def first_frame(self) -> int:
-        return next(iter(self.detections))
+        return int(self.detections.frame[0])
 
     @property
     def last_frame(self) -> int:
-        return next(reversed(self.detections))
-
-    @property
-    def last_detection(self) -> Detection:
-        return self.detections[self.last_frame]
-
-    def append(self, frame: int, det: Detection) -> None:
-        if self.detections and frame <= self.last_frame:
-            raise ValueError("tracklet frames must strictly increase")
-        self.detections[frame] = det
+        return int(self.detections.frame[-1])
 
 
-def gate_matrix(dets: list[Detection], lasts: list[Detection],
-                mode: str) -> np.ndarray:
-    """(len(dets), len(lasts)) distances from each detection to each live
-    tracklet's last detection.
+def gate_matrix(table: DetectionTable, dets, lasts, mode: str) -> np.ndarray:
+    """(len(dets), len(lasts)) distances from each detection `dets` (a
+    slice of the table's rows) to each live tracklet's last detection
+    (`lasts`, row indices).
 
     Euclidean mode: head to head. Mahalanobis mode: the same, under the
     last detection's covariance, else the new detection's, else the
     identity.
     """
     if mode == EUCLIDEAN_HEAD:
-        return np.array([[math.hypot(d.head[0] - last.head[0],
-                                     d.head[1] - last.head[1])
-                          for last in lasts] for d in dets])
-    eye = np.eye(2)
-    points = np.array([d.head for d in dets], dtype=float)
-    centers = np.array([t.head for t in lasts], dtype=float)
-    own = np.array([eye if d.cov is None else d.cov for d in dets],
-                   dtype=float)
-    last = np.array([eye if t.cov is None else t.cov for t in lasts],
-                    dtype=float)
-    has_last = np.array([t.cov is not None for t in lasts])
-    cov = np.where(has_last[:, None, None], last, own[:, None])
-    return mahalanobis(points[:, None], centers, cov)
+        centers = table.head[lasts].tolist()
+        return np.array([[math.hypot(x - cx, y - cy) for cx, cy in centers]
+                         for x, y in table.head[dets].tolist()])
+    cov = np.where(np.isnan(table.cov[dets]), np.eye(2), table.cov[dets])
+    last = table.cov[lasts]
+    cov = np.where(np.isnan(last[:, :1, :1]), cov[:, None], last)
+    return mahalanobis(table.head[dets][:, None], table.head[lasts], cov)
 
 
-def _box_cov(det: Detection) -> Detection:
-    """Uniform-box surrogate covariance for a detection that has a box but
-    no blob statistics."""
-    if det.cov is not None or det.bbox is None:
-        return det
-    w, h = det.bbox[2], det.bbox[3]
-    return replace(det, cov=np.array([[w * w / 12.0, 0.0],
-                                      [0.0, h * h / 12.0]]))
+def _box_cov(table: DetectionTable) -> DetectionTable:
+    """The table with the uniform-box surrogate covariance diag(w^2/12,
+    h^2/12) on every row that has a box but no blob statistics."""
+    w, h = table.bbox[:, 2], table.bbox[:, 3]
+    zero = 0.0 * w  # blank where there is no box
+    box = np.stack([w * w / 12.0, zero, zero, h * h / 12.0], axis=1)
+    table = table[:]
+    table.cov = np.where(np.isnan(table.cov), box.reshape(-1, 2, 2), table.cov)
+    return table
 
 
-def build_tracklets(frames_dets: dict[int, list[Detection]],
-                    params: Track2DParams, view: str) -> list[Tracklet2D]:
-    """Build tracklets for one view from per-frame detection lists; their
-    ids count from 0 in the order the tracklets start.
+def build_tracklets(table: DetectionTable, params: Track2DParams,
+                    view: str) -> list[Tracklet2D]:
+    """Build tracklets for one view from its detection table; their ids
+    count from 0 in the order the tracklets start.
 
     Termination is strict: a tracklet may still receive a detection at
     frame f iff f - last_assigned_frame <= tau_k. In Mahalanobis mode a
@@ -150,32 +136,27 @@ def build_tracklets(frames_dets: dict[int, list[Detection]],
     """
     gate = params.gate(view)
     mode = params.mode(view)
-    next_id = 0
-    active: list[Tracklet2D] = []
-    done: list[Tracklet2D] = []
-    for f in sorted(frames_dets):
-        still = []
-        for t in active:
-            (still if f - t.last_frame <= params.tau_k else done).append(t)
-        active = still
-        dets = frames_dets[f]
-        if mode == MAHALANOBIS_CENTROID:
-            dets = [_box_cov(d) for d in dets]
-        assigned = [False] * len(dets)
-        if active and dets:
-            dist = gate_matrix(dets, [t.last_detection for t in active],
-                               mode)
+    if mode == MAHALANOBIS_CENTROID:
+        table = _box_cov(table)
+    rows: list[list[int]] = []  # each tracklet's rows, by id
+    last_frame: list[int] = []
+    active: list[int] = []  # ids of the live tracklets
+    for f, a, b in table.runs():
+        active = [k for k in active if f - last_frame[k] <= params.tau_k]
+        assigned = [False] * (b - a)
+        if active:
+            dist = gate_matrix(table, slice(a, b),
+                               [rows[k][-1] for k in active], mode)
             cost = np.where(dist <= gate, dist, GATE_SENTINEL)
             for i, j in hungarian(cost):
                 if cost[i, j] <= gate:
-                    active[j].append(f, dets[i])
+                    rows[active[j]].append(a + i)
+                    last_frame[active[j]] = f
                     assigned[i] = True
-        for i, det in enumerate(dets):
+        for i in range(b - a):
             if not assigned[i]:
-                t = Tracklet2D(id=next_id, view=view)
-                next_id += 1
-                t.append(f, det)
-                active.append(t)
-    done.extend(active)
-    done.sort(key=lambda t: t.id)
-    return done
+                active.append(len(rows))
+                rows.append([a + i])
+                last_frame.append(f)
+    return [Tracklet2D(id=k, view=view, detections=table[r])
+            for k, r in enumerate(rows)]

@@ -4,7 +4,9 @@ The scalar geometry below does one point or one pixel pair at a time, in
 the plain textbook form. The library only has the batched forms
 (`project_batch`, `triangulate_batch`); the gates check them against
 these. `graph_from_weights` builds an association graph from bare
-weights, for tests of path extraction on hand-made or random DAGs.
+weights, for tests of path extraction on hand-made or random DAGs;
+`tracklet` builds a 2D tracklet from its rows, and `same_table` compares
+two detection tables column by column.
 `skeletonize` and `kernel_response` are the whole-image forms of the
 detector's thinning and keypoint response: every pass of the thinning
 sums the neighbours of every pixel, and the response is a 5x5
@@ -36,7 +38,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.optimize import linear_sum_assignment
 
-from stereomot import (AssociationGraph, Detection, DetectParams,
+from stereomot import (AssociationGraph, DetectionTable, DetectParams,
                        NodeCandidate, Tracklet2D, detect)
 from stereomot.geometry import PARALLEL_TOL, CameraModel
 from stereomot.metrics import ClearMot, _gt_positions, occlusion_events
@@ -96,13 +98,29 @@ def triangulate(p_top, p_front, cam_top: CameraModel, cam_front: CameraModel):
     return point, float(err)
 
 
+def tracklet(tid: int, view: str, frames, heads=None, **columns) -> Tracklet2D:
+    """A 2D tracklet with a row per frame of `frames`: head (0, 0) unless
+    `heads` are given, and the other columns as `DetectionTable.of` takes
+    them."""
+    if heads is None:
+        heads = np.zeros((len(frames), 2))
+    return Tracklet2D(id=tid, view=view, detections=DetectionTable.of(
+        heads, frame=list(frames), **columns))
+
+
+def same_table(a: DetectionTable, b: DetectionTable) -> bool:
+    """Equal detection tables: every column, NaN equal to NaN."""
+    return all(x.shape == y.shape and np.array_equal(x, y, equal_nan=True)
+               for x, y in zip(vars(a).values(), vars(b).values()))
+
+
 def graph_from_weights(node_weights: dict,
                        edge_weights: dict) -> AssociationGraph:
     """A graph whose node `nid` has weight `node_weights[nid]` and 2D
     tracklets of its own, so removing a path removes only its nodes.
     `edge_weights` maps (src, dst) to a weight; it must form a DAG."""
-    nodes = {nid: NodeCandidate(top=Tracklet2D(id=nid, view="top"),
-                                front=Tracklet2D(id=nid, view="front"),
+    nodes = {nid: NodeCandidate(top=tracklet(nid, "top", []),
+                                front=tracklet(nid, "front", []),
                                 points={}, weight=float(w))
              for nid, w in node_weights.items()}
     return AssociationGraph(nodes=nodes, edges=dict(edge_weights))
@@ -282,19 +300,18 @@ def detect_top(grid, bg, params: DetectParams = DetectParams()) -> list:
     try:
         t = detect.intermodes_threshold(np.bincount(pre.ravel(), minlength=256))
     except detect.DetectError:
-        return []
+        return DetectionTable.of(())
     mask = fill_holes(pre > t)
     skel = skeletonize(mask)
     labels, _ = ndimage.label(skel > 0, structure=np.ones((3, 3), dtype=int))
     by_comp: dict = {}
     for kp in skeleton_keypoints(skel, mask, params):
         by_comp.setdefault(int(labels[kp.point[1], kp.point[0]]), []).append(kp)
-    out = []
+    heads = []
     for comp in sorted(by_comp):
         for kp in detect._select_head_keypoints(by_comp[comp]):
-            head = (float(kp.point[0] * f), float(kp.point[1] * f))
-            out.append(Detection(head=head, candidates=(head,)))
-    return out
+            heads.append((float(kp.point[0] * f), float(kp.point[1] * f)))
+    return DetectionTable.of(heads)
 
 
 def detect_front(grid, bg, params: DetectParams = DetectParams()) -> list:
@@ -305,7 +322,7 @@ def detect_front(grid, bg, params: DetectParams = DetectParams()) -> list:
     try:
         t = detect.entropy_threshold(np.bincount(pre.ravel(), minlength=256))
     except detect.DetectError:
-        return []
+        return DetectionTable.of(())
     mask = pre > t
     labels, n = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
     counts = np.bincount(labels[mask], minlength=n + 1)
@@ -330,12 +347,14 @@ def detect_front(grid, bg, params: DetectParams = DetectParams()) -> list:
             proxies = ((mean_x, min_y), (mean_x, max_y))
         cov = np.cov(np.stack([xs.astype(float), ys.astype(float)]), bias=True)
         centroid = (mean_x * f, mean_y * f)
-        out.append(Detection(
-            head=centroid,
-            candidates=(centroid,) + tuple((x * f, y * f) for x, y in proxies),
-            cov=cov * (f * f),
-            bbox=(min_x * f, min_y * f, w_px * f, h_px * f)))
-    return out
+        out.append((centroid,
+                    (centroid,) + tuple((x * f, y * f) for x, y in proxies),
+                    cov * (f * f),
+                    (min_x * f, min_y * f, w_px * f, h_px * f)))
+    if not out:
+        return DetectionTable.of(())
+    heads, cands, covs, boxes = zip(*out)
+    return DetectionTable.of(heads, cands=cands, cov=covs, bbox=boxes)
 
 
 @dataclass

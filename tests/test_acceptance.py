@@ -14,22 +14,19 @@ import math
 import statistics
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
 
-from reference import graph_from_weights, project, triangulate
+from reference import graph_from_weights, project, tracklet, triangulate
 from stereomot import (
     AssocParams,
     DegradeModel,
-    Detection,
     GroundTruth,
     NodeCandidate,
     SimConfig,
     StitchParams,
     Track2DParams,
-    Tracklet2D,
     annotate,
     associate,
     build_graph,
@@ -72,7 +69,6 @@ from stereomot.geometry import (
     triangulate_batch,
 )
 from stereomot.metrics import ViewComplexity
-from stereomot.track2d import MAHALANOBIS_CENTROID
 
 
 @contextmanager
@@ -249,30 +245,36 @@ def random_projected_pair(rng, rig):
     a1 = a0 + int(rng.integers(15, 35))
     b0 = int(rng.integers(a0, a1 - 5))
     b1 = b0 + int(rng.integers(10, 35))
-    top = Tracklet2D(id=0, view="top")
-    for f in range(a0, min(a1, 60)):
-        uv = project(path[f], rig.top)
-        top.append(f, Detection(head=uv, candidates=(uv,)))
-    front = Tracklet2D(id=1, view="front")
-    for f in range(b0, min(b1, 60)):
+    top_frames = range(a0, min(a1, 60))
+    top = tracklet(0, "top", top_frames,
+                   [project(path[f], rig.top) for f in top_frames])
+    front_frames = range(b0, min(b1, 60))
+    heads, cands = [], []
+    for f in front_frames:
         uv = project(path[f], rig.front)
-        cands = [uv]
+        row = [uv]
         for _ in range(int(rng.integers(0, 3))):
             du = float(rng.choice([-1, 1]) * rng.uniform(25, 80))
-            cands.append((uv[0] + du, uv[1] + float(rng.uniform(-8, 8))))
-        rng.shuffle(cands)
-        front.append(f, Detection(head=tuple(cands[0]),
-                                  candidates=tuple(tuple(c) for c in cands)))
+            row.append((uv[0] + du, uv[1] + float(rng.uniform(-8, 8))))
+        rng.shuffle(row)
+        heads.append(row[0])
+        cands.append(row)
+    front = tracklet(1, "front", front_frames, heads,
+                     cands=[c + [(math.nan, math.nan)] * (3 - len(c))
+                            for c in cands])
     return top, front
 
 
 def scratch_node_weight(top, front, rig, tank, params):
     vals = []
-    for f in sorted(set(top.frames) & set(front.frames)):
+    heads = dict(zip(top.frames.tolist(), top.detections.head.tolist()))
+    cands = dict(zip(front.frames.tolist(), front.detections.cands.tolist()))
+    for f in sorted(heads.keys() & cands):
         best = None
-        for cand in front.detections[f].candidates:
-            p, e = triangulate(top.detections[f].head, cand,
-                               rig.top, rig.front)
+        for cand in cands[f]:
+            if math.isnan(cand[0]):  # a blank candidate slot
+                continue
+            p, e = triangulate(heads[f], cand, rig.top, rig.front)
             if best is None or e < best[1]:
                 best = (p, e)
         if not math.isfinite(best[1]):
@@ -281,7 +283,7 @@ def scratch_node_weight(top, front, rig, tank, params):
             vals.append(math.exp(-params.lambda_err * best[1]))
     if not vals:
         return None
-    union = len(set(top.frames) | set(front.frames))
+    union = len(heads.keys() | cands)
     return statistics.median(vals) * len(vals) / union
 
 
@@ -289,9 +291,8 @@ def synth_node(tid, fid, f0, f1, rng, weight):
     frames = list(range(f0, f1))
     pts = rng.uniform([2, 2, 2], [28, 28, 13], size=(len(frames), 3))
     return NodeCandidate(
-        top=Tracklet2D(id=tid, view="top", detections=dict.fromkeys(frames)),
-        front=Tracklet2D(id=fid, view="front",
-                         detections=dict.fromkeys(frames)),
+        top=tracklet(tid, "top", frames),
+        front=tracklet(fid, "front", frames),
         points={f: pts[k] for k, f in enumerate(frames)},
         weight=weight)
 
@@ -425,25 +426,11 @@ def test_criterion_08_clean_run_is_perfect(tmp_path):
 # ---------------------------------------------------------------------------
 # gate 9: tracking quality degrades monotonically with lost evidence
 
-def with_box_cov(items):
-    out = []
-    for d in items:
-        if d.cov is None and d.bbox is not None:
-            w, h = d.bbox[2], d.bbox[3]
-            out.append(replace(d, cov=np.diag([w * w / 12.0, h * h / 12.0])))
-        else:
-            out.append(d)
-    return out
-
-
 def library_pipeline_mota(gt, dets, rig, tank, n_fish, fps):
     params = Track2DParams()
     per_view = {}
     for view in ("top", "front"):
-        frames = dets.get(view, {})
-        if params.mode(view) == MAHALANOBIS_CENTROID:
-            frames = {f: with_box_cov(items) for f, items in frames.items()}
-        per_view[view] = build_tracklets(frames, params, view=view)
+        per_view[view] = build_tracklets(dets[view], params, view=view)
     graph = build_graph(per_view["top"], per_view["front"], rig, tank,
                         AssocParams(), fps=fps)
     tracks = associate(extract_3d_tracklets(graph), n_fish, StitchParams())

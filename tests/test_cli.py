@@ -94,7 +94,7 @@ def test_simulate_writes_outputs(tmp_path):
     gt = read_annotations_csv(out / "annotations.csv")
     assert gt.n_frames == 120 and gt.n_fish == 2
     dets = read_detections_csv(out / "detections.csv")
-    n_dets = sum(len(ds) for frames in dets.values() for ds in frames.values())
+    n_dets = sum(map(len, dets.values()))
     assert n_dets == 120 * 2 * 2  # frames x fish x views
     for view in ("top", "front"):
         for f in range(2):
@@ -207,24 +207,21 @@ def test_evaluate_refuses_view_with_tracks(tmp_path, capsys):
 
 
 def test_detect_external_roundtrip(tmp_path):
-    from stereomot.detect import Detection
+    from stereomot.detect import DetectionTable
 
     raw = tmp_path / "external.csv"
-    rows = {"top": {0: [Detection(head=(0.0, 0.0), candidates=((0.0, 0.0),),
-                                  bbox=(10.0, 20.0, 4.0, 6.0),
-                                  confidence=99.0),
-                        Detection(head=(0.0, 0.0), candidates=((0.0, 0.0),),
-                                  bbox=(50.0, 60.0, 4.0, 6.0),
-                                  confidence=10.0)]},
-            "front": {}}
+    rows = {"top": DetectionTable.of(
+        [(0.0, 0.0)] * 2, bbox=[(10.0, 20.0, 4.0, 6.0), (50.0, 60.0, 4.0, 6.0)],
+        confidence=[99.0, 10.0])}
     write_detections_csv(raw, rows)
     out = tmp_path / "ingested"
     assert main(["detect", "--external", str(raw),
                  "--out-dir", str(out)]) == 0
     kept = read_detections_csv(out / "detections.csv")
-    assert kept["front"] == {}
-    (det,) = kept["top"][0]  # low-confidence row filtered out
-    assert det.head == (12.0, 23.0)  # bbox center replaces the head
+    assert len(kept["front"]) == 0
+    # The low-confidence row is filtered out, and the bbox center replaces
+    # the head.
+    assert kept["top"].head.tolist() == [[12.0, 23.0]]
 
 
 def test_detect_frames_subcommand(tmp_path):
@@ -236,8 +233,7 @@ def test_detect_frames_subcommand(tmp_path):
     assert main(["detect", "--config", cfg, "--out-dir", str(det_out),
                  "--frames-dir", str(out / "frames")]) == 0
     found = read_detections_csv(det_out / "detections.csv")
-    by_view = {view: sum(map(len, frames.values()))
-               for view, frames in found.items()}
+    by_view = {view: len(table) for view, table in found.items()}
     assert by_view["top"] >= 25 and by_view["front"] >= 25
 
 
@@ -259,8 +255,8 @@ def test_detect_frames_numbers_frames_by_file_name(tmp_path, capsys):
 
     def rows(name):
         found = read_detections_csv(tmp_path / name / "detections.csv")
-        return [(f, view, d.head) for view, frames in found.items()
-                for f, dets in frames.items() for d in dets]
+        return [(f, view, tuple(head)) for view, t in found.items()
+                for f, head in zip(t.frame.tolist(), t.head.tolist())]
 
     full, gap = rows("all"), rows("gap")
     assert {(3, "top"), (6, "top")} <= {r[:2] for r in full}
@@ -491,7 +487,7 @@ def test_track2d_subcommand_builds_tracklets(tmp_path):
     assert {t.view for t in tracklets} == {"top", "front"}
     for t in tracklets:
         if t.view == "front":
-            assert t.detections[t.frames[0]].cov is not None
+            assert not np.isnan(t.detections.cov[0]).any()
 
 
 # For each file a reader refuses a bad value in: the subcommand that reads

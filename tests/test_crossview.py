@@ -4,16 +4,13 @@ import statistics
 import numpy as np
 import pytest
 
-from reference import graph_from_weights, project, triangulate
+from reference import graph_from_weights, project, tracklet, triangulate
 from stereomot import (
     AssocParams,
-    Detection,
-    Tracklet2D,
     build_graph,
     edge_weight,
     extract_3d_tracklets,
     extract_paths,
-    frame_intersection,
     node_weight,
 )
 from stereomot.crossview import NodeCandidate
@@ -28,21 +25,24 @@ def wave_path(f):
 
 def projected_tracklet(rig, tid, view, frames, path=wave_path, decoys=()):
     cam = rig.camera(view)
-    t = Tracklet2D(id=tid, view=view)
-    for f in frames:
-        uv = project(path(f), cam)
-        cands = tuple([uv] + [(uv[0] + dx, uv[1] + dy) for dx, dy in decoys])
-        t.append(f, Detection(head=uv, candidates=cands))
-    return t
+    heads = [project(path(f), cam) for f in frames]
+    cands = [[uv] + [(uv[0] + dx, uv[1] + dy) for dx, dy in decoys]
+             for uv in heads]
+    return tracklet(tid, view, frames, heads, cands=cands)
 
 
-def test_frame_intersection():
-    a = Tracklet2D(id=0, view="top", detections=dict.fromkeys(range(1, 11)))
-    b = Tracklet2D(id=1, view="front", detections=dict.fromkeys(range(5, 16)))
-    assert set(frame_intersection(a, b)) == set(range(5, 11))
-    c = Tracklet2D(id=2, view="front",
-                   detections=dict.fromkeys(range(20, 25)))
-    assert not set(frame_intersection(a, c))
+def test_node_weight_scores_only_shared_frames(rig, tank):
+    # Interleaved frames: the top view has the even frames of 0-40 and the
+    # front view every third frame of 0-60, so they share 0, 6, ..., 36.
+    top = projected_tracklet(rig, 0, "top", range(0, 41, 2))
+    front = projected_tracklet(rig, 1, "front", range(0, 61, 3))
+    node = node_weight(top, front, rig, tank)
+    assert sorted(node.points) == list(range(0, 37, 6))
+    for f, p in node.points.items():
+        assert np.linalg.norm(p - wave_path(f)) < 1e-8
+    assert node.weight == pytest.approx(7 / (21 + 21 - 7), abs=1e-9)
+    far = projected_tracklet(rig, 2, "front", range(41, 100, 2))
+    assert node_weight(top, far, rig, tank) is None
 
 
 def test_node_weight_partial_overlap(rig, tank):
@@ -89,11 +89,13 @@ def test_node_weight_matches_direct_formula(rig, tank, rng):
     node = node_weight(top, front, rig, tank, params)
     assert node is not None
 
+    heads = dict(zip(top.frames.tolist(), top.detections.head.tolist()))
+    cands = dict(zip(front.frames.tolist(), front.detections.cands.tolist()))
     weights = []
     for f in range(10, 30):
-        uv_t = top.detections[f].head
+        uv_t = heads[f]
         best = None
-        for cand in front.detections[f].candidates:
+        for cand in cands[f]:
             p, err = triangulate(uv_t, cand, rig.top, rig.front)
             if best is None or err < best[1]:
                 best = (p, err)
@@ -103,9 +105,8 @@ def test_node_weight_matches_direct_formula(rig, tank, rng):
 
 
 def make_node(top_id, front_id, frames, pts, weight):
-    top = Tracklet2D(id=top_id, view="top", detections=dict.fromkeys(frames))
-    front = Tracklet2D(id=front_id, view="front",
-                       detections=dict.fromkeys(frames))
+    top = tracklet(top_id, "top", frames)
+    front = tracklet(front_id, "front", frames)
     points = {f: np.asarray(p, dtype=float) for f, p in zip(frames, pts)}
     return NodeCandidate(top=top, front=front, points=points, weight=weight)
 
@@ -223,11 +224,9 @@ def test_extraction_removes_sharing_nodes(rig, tank):
     top = projected_tracklet(rig, 0, "top", range(0, 60))
     front_true = projected_tracklet(rig, 10, "front", range(0, 60))
     # same span but offset pixels: triangulates worse, shares the top tracklet
-    front_decoy = Tracklet2D(id=11, view="front")
-    for f in range(0, 60):
-        uv = project(wave_path(f), rig.front)
-        uv = (uv[0] + 6.0, uv[1])
-        front_decoy.append(f, Detection(head=uv, candidates=(uv,)))
+    front_decoy = tracklet(11, "front", range(0, 60), [
+        np.add(project(wave_path(f), rig.front), (6.0, 0.0))
+        for f in range(0, 60)])
     graph = build_graph([top], [front_true, front_decoy], rig, tank)
     assert set(graph.nodes) == {(0, 10), (0, 11)}
     tracklets = extract_3d_tracklets(graph)

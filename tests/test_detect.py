@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 import reference
-from stereomot import Detection, DetectParams, detect
+from stereomot import DetectionTable, DetectParams, detect
 from stereomot.detect import (
     _BG_ROWS,
     _COLUMN_SORT,
@@ -492,7 +491,7 @@ def check_top_crop(mask):
                        DetectParams(downsample=3, min_keypoint_weight=0.5)):
             found.clear()
             want = reference.detect_top(pre, None, params)
-            assert detect_top(pre, None, params) == want
+            assert reference.same_table(detect_top(pre, None, params), want)
             assert found == ([reference.skeleton_keypoints(skel, filled, params)]
                              if pre.min() < pre.max() else [])
 
@@ -515,8 +514,9 @@ def test_detect_top_on_scenes_equals_the_whole_grid():
     img, bg = make_top_scene()
     for params in (DetectParams(), DetectParams(downsample=1)):
         f = params.downsample
-        assert (detect_top(img[::f, ::f], bg[::f, ::f], params)
-                == reference.detect_top(img[::f, ::f], bg[::f, ::f], params))
+        assert reference.same_table(
+            detect_top(img[::f, ::f], bg[::f, ::f], params),
+            reference.detect_top(img[::f, ::f], bg[::f, ::f], params))
 
 
 @st.composite
@@ -579,15 +579,6 @@ def test_thresholds_on_the_median_equal_thresholding_at_length(pair):
     check_foreground(*pair)
 
 
-def same_detections(got, want):
-    """Equal lists of detections, their covariances compared as arrays."""
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert (a.cov is None) == (b.cov is None)
-        assert a.cov is None or np.array_equal(a.cov, b.cov)
-        assert replace(a, cov=None) == replace(b, cov=None)
-
-
 def check_front_blobs(mask):
     # As in check_top_crop: the foreground is the mask, and the reference
     # takes each blob's pixels from its find_objects box.
@@ -597,8 +588,9 @@ def check_front_blobs(mask):
         for params in (DetectParams(n_fish=1, min_blob_area=1),
                        DetectParams(n_fish=3, min_blob_area=2, downsample=1),
                        DetectParams(n_fish=2, min_blob_area=5, downsample=3)):
-            same_detections(detect_front(pre, None, params),
-                            reference.detect_front(pre, None, params))
+            assert reference.same_table(
+                detect_front(pre, None, params),
+                reference.detect_front(pre, None, params))
 
 
 # Dense noise: large blobs of many pixels each, whose covariance bits
@@ -625,9 +617,9 @@ def test_front_blobs_on_scenes_equal_the_find_objects_walk():
     img, bg = make_front_scene()
     for params in (DetectParams(n_fish=2), DetectParams(downsample=1)):
         f = params.downsample
-        same_detections(detect_front(img[::f, ::f], bg[::f, ::f], params),
-                        reference.detect_front(img[::f, ::f], bg[::f, ::f],
-                                               params))
+        assert reference.same_table(
+            detect_front(img[::f, ::f], bg[::f, ::f], params),
+            reference.detect_front(img[::f, ::f], bg[::f, ::f], params))
 
 
 HISTOGRAMS = [[], [0.0], [4.0], [0.0, 0.0], [2.0, 2.0, 2.0], [1.0, 3.0, 3.0, 1.0],
@@ -738,17 +730,18 @@ def make_top_scene():
 def test_detect_top_picks_wide_end():
     img, bg = make_top_scene()
     dets = detect_top(img[::2, ::2], bg[::2, ::2], DetectParams(n_fish=1))
-    assert dets
-    best = dets[0]
-    assert best.candidates == (best.head,)
-    assert abs(best.head[1] - 100) < 10
+    assert len(dets)
+    x, y = dets.head[0]
+    assert np.array_equal(dets.cands[0, 0], dets.head[0])  # the head alone
+    assert np.isnan(dets.cands[0, 1:]).all()
+    assert abs(y - 100) < 10
     # nearer the wide end than the tail
-    assert best.head[0] < 80
+    assert x < 80
 
 
 def test_detect_top_empty_when_blank():
     bg = np.full((64, 64), BG, dtype=np.uint8)
-    assert detect_top(bg[::2, ::2], bg[::2, ::2]) == []
+    assert len(detect_top(bg[::2, ::2], bg[::2, ::2])) == 0
 
 
 def test_detectors_refuse_a_full_size_frame_with_a_grid_background():
@@ -772,24 +765,24 @@ def test_detect_front_blobs():
     img, bg = make_front_scene()
     dets = detect_front(img[::2, ::2], bg[::2, ::2], DetectParams(n_fish=2))
     assert len(dets) == 2
-    centers = sorted(d.head for d in dets)  # a blob's head is its centroid
+    centers = sorted(dets.head.tolist())  # a blob's head is its centroid
     assert abs(centers[0][0] - 50) < 6 and abs(centers[0][1] - 60) < 6
     assert abs(centers[1][0] - 140) < 6 and abs(centers[1][1] - 120) < 6
-    for d in dets:
-        assert len(d.candidates) == 3
+    assert not np.isnan(dets.cands).any()  # three candidates each
+    assert not np.isnan(dets.bbox).any()
+    for head, cands, cov in zip(dets.head, dets.cands, dets.cov):
         # wider than tall: proxies sit left and right of the centroid
-        xs = sorted(c[0] for c in d.candidates)
-        assert xs[0] < d.head[0] < xs[2]
-        assert d.cov is not None and d.cov[0, 0] > d.cov[1, 1]
-        assert d.bbox is not None
+        xs = sorted(cands[:, 0])
+        assert xs[0] < head[0] < xs[2]
+        assert cov[0, 0] > cov[1, 1]
 
 
 def test_detect_front_area_filter_and_cap():
     img = np.full((200, 200), BG, dtype=np.uint8)
     bg = img.copy()
     paint_disk(img, 30, 30, 3, FISH)  # ~28 px at full res, <20 downsampled
-    assert detect_front(img[::2, ::2], bg[::2, ::2],
-                        DetectParams(n_fish=2)) == []
+    assert len(detect_front(img[::2, ::2], bg[::2, ::2],
+                            DetectParams(n_fish=2))) == 0
     img2 = np.full((300, 300), BG, dtype=np.uint8)
     for k in range(5):
         paint_disk(img2, 40 + 50 * k, 150, 14, FISH)
@@ -799,28 +792,23 @@ def test_detect_front_area_filter_and_cap():
 
 
 def test_ingest_external_detections(tmp_path):
-    rows = {
-        "top": {0: [Detection(head=(1.0, 1.0), candidates=((1.0, 1.0),),
-                              bbox=(10.0, 20.0, 4.0, 6.0), confidence=99.0),
-                    Detection(head=(2.0, 2.0), candidates=((2.0, 2.0),),
-                              bbox=(0.0, 0.0, 2.0, 2.0), confidence=10.0)]},
-        "front": {},
-    }
+    rows = {"top": DetectionTable.of(
+        [(1.0, 1.0), (2.0, 2.0)], bbox=[(10.0, 20.0, 4.0, 6.0),
+                                        (0.0, 0.0, 2.0, 2.0)],
+        confidence=[99.0, 10.0])}
     path = tmp_path / "detections.csv"
     write_detections_csv(path, rows, {"seed": 0})
     per_view = ingest_external_detections(path, min_confidence=95.0)
-    assert per_view["front"] == {} and list(per_view["top"]) == [0]
-    (det,) = per_view["top"][0]
-    assert det.head == (12.0, 23.0)  # box center replaces the stored head
-    assert det.confidence == 99.0
+    assert len(per_view["front"]) == 0
+    top = per_view["top"]
+    assert top.frame.tolist() == [0]
+    assert top.head.tolist() == [[12.0, 23.0]]  # box center replaces the head
+    assert top.cands[0].tolist()[0] == [12.0, 23.0]
+    assert top.confidence.tolist() == [99.0]
 
 
 def test_ingest_requires_bbox(tmp_path):
-    rows = {
-        "top": {0: [Detection(head=(1.0, 1.0), candidates=((1.0, 1.0),),
-                              confidence=99.0)]},
-        "front": {},
-    }
+    rows = {"top": DetectionTable.of([(1.0, 1.0)], confidence=99.0)}
     path = tmp_path / "detections.csv"
     write_detections_csv(path, rows, {})
     with pytest.raises(FormatError) as e:

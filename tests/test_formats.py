@@ -1,4 +1,5 @@
 import gc
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference
-from stereomot import GroundTruth, Track3D, Tracklet2D, Tracklet3D, __version__
-from stereomot.detect import Detection
+from reference import same_table, tracklet
+from stereomot import DetectionTable, GroundTruth, Track3D, Tracklet3D, __version__
 from stereomot.formats import (
     FormatError,
     _cells,
@@ -32,29 +33,21 @@ from stereomot.formats import (
 UGLY = 0.1 + 0.2  # 0.30000000000000004, must survive a round trip
 
 
-def det(head, **kw):
-    kw.setdefault("candidates", (head,))
-    return Detection(head=head, **kw)
-
-
 def test_detections_roundtrip(tmp_path):
     path = tmp_path / "dets.csv"
-    d1 = det((UGLY, 2.0), candidates=((UGLY, 2.0), (9.5, 1.25)),
-             bbox=(1.0, 2.0, 3.0, 4.0), confidence=97.5)
-    d2 = det((5.0, 6.0))  # no bbox, no confidence
-    d3 = det((7.0, 8.0), confidence=100.0)
-    write_detections_csv(path, {"top": {0: [d1], 3: [d3]}, "front": {0: [d2]}},
+    nan = math.nan
+    top = DetectionTable.of(
+        [(UGLY, 2.0), (7.0, 8.0)], frame=[0, 3],
+        cands=[[(UGLY, 2.0), (9.5, 1.25)], [(7.0, 8.0), (nan, nan)]],
+        bbox=[(1.0, 2.0, 3.0, 4.0), (nan,) * 4], confidence=[97.5, 100.0])
+    front = DetectionTable.of((5.0, 6.0))  # no bbox, no confidence
+    write_detections_csv(path, {"top": top, "front": front},
                          meta={"seed": 42})
-    grouped = read_detections_csv(path)
-    r1 = grouped["top"][0][0]
-    assert r1.head == (UGLY, 2.0)
-    assert r1.candidates == ((UGLY, 2.0), (9.5, 1.25))
-    assert r1.bbox == (1.0, 2.0, 3.0, 4.0)
-    assert r1.confidence == 97.5
-    r2 = grouped["front"][0][0]
-    assert r2.bbox is None
-    assert r2.confidence is None
-    assert grouped["top"][3][0].head == (7.0, 8.0)
+    got = read_detections_csv(path)
+    assert same_table(got["top"], top)
+    assert same_table(got["front"], front)
+    assert np.isnan(got["front"].bbox).all()
+    assert np.isnan(got["front"].confidence).all()
     meta = read_meta(path)
     assert meta["seed"] == "42"
     assert meta["generator"].startswith("stereomot ")
@@ -62,22 +55,17 @@ def test_detections_roundtrip(tmp_path):
 
 def test_tracklets_roundtrip(tmp_path):
     path = tmp_path / "tracklets.csv"
-    a = Tracklet2D(id=4, view="front")
-    a.append(2, det((1.5, UGLY), cov=np.array([[2.0, 0.5], [0.5, 1.0]])))
-    a.append(5, det((2.5, 3.5), cov=np.array([[1.0, 0.0], [0.0, 1.0]])))
-    b = Tracklet2D(id=0, view="top")
-    b.append(0, det((10.0, 20.0), candidates=((10.0, 20.0), (11.0, 21.0))))
+    a = tracklet(4, "front", [2, 5], [(1.5, UGLY), (2.5, 3.5)],
+                 cov=[[[2.0, 0.5], [0.5, 1.0]], [[1.0, 0.0], [0.0, 1.0]]])
+    b = tracklet(0, "top", [0], [(10.0, 20.0)],
+                 cands=[[(10.0, 20.0), (11.0, 21.0)]])
     write_tracklets_csv(path, [a, b])
     out = read_tracklets_csv(path)
     assert [(t.view, t.id) for t in out] == [("front", 4), ("top", 0)]
-    ra = next(t for t in out if t.id == 4)
-    assert ra.frames == [2, 5]
-    assert ra.detections[2].head == (1.5, UGLY)
-    assert np.array_equal(ra.detections[2].cov,
-                          np.array([[2.0, 0.5], [0.5, 1.0]]))
-    rb = next(t for t in out if t.id == 0)
-    assert rb.detections[0].candidates == ((10.0, 20.0), (11.0, 21.0))
-    assert rb.detections[0].cov is None
+    assert same_table(out[0].detections, a.detections)
+    assert same_table(out[1].detections, b.detections)
+    assert out[0].frames.tolist() == [2, 5]
+    assert np.isnan(out[1].detections.cov).all()
 
 
 def test_tracklets3d_roundtrip(tmp_path):
@@ -277,7 +265,7 @@ TABLES = st.integers(2, 6).flatmap(lambda k: st.lists(
 def test_rows_have_the_bytes_csv_writer_gives(tmp_path, rows):
     header = [f"h{i}" for i in range(len(rows[0]) if rows else 2)]
     columns = [list(c) for c in zip(*rows)] or [[] for _ in header]
-    _write_columns(tmp_path / "t.csv", header, columns, {"seed": 1})
+    _write_columns(tmp_path / "t.csv", header, [columns], {"seed": 1})
     want = (f"# seed: 1\n# generator: stereomot {__version__}\n"
             + reference.csv_rows([header, *zip(*map(_cells, columns))]))
     assert (tmp_path / "t.csv").read_bytes() == want.encode()
@@ -289,7 +277,7 @@ def test_rows_have_the_bytes_csv_writer_gives(tmp_path, rows):
 def test_a_cell_csv_writer_would_quote_is_refused(tmp_path, a, special, b):
     with pytest.raises(FormatError, match="quoting"):
         _write_columns(tmp_path / "t.csv", ["x", "y"],
-                       [[1.5, 2], ["top", a + special + b]])
+                       [[[1.5, 2], ["top", a + special + b]]])
     assert not (tmp_path / "t.csv").exists()
 
 
@@ -400,7 +388,7 @@ def test_readers_hold_one_block_of_text(tmp_path):
             read_tracklets_csv)}
     for name, (header, columns, read) in files.items():
         path = tmp_path / name
-        _write_columns(path, header.split(","), columns)
+        _write_columns(path, header.split(","), [columns])
         gc.collect()
         tracemalloc.start()
         try:
@@ -408,8 +396,7 @@ def test_readers_hold_one_block_of_text(tmp_path):
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        if name == "detections.csv":  # view -> frame -> detections
-            out = [d for frames in out.values() for ds in frames.values()
-                   for d in ds]
+        if name == "detections.csv":  # view -> table
+            out = [d for t in out.values() for d in t.frame]
         assert len(out) in (20_000, 40), name  # rows, or tracklets
         assert peak - kept <= 4 * path.stat().st_size, name

@@ -5,6 +5,7 @@ change that is meant to alter outputs, and say so in CHANGES.md."""
 
 import hashlib
 import json
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from stereomot.config import PipelineConfig
 from stereomot.crossview import build_graph
 from stereomot.formats import (read_pgm, read_tracklets3d_csv,
                                read_tracklets_csv, read_tracks_csv)
-from stereomot.geometry import load_calibration
+from stereomot.geometry import load_calibration, triangulate_batch
 
 DATA = Path(__file__).parent / "data"
 PIPELINE = json.loads((DATA / "pipeline_sha256.json").read_text())
@@ -26,25 +27,56 @@ EVALUATE_2D = json.loads((DATA / "evaluate_2d_sha256.json").read_text())
 
 
 def assert_outputs_agree(out: Path) -> None:
-    """The pipeline's outputs agree across files: each 3D tracklet point
-    has both source ids; each source id names a 2D tracklet of its view
-    with a row at that frame; and each track point is, bit for bit, a 3D
-    tracklet point of its frame."""
-    rows = {(t.view, t.id): t.detections.keys()
-            for t in read_tracklets_csv(out / "tracklets.csv")}
+    """The pipeline's outputs agree across files:
+
+    - each 3D tracklet point has both source ids, and each source id names
+      a 2D tracklet of its view with a row at that frame;
+    - each 3D point is, bit for bit, `triangulate_batch` of its top head
+      and its front candidate with the least error (the first on ties), in
+      the batch `node_weight` makes for the pair: every frame the two 2D
+      tracklets share, each top head against each candidate of its frame;
+    - each track point is, bit for bit, a 3D tracklet point of its frame,
+      and no 3D tracklet point is in two tracks."""
+    tracklets = {(t.view, t.id): t
+                 for t in read_tracklets_csv(out / "tracklets.csv")}
+    rows = {key: set(t.frames.tolist()) for key, t in tracklets.items()}
     tracklets3d = read_tracklets3d_csv(out / "tracklets3d.csv")
+    by_pair = {}  # (top id, front id) -> frame -> 3D point
     for t in tracklets3d:
-        for f in t.points:
+        for f, p in t.points.items():
             assert None not in t.sources.get(f, (None,)), (t.id, f)
+            by_pair.setdefault(t.sources[f], {})[f] = p
         for f, ids in t.sources.items():
             for view, tid in zip(("top", "front"), ids):
                 assert tid is None or f in rows.get((view, tid), ()), (
                     t.id, f, view, tid)
+
+    rig = load_calibration(out / "calibration.json")
+    for (top_id, front_id), points in by_pair.items():
+        top, front = tracklets["top", top_id], tracklets["front", front_id]
+        heads = dict(zip(top.frames.tolist(), top.detections.head.tolist()))
+        cands = dict(zip(front.frames.tolist(),
+                         front.detections.cands.tolist()))
+        batch = [(f, c) for f in sorted(heads.keys() & cands)
+                 for c in cands[f] if not math.isnan(c[0])]
+        pts, errs = triangulate_batch(np.array([heads[f] for f, _ in batch]),
+                                      np.array([c for _, c in batch]),
+                                      rig.top, rig.front)
+        best = {}  # frame -> its first row of least error
+        for k, (f, _) in enumerate(batch):
+            if f not in best or errs[k] < errs[best[f]]:
+                best[f] = k
+        for f, p in points.items():
+            assert pts[best[f]].tobytes() == p.tobytes(), (top_id, front_id, f)
+
     points = {(f, p.tobytes()) for t in tracklets3d
               for f, p in t.points.items()}
+    tracked = Counter()
     for track in read_tracks_csv(out / "tracks.csv"):
         for f, p in track.points.items():
             assert (f, p.tobytes()) in points, (track.fish_id, f)
+            tracked[f, p.tobytes()] += 1
+    assert max(tracked.values(), default=1) == 1
 
 
 def test_defaults_text_is_unchanged(capsys):

@@ -152,17 +152,18 @@ def test_perfect_detections_mirror_annotations():
     dets = perfect_detections(gt)
     assert set(dets) == {"top", "front"}
     for view in ("top", "front"):
-        assert set(dets[view]) == set(range(60))
-        for f, items in dets[view].items():
-            assert len(items) == 2
-            for det in items:
-                assert det.candidates == (det.head,)
-                assert det.confidence == 100.0
-                assert det.bbox is not None
+        t = dets[view]
+        assert t.frame.tolist() == [f for f in range(60) for _ in range(2)]
+        assert np.array_equal(t.head, gt.heads[view].reshape(-1, 2))
+        assert np.array_equal(t.cands[:, 0], t.head)  # the head alone
+        assert np.isnan(t.cands[:, 1:]).all()
+        assert (t.confidence == 100.0).all()
+        assert np.array_equal(t.bbox, gt.boxes[view].reshape(-1, 4))
 
 
 def all_heads(dets):
-    return [(v, f, d.head) for v in dets for f in dets[v] for d in dets[v][f]]
+    return [(v, f, tuple(h)) for v, t in dets.items()
+            for f, h in zip(t.frame.tolist(), t.head.tolist())]
 
 
 def test_degrade_identity_and_determinism():
@@ -204,11 +205,8 @@ def test_degrade_ghosts_add_detections():
     dets = perfect_detections(annotate(simulate(short_cfg(duration_s=2.0))))
     ghosted = degrade(dets, DegradeModel(ghost_rate=1.0), seed=1)
     assert len(all_heads(ghosted)) > len(all_heads(dets))
-    for view in ghosted:
-        for f, items in ghosted[view].items():
-            for det in items:
-                assert 0.0 <= det.head[0] <= 800.0
-                assert 0.0 <= det.head[1] <= 800.0
+    for t in ghosted.values():
+        assert ((0.0 <= t.head) & (t.head <= 800.0)).all()
 
 
 def test_degrade_model_validation():

@@ -6,14 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stereomot import Detection, Track2DParams, Tracklet2D, build_tracklets
+from reference import tracklet
+from stereomot import DetectionTable, Track2DParams, build_tracklets
 from stereomot.track2d import (EUCLIDEAN_HEAD, MAHALANOBIS_CENTROID,
                                _box_cov, gate_matrix, hungarian, mahalanobis)
 
 
-def det(x, y, cov=None):
-    head = (float(x), float(y))
-    return Detection(head=head, candidates=(head,), cov=cov)
+def det(x, y, cov=None, bbox=None) -> DetectionTable:
+    """One detection: a one-row table."""
+    return DetectionTable.of((float(x), float(y)), cov=cov, bbox=bbox)
+
+
+def table(frames: dict) -> DetectionTable:
+    """A view's table of {frame: [one-row table, ...]}."""
+    return DetectionTable.concat(
+        [d for f in sorted(frames) for d in frames[f]],
+        frames=[f for f in sorted(frames) for _ in frames[f]])
 
 
 def brute_force_assignment(cost):
@@ -76,26 +84,26 @@ def test_params_validation():
 
 def test_single_object_single_tracklet():
     frames = {f: [det(10 + f, 20)] for f in range(30)}
-    out = build_tracklets(frames, Track2DParams(), view="top")
+    out = build_tracklets(table(frames), Track2DParams(), view="top")
     assert len(out) == 1
-    assert out[0].frames == list(range(30))
+    assert out[0].frames.tolist() == list(range(30))
     assert out[0].id == 0
 
 
 def test_gate_splits_tracklets():
     frames = {0: [det(10, 10)], 1: [det(10 + 14.9, 10)],
               2: [det(10 + 14.9 + 15.1, 10)]}
-    out = build_tracklets(frames, Track2DParams(), view="top")
-    assert [t.frames for t in out] == [[0, 1], [2]]
+    out = build_tracklets(table(frames), Track2DParams(), view="top")
+    assert [t.frames.tolist() for t in out] == [[0, 1], [2]]
 
 
 def test_idle_timeout_boundary():
     # gap of exactly tau_k frames rejoins, one more terminates
     frames = {0: [det(10, 10)], 10: [det(11, 10)]}
-    out = build_tracklets(frames, Track2DParams(tau_k=10), view="top")
+    out = build_tracklets(table(frames), Track2DParams(tau_k=10), view="top")
     assert len(out) == 1
     frames = {0: [det(10, 10)], 11: [det(11, 10)]}
-    out = build_tracklets(frames, Track2DParams(tau_k=10), view="top")
+    out = build_tracklets(table(frames), Track2DParams(tau_k=10), view="top")
     assert len(out) == 2
 
 
@@ -103,19 +111,19 @@ def test_two_objects_stay_separated():
     frames = {}
     for f in range(40):
         frames[f] = [det(50 + f, 100), det(50 + f, 300)]
-    out = build_tracklets(frames, Track2DParams(), view="top")
+    out = build_tracklets(table(frames), Track2DParams(), view="top")
     assert len(out) == 2
-    ys = sorted({d.head[1] for t in out for d in t.detections.values()})
+    ys = sorted({y for t in out for y in t.detections.head[:, 1].tolist()})
     assert ys == [100.0, 300.0]
     for t in out:
-        heights = {d.head[1] for d in t.detections.values()}
+        heights = set(t.detections.head[:, 1].tolist())
         assert len(heights) == 1  # never swaps rows
 
 
 def test_new_tracklets_in_input_order():
     frames = {0: [det(10, 10), det(200, 200), det(400, 400)]}
-    out = build_tracklets(frames, Track2DParams(), view="top")
-    assert [t.detections[0].head[0] for t in out] == [10.0, 200.0, 400.0]
+    out = build_tracklets(table(frames), Track2DParams(), view="top")
+    assert [t.detections.head[0, 0] for t in out] == [10.0, 200.0, 400.0]
     assert [t.id for t in out] == [0, 1, 2]
 
 
@@ -124,35 +132,28 @@ def test_mahalanobis_mode_direction_sensitive():
     params = Track2DParams(front_mode="mahalanobis-centroid", delta_front=0.5)
     along = {0: [det(10, 10, cov=cov)],
              1: [det(14, 10, cov=cov)]}
-    assert len(build_tracklets(along, params, view="front")) == 1
+    assert len(build_tracklets(table(along), params, view="front")) == 1
     across = {0: [det(10, 10, cov=cov)],
               1: [det(10, 14, cov=cov)]}
-    assert len(build_tracklets(across, params, view="front")) == 2
+    assert len(build_tracklets(table(across), params, view="front")) == 2
 
 
 def test_mahalanobis_mode_uses_box_surrogate():
     params = Track2DParams(front_mode="mahalanobis-centroid")
-    boxed = Detection(head=(5.0, 6.0), candidates=((5.0, 6.0),),
-                      bbox=(0.0, 0.0, 6.0, 12.0))
-    (t,) = build_tracklets({0: [boxed]}, params, view="front")
-    d = t.detections[0]
-    assert np.array_equal(d.cov, np.diag([3.0, 12.0]))
-    assert d.head == (5.0, 6.0)
-    (t,) = build_tracklets({0: [boxed]}, params, view="top")
-    assert t.detections[0].cov is None  # euclidean-head mode leaves it
+    boxed = table({0: [det(5.0, 6.0, bbox=(0.0, 0.0, 6.0, 12.0))]})
+    (t,) = build_tracklets(boxed, params, view="front")
+    assert np.array_equal(t.detections.cov[0], np.diag([3.0, 12.0]))
+    assert t.detections.head[0].tolist() == [5.0, 6.0]
+    assert np.isnan(boxed.cov).all()  # the input table is left as it is
+    (t,) = build_tracklets(boxed, params, view="top")
+    assert np.isnan(t.detections.cov).all()  # euclidean-head mode leaves it
 
 
-def test_tracklet_append_monotonic():
-    t = Tracklet2D(id=0, view="top")
-    t.append(3, det(1, 1))
-    with pytest.raises(ValueError):
-        t.append(3, det(2, 2))
-    with pytest.raises(ValueError):
-        t.append(1, det(2, 2))
-    t.append(5, det(2, 2))
-    assert t.first_frame == 3
-    assert t.last_frame == 5
-    assert t.last_detection.head == (2.0, 2.0)
+def test_tracklet_frames_come_from_its_column():
+    t = tracklet(0, "top", [3, 5, 9])
+    assert t.frames.tolist() == [3, 5, 9]
+    assert (t.first_frame, t.last_frame) == (3, 9)
+    assert type(t.first_frame) is int and type(t.last_frame) is int
 
 
 @settings(max_examples=60, deadline=None)
@@ -165,21 +166,16 @@ def test_partition_invariants(frames_spec):
         f: [det(x, y) for (x, y) in dets]
         for f, dets in enumerate(frames_spec)}
     params = Track2DParams(tau_k=3)
-    out = build_tracklets(frames, params, view="top")
-    n_dets = sum(len(v) for v in frames.values())
-    assert sum(len(t.frames) for t in out) == n_dets
-    seen = set()
+    out = build_tracklets(table(frames), params, view="top")
     for t in out:
-        assert t.frames == sorted(t.frames)
-        assert len(set(t.frames)) == len(t.frames)
         gaps = np.diff(t.frames)
-        assert not len(gaps) or gaps.max() <= params.tau_k
-        for f in t.frames:
-            key = (f, id(t.detections[f]))
-            assert key not in seen
-            seen.add(key)
-        for f in t.frames:
-            assert t.detections[f] in frames[f]
+        assert gaps.min(initial=1) >= 1  # strictly ascending
+        assert gaps.max(initial=0) <= params.tau_k
+    # Every detection is in exactly one tracklet, at its own frame.
+    rows = sorted((f, x, y) for f, dets in enumerate(frames_spec)
+                  for x, y in dets)
+    assert sorted((f, x, y) for t in out for f, (x, y) in zip(
+        t.frames.tolist(), t.detections.head.tolist())) == rows
 
 
 # The gate distances as build_tracklets used to compute them, one scalar
@@ -195,13 +191,19 @@ def scalar_mahalanobis(p, center, cov) -> float:
 
 
 def scalar_distance(det, last, mode) -> float:
+    """The distance from `det` to `last`, each a (head, cov or None)."""
     if mode == EUCLIDEAN_HEAD:
-        return math.hypot(det.head[0] - last.head[0],
-                          det.head[1] - last.head[1])
-    cov = last.cov if last.cov is not None else det.cov
+        return math.hypot(det[0][0] - last[0][0], det[0][1] - last[0][1])
+    cov = last[1] if last[1] is not None else det[1]
     if cov is None:
         cov = np.eye(2)
-    return scalar_mahalanobis(det.head, last.head, cov)
+    return scalar_mahalanobis(det[0], last[0], cov)
+
+
+def rows(t: DetectionTable) -> list[tuple]:
+    """(head, cov or None) of each row."""
+    return [(tuple(h), None if np.isnan(c).any() else c)
+            for h, c in zip(t.head.tolist(), t.cov)]
 
 
 coords = st.floats(0.0, 800.0, allow_nan=False)
@@ -210,9 +212,9 @@ point = st.tuples(coords, coords)
 
 @st.composite
 def gate_detection(draw):
-    """A detection as build_tracklets sees it: a head, and a blob
-    covariance, a box (whose surrogate may be singular: zero width or
-    height) or neither."""
+    """A detection as build_tracklets sees it, before its box surrogate: a
+    head, and a blob covariance, a box (whose surrogate may be singular:
+    zero width or height) or neither."""
     head = draw(point)
     kind = draw(st.sampled_from(["none", "box", "blob"]))
     cov = bbox = None
@@ -224,8 +226,20 @@ def gate_detection(draw):
         c = draw(st.floats(0.5, 400.0))
         b = draw(st.floats(-0.9, 0.9)) * math.sqrt(a * c)
         cov = np.array([[a, b], [b, c]])
-    det = Detection(head=head, candidates=(head,), cov=cov, bbox=bbox)
-    return _box_cov(det)
+    return DetectionTable.of(head, cov=cov, bbox=bbox)
+
+
+def check_gate_matrix(dets, lasts, mode):
+    # One view's table, the detections first: gate_matrix reads their
+    # slice and the last detections' rows.
+    t = _box_cov(DetectionTable.concat(dets + lasts))
+    got = gate_matrix(t, slice(0, len(dets)),
+                      list(range(len(dets), len(t))), mode)
+    want = np.array([[scalar_distance(d, last, mode)
+                      for last in rows(t)[len(dets):]]
+                     for d in rows(t)[:len(dets)]])
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 @settings(max_examples=300, deadline=None)
@@ -233,27 +247,18 @@ def gate_detection(draw):
        st.lists(gate_detection(), min_size=1, max_size=6),
        st.sampled_from([EUCLIDEAN_HEAD, MAHALANOBIS_CENTROID]))
 def test_gate_matrix_equals_scalar_distances(dets, lasts, mode):
-    want = np.array([[scalar_distance(d, t, mode) for t in lasts]
-                     for d in dets])
-    got = gate_matrix(dets, lasts, mode)
-    assert got.shape == want.shape
-    assert np.array_equal(got, want)
+    check_gate_matrix(dets, lasts, mode)
 
 
 def test_gate_matrix_covers_singular_and_missing_covariances():
     # Zero-width and zero-height boxes give singular surrogates; a last
     # detection without any covariance falls back to the new detection's,
     # then to the identity.
-    flat = _box_cov(Detection(head=(5.0, 6.0), candidates=((5.0, 6.0),),
-                              bbox=(0.0, 0.0, 0.0, 12.0)))
-    thin = _box_cov(Detection(head=(7.0, 2.0), candidates=((7.0, 2.0),),
-                              bbox=(0.0, 0.0, 9.0, 0.0)))
+    flat = det(5.0, 6.0, bbox=(0.0, 0.0, 0.0, 12.0))
+    thin = det(7.0, 2.0, bbox=(0.0, 0.0, 9.0, 0.0))
     bare = det(3.0, 4.0)
-    assert np.linalg.eigvalsh(flat.cov)[0] < 1e-12
-    dets, lasts = [flat, thin, bare], [bare, flat, thin]
-    want = np.array([[scalar_distance(d, t, MAHALANOBIS_CENTROID)
-                      for t in lasts] for d in dets])
-    assert np.array_equal(gate_matrix(dets, lasts, MAHALANOBIS_CENTROID),
-                          want)
+    assert np.linalg.eigvalsh(_box_cov(flat).cov[0])[0] < 1e-12
+    check_gate_matrix([flat, thin, bare], [bare, flat, thin],
+                      MAHALANOBIS_CENTROID)
     assert mahalanobis((1.0, 0.0), (0.0, 0.0), np.zeros((2, 2))) == \
         scalar_mahalanobis((1.0, 0.0), (0.0, 0.0), np.zeros((2, 2)))
