@@ -111,11 +111,11 @@ def stage_detect_frames(cfg: PipelineConfig, frames_dir: Path,
         bg = estimate_background(stack)
         rows = dict(zip(sample.tolist(), stack))
         detector = detect_top if view == "top" else detect_front
-        dets[view] = DetectionTable.concat([
-            detector(rows[i] if i in rows
-                     else _read_frame(paths[i], first.shape)[::d, ::d],
-                     bg, params)
-            for i in range(len(numbers))], frames=numbers)
+        found = [detector(rows[i] if i in rows
+                          else _read_frame(paths[i], first.shape)[::d, ::d],
+                          bg, params) for i in range(len(numbers))]
+        dets[view] = DetectionTable.concat(found)  # each frame's rows
+        dets[view].frame = np.repeat(numbers, list(map(len, found)))
     write_detections_csv(out / "detections.csv", dets, _meta(cfg))
 
 
@@ -205,39 +205,36 @@ def build_parser() -> argparse.ArgumentParser:
         description="Stereo 3D multi-object tracking pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, text):
+        """The subcommand's parser, with the options every one takes."""
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="key=value configuration file")
         p.add_argument("--seed", type=int, help="override the master seed")
         p.add_argument("--fps", type=float, help="override frames per second")
         p.add_argument("--out-dir", default=".",
                        help="directory for output files")
+        return p
 
-    p = sub.add_parser("simulate", help="generate a synthetic sequence")
-    common(p)
+    p = command("simulate", "generate a synthetic sequence")
     p.add_argument("--dump-frames", type=int, default=0, metavar="N",
                    help="also rasterize the first N frames as PGM")
 
-    p = sub.add_parser("detect", help="run detection on frames or ingest a CSV")
-    common(p)
+    p = command("detect", "run detection on frames or ingest a CSV")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--frames-dir", help="directory of top_/front_*.pgm frames")
     src.add_argument("--external", help="external detection CSV to ingest")
 
-    p = sub.add_parser("track2d", help="build per-view 2D tracklets")
-    common(p)
+    p = command("track2d", "build per-view 2D tracklets")
     p.add_argument("--detections", required=True)
 
-    p = sub.add_parser("associate", help="associate 2D tracklets across views")
-    common(p)
+    p = command("associate", "associate 2D tracklets across views")
     p.add_argument("--tracklets", required=True)
     p.add_argument("--calibration", required=True)
 
-    p = sub.add_parser("stitch", help="stitch 3D tracklets into tracks")
-    common(p)
+    p = command("stitch", "stitch 3D tracklets into tracks")
     p.add_argument("--tracklets3d", required=True)
 
-    p = sub.add_parser("evaluate", help="score tracks against annotations")
-    common(p)
+    p = command("evaluate", "score tracks against annotations")
     p.add_argument("--annotations", required=True)
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--tracks", help="3D track CSV")
@@ -245,15 +242,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--view", choices=VIEWS,
                    help="view for 2D tracklet evaluation")
 
-    p = sub.add_parser("complexity", help="occlusion complexity of annotations")
-    common(p)
+    p = command("complexity", "occlusion complexity of annotations")
     p.add_argument("--annotations", required=True)
 
-    p = sub.add_parser("pipeline", help="simulate, track, stitch, and score")
-    common(p)
-
-    p = sub.add_parser("defaults", help="print the canonical configuration")
-    common(p)
+    command("pipeline", "simulate, track, stitch, and score")
+    command("defaults", "print the canonical configuration")
     return parser
 
 

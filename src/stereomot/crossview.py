@@ -244,16 +244,14 @@ def extract_3d_tracklets(graph: AssociationGraph) -> list[Tracklet3D]:
         tracklet = Tracklet3D(id=tid)
         for nid in path:
             node = graph.nodes[nid]
-            tops, fronts = node.top.frames, node.front.frames
-            frames = np.union1d(tops, fronts)
-            for f, in_top, in_front in zip(frames.tolist(),
-                                           np.isin(frames, tops).tolist(),
-                                           np.isin(frames, fronts).tolist()):
+            tops, fronts = (set(t.frames.tolist())
+                            for t in (node.top, node.front))
+            for f in sorted(tops | fronts):
                 if f in node.points and f not in tracklet.points:
                     tracklet.points[f] = node.points[f]
                     tracklet.sources[f] = node.node_id
                 elif f not in tracklet.sources:
-                    tracklet.sources[f] = (node.top.id if in_top else None,
-                                           node.front.id if in_front else None)
+                    tracklet.sources[f] = (node.top.id if f in tops else None,
+                                           node.front.id if f in fronts else None)
         out.append(tracklet)
     return out

@@ -68,15 +68,10 @@ class DetectionTable:
                    column(cov, 2, 2), column(bbox, 4), column(confidence))
 
     @classmethod
-    def concat(cls, tables, frames=None) -> DetectionTable:
-        """The rows of `tables` in order; with `frames`, each table's rows
-        take its frame number."""
-        out = cls(*map(np.concatenate, zip(*(
+    def concat(cls, tables) -> DetectionTable:
+        """The rows of `tables` in order."""
+        return cls(*map(np.concatenate, zip(*(
             vars(t).values() for t in (cls.of(()), *tables)))))
-        if frames is not None:
-            out.frame = np.repeat(np.array(frames, dtype=np.int64),
-                                  [len(t) for t in tables])
-        return out
 
     def __len__(self) -> int:
         return len(self.frame)

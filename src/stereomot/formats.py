@@ -74,44 +74,39 @@ def _cell_text(kind):
 
 
 def _cells(values) -> list[str]:
-    """One column's cells. An array's floats are repr of the Python float,
-    blank where NaN. In a list, each type picks its formatter once, so a
-    column of one type is formatted by one map()."""
-    if isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
-        if values.dtype.kind != "f":
-            return list(map(int.__repr__, values.tolist()))
-        cells = list(map(float.__repr__, values.tolist()))
+    """One column's cells. A numeric array's floats are repr of the Python
+    float, blank where NaN. In a list each type picks its formatter once,
+    so a column of one type is formatted by one map(). Only str can write
+    a character csv.writer quotes, and such a cell is refused."""
+    if isinstance(values, np.ndarray):
+        cells = list(map(float.__repr__ if values.dtype.kind == "f"
+                         else int.__repr__, values.tolist()))
         for i in np.flatnonzero(np.isnan(values)).tolist():
             cells[i] = ""
         return cells
-    values = list(values)
     text = {kind: _cell_text(kind) for kind in set(map(type, values))}
     if len(text) == 1:
-        return list(map(next(iter(text.values())), values))
-    return [text[type(v)](v) for v in values]
-
-
-def _refuse_quoting(values) -> None:
-    """Refuse a column with a cell csv.writer would quote; only str
-    writes one."""
-    if isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
-        return
-    kinds = {k for k in set(map(type, values)) if _cell_text(k) is str}
-    cells = [str(v) for v in values if type(v) in kinds] if kinds else ()
-    if not _QUOTED.isdisjoint("".join(cells)):
+        cells = list(map(next(iter(text.values())), values))
+    else:
+        cells = [text[type(v)](v) for v in values]
+    if str in text.values() and not _QUOTED.isdisjoint("".join(cells)):
         cell = next(c for c in cells if not _QUOTED.isdisjoint(c))
         raise FormatError(f"cell {cell!r} would need csv quoting")
+    return cells
 
 
 def _write_columns(path, header, parts, meta: dict | None = None) -> None:
     """Write the comment lines, the header and the rows of each part in
     turn: a part is a list of equally long columns, one per header key,
-    formatted 512 rows at a time. A refused cell leaves no file."""
+    formatted 512 rows at a time. Numeric columns are arrays, the others
+    lists; those that hold str are checked first, so a refused cell
+    leaves no file."""
     meta = dict(meta or {})
     meta.setdefault("generator", f"stereomot {__version__}")
-    for columns in parts:
-        for values in columns:
-            _refuse_quoting(values)
+    for values in (c for columns in parts for c in columns):
+        if not isinstance(values, np.ndarray) and str in map(
+                _cell_text, set(map(type, values))):
+            _cells(values)
     with open(path, "w", newline="") as fh:
         for k, v in meta.items():
             fh.write(f"# {k}: {v}\n")
@@ -328,9 +323,12 @@ class _Table:
 
 
 def _array(block: dict, keys) -> np.ndarray:
-    """The block's columns `keys` as a (rows, keys) float array, NaN blank."""
-    return np.array([block[k] for k in keys], dtype=float).T.reshape(
+    """The block's columns `keys` as a (rows, keys) float array, NaN blank:
+    a row with a blank in it is blank throughout."""
+    out = np.array([block[k] for k in keys], dtype=float).T.reshape(
         -1, len(keys))
+    out[np.isnan(out).any(axis=1)] = np.nan
+    return out
 
 
 def _fields(items: list, keys) -> list[list]:
@@ -338,23 +336,17 @@ def _fields(items: list, keys) -> list[list]:
     return [[None if x is None else x[k] for x in items] for k in keys]
 
 
-def _blank_partial(values: np.ndarray) -> np.ndarray:
-    """(rows, ...) values with each row that has a blank blank throughout."""
-    values[np.isnan(values).any(axis=tuple(range(1, values.ndim)))] = np.nan
-    return values
-
-
 def _candidates(c: dict, head: np.ndarray) -> np.ndarray:
     """(rows, 3, 2) head candidates of the block's c1x..c3y columns: a
     row's pairs with both values present, first, then blank pairs; its
     head alone when it has none."""
-    cands = _array(c, _CANDIDATES).reshape(-1, 3, 2)
-    present = ~np.isnan(cands).any(axis=2)
-    order = np.argsort(~present, axis=1, kind="stable")
-    cands = np.take_along_axis(cands, order[..., None], axis=1)
-    cands[~np.take_along_axis(present, order, axis=1)] = np.nan
-    none = ~present.any(axis=1)
-    cands[none, 0] = head[none]
+    keys = list(_CANDIDATES)
+    pairs = np.stack([_array(c, k) for k in zip(keys[::2], keys[1::2])], 1)
+    present = ~np.isnan(pairs[..., 0])
+    cands = DetectionTable.of(head).cands
+    cands[present.any(axis=1), 0] = np.nan
+    cands[np.nonzero(present)[0], np.cumsum(present, 1)[present] - 1] = (
+        pairs[present])
     return cands
 
 
@@ -395,7 +387,7 @@ def _read_detections(path, columns: dict[str, _Kind]
         head = _array(c, "xy")
         blocks.append(DetectionTable.of(
             head, frame=c["frame"], cands=_candidates(c, head),
-            bbox=_blank_partial(_array(c, _BOX)),
+            bbox=_array(c, _BOX),
             confidence=_array(c, ("confidence",))[:, 0]))
         front.append(np.array(c["view"], dtype=str) == "front")
     table, front = _join(blocks, front)  # the top view's rows first
@@ -432,9 +424,9 @@ def read_tracklets_csv(path) -> list[Tracklet2D]:
                              f"at frame {f}")
         head = _array(c, "xy")
         cov = _array(c, ("covxx", "covxy", "covxy", "covyy"))
-        blocks.append(DetectionTable.of(
-            head, frame=c["frame"], cands=_candidates(c, head),
-            cov=_blank_partial(cov.reshape(-1, 2, 2))))
+        blocks.append(DetectionTable.of(head, frame=c["frame"],
+                                        cands=_candidates(c, head),
+                                        cov=cov.reshape(-1, 2, 2)))
         top.append(np.array(c["view"], dtype=str) == "top")
         ids.append(np.array(c["tracklet_id"], dtype=np.int64))
     del seen
@@ -519,7 +511,8 @@ def write_annotations_csv(path, gt: GroundTruth,
                               for field in (gt.heads, gt.boxes, gt.occluded))
     f, j, k = np.nonzero(~np.isnan(heads[..., 0]))
     _write_columns(path, _ANNOTATIONS, [[
-        f, np.array(gt.fish_ids)[j], np.array(VIEWS)[k], *boxes[f, j, k].T,
+        f, np.array(gt.fish_ids)[j], [VIEWS[i] for i in k.tolist()],
+        *boxes[f, j, k].T,
         *heads[f, j, k].T, occluded[f, j, k].astype(int),
         *gt.points3d[f, j].T]], meta)  # a blank point is NaN
 

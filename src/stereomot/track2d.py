@@ -138,11 +138,12 @@ def build_tracklets(table: DetectionTable, params: Track2DParams,
     mode = params.mode(view)
     if mode == MAHALANOBIS_CENTROID:
         table = _box_cov(table)
+    frames = table.frame.tolist()
     rows: list[list[int]] = []  # each tracklet's rows, by id
-    last_frame: list[int] = []
     active: list[int] = []  # ids of the live tracklets
     for f, a, b in table.runs():
-        active = [k for k in active if f - last_frame[k] <= params.tau_k]
+        active = [k for k in active
+                  if f - frames[rows[k][-1]] <= params.tau_k]
         assigned = [False] * (b - a)
         if active:
             dist = gate_matrix(table, slice(a, b),
@@ -151,12 +152,10 @@ def build_tracklets(table: DetectionTable, params: Track2DParams,
             for i, j in hungarian(cost):
                 if cost[i, j] <= gate:
                     rows[active[j]].append(a + i)
-                    last_frame[active[j]] = f
                     assigned[i] = True
         for i in range(b - a):
             if not assigned[i]:
                 active.append(len(rows))
                 rows.append([a + i])
-                last_frame.append(f)
     return [Tracklet2D(id=k, view=view, detections=table[r])
             for k, r in enumerate(rows)]

@@ -19,9 +19,10 @@ def det(x, y, cov=None, bbox=None) -> DetectionTable:
 
 def table(frames: dict) -> DetectionTable:
     """A view's table of {frame: [one-row table, ...]}."""
-    return DetectionTable.concat(
-        [d for f in sorted(frames) for d in frames[f]],
-        frames=[f for f in sorted(frames) for _ in frames[f]])
+    t = DetectionTable.concat([d for f in sorted(frames) for d in frames[f]])
+    t.frame = np.array([f for f in sorted(frames) for _ in frames[f]],
+                       dtype=np.int64)
+    return t
 
 
 def brute_force_assignment(cost):
