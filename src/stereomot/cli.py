@@ -131,8 +131,9 @@ def stage_track2d(cfg: PipelineConfig, detections_path: Path,
     detections = read_detections_csv(detections_path)
     params = cfg.track2d_params()
     tracklets = []
-    for view in VIEWS:
-        tracklets.extend(build_tracklets(detections[view], params, view=view))
+    for view in VIEWS:  # each view's table is let go once it is tracked
+        tracklets.extend(build_tracklets(detections.pop(view), params,
+                                         view=view))
     write_tracklets_csv(out / "tracklets.csv", tracklets, _meta(cfg))
 
 
@@ -205,8 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Stereo 3D multi-object tracking pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, text):
-        """The subcommand's parser, with the options every one takes."""
+    def command(name, text):  # a subcommand, with the options all take
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="key=value configuration file")
         p.add_argument("--seed", type=int, help="override the master seed")

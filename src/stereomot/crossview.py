@@ -67,17 +67,15 @@ def node_weight(top: Tracklet2D, front: Tracklet2D, rig: StereoRig,
         top.frames, front.frames, assume_unique=True, return_indices=True)
     if not len(common):
         return None
-    # Each shared frame's top head against its present front candidates,
-    # which come first in a row: one contiguous slice of rows per frame.
+    # Each shared frame's top head against its front candidates, present
+    # ones first in a row: one slice of rows per frame. The errors, padded
+    # with inf to a row per frame, give argmin the first of equal errors.
     cands = front.detections.cands[at_front]
     present = ~np.isnan(cands[..., 0])
     counts = present.sum(axis=1)
     pts, errs = triangulate_batch(
         np.repeat(top.detections.head[at_top], counts, axis=0),
         cands[present], rig.top, rig.front)
-
-    # Pad the slices with inf to one row per frame; argmin keeps the first
-    # of equal errors.
     padded = np.full(present.shape, np.inf)
     padded[present] = errs
     best = np.cumsum(counts) - counts + padded.argmin(axis=1)
@@ -251,7 +249,8 @@ def extract_3d_tracklets(graph: AssociationGraph) -> list[Tracklet3D]:
                     tracklet.points[f] = node.points[f]
                     tracklet.sources[f] = node.node_id
                 elif f not in tracklet.sources:
-                    tracklet.sources[f] = (node.top.id if f in tops else None,
-                                           node.front.id if f in fronts else None)
+                    tracklet.sources[f] = (
+                        node.top.id if f in tops else None,
+                        node.front.id if f in fronts else None)
         out.append(tracklet)
     return out

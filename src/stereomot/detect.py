@@ -548,8 +548,6 @@ def detect_top(grid: np.ndarray, bg: np.ndarray,
     skel = np.zeros(fg.shape, dtype=np.uint8)
     skel[box] = skeletonize(mask[box])
     keypoints = skeleton_keypoints(skel, mask, params)
-    if not keypoints:
-        return DetectionTable.of(())
     labels, _ = ndimage.label(skel[box] > 0, structure=_BOX8)
     by_comp: dict[int, list[Keypoint]] = {}
     for kp in keypoints:

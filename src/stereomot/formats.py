@@ -15,6 +15,7 @@ Readers and writers work a column at a time. Each file's columns are
 declared once, as {column: kind} in header order. A reader takes 512 rows
 at a time, parses and checks each column of the block, and drops the
 block's text before it reads the next; no block after a bad one is read.
+A writer formats 512 rows at a time the same way.
 Malformed input is reported as path:line: message, naming the error a
 row-by-row reader would meet first: the earliest bad line, a bad '# key:'
 line counting as line 1, and on that line its fields in header order,
@@ -96,11 +97,10 @@ def _cells(values) -> list[str]:
 
 
 def _write_columns(path, header, parts, meta: dict | None = None) -> None:
-    """Write the comment lines, the header and the rows of each part in
-    turn: a part is a list of equally long columns, one per header key,
-    formatted 512 rows at a time. Numeric columns are arrays, the others
-    lists; those that hold str are checked first, so a refused cell
-    leaves no file."""
+    """Write the comment lines, the header and the rows of each part: a
+    list of equally long columns, one per header key, numeric ones as
+    arrays. Lists holding str are checked first: a refused cell leaves no
+    file."""
     meta = dict(meta or {})
     meta.setdefault("generator", f"stereomot {__version__}")
     for values in (c for columns in parts for c in columns):
@@ -331,11 +331,6 @@ def _array(block: dict, keys) -> np.ndarray:
     return out
 
 
-def _fields(items: list, keys) -> list[list]:
-    """A column of item[key] per key; blank where an item is None."""
-    return [[None if x is None else x[k] for x in items] for k in keys]
-
-
 def _candidates(c: dict, head: np.ndarray) -> np.ndarray:
     """(rows, 3, 2) head candidates of the block's c1x..c3y columns: a
     row's pairs with both values present, first, then blank pairs; its
@@ -345,8 +340,8 @@ def _candidates(c: dict, head: np.ndarray) -> np.ndarray:
     present = ~np.isnan(pairs[..., 0])
     cands = DetectionTable.of(head).cands
     cands[present.any(axis=1), 0] = np.nan
-    cands[np.nonzero(present)[0], np.cumsum(present, 1)[present] - 1] = (
-        pairs[present])
+    slot = np.cumsum(present, axis=1) - 1  # each present pair's place
+    cands[np.nonzero(present)[0], slot[present]] = pairs[present]
     return cands
 
 
@@ -366,13 +361,11 @@ def write_detections_csv(path, detections: dict[str, DetectionTable],
 def _join(blocks: list, *keys: list) -> tuple:
     """The blocks as one table, with their key columns, sorted stably by
     each key in turn and then by frame. The blocks give up their columns
-    one at a time, each once it is joined, and rows already in that order
-    are not copied again. A file has at least one block."""
+    one at a time, each once it is joined and sorted. A file has at least
+    one block."""
     keys = [np.concatenate(k) for k in keys]
     order = np.lexsort([np.concatenate([b.frame for b in blocks]),
                         *keys[::-1]])
-    if not (np.diff(order) != 1).any():
-        order = slice(None)
     columns = [np.concatenate([vars(b).pop(name) for b in blocks])[order]
                for name in [*vars(blocks[0])]]
     return DetectionTable(*columns), *(k[order] for k in keys)
@@ -448,10 +441,12 @@ def write_tracklets3d_csv(path, tracklets: list[Tracklet3D],
                           meta: dict | None = None) -> None:
     rows = [(t, f) for t in sorted(tracklets, key=lambda t: t.id)
             for f in t.frames]
+    points = [t.points.get(f, (np.nan,) * 3) for t, f in rows]
+    sources = [t.sources.get(f, (None, None)) for t, f in rows]
     _write_columns(path, _TRACKLETS3D, [[
         [t.id for t, _ in rows], [f for _, f in rows],
-        *_fields([t.points.get(f) for t, f in rows], range(3)),
-        *_fields([t.sources.get(f) for t, f in rows], range(2))]], meta)
+        *np.reshape(points, (-1, 3)).T,
+        [s[0] for s in sources], [s[1] for s in sources]]], meta)
 
 
 def read_tracklets3d_csv(path) -> list[Tracklet3D]:
@@ -484,7 +479,7 @@ def write_tracks_csv(path, tracks: list[Track3D],
     keys = sorted((f, k) for k, t in enumerate(order) for f in t.points)
     _write_columns(path, _TRACKS, [[
         [f for f, _ in keys], [order[k].fish_id for _, k in keys],
-        *_fields([order[k].points[f] for f, k in keys], range(3))]], meta)
+        *np.reshape([order[k].points[f] for f, k in keys], (-1, 3)).T]], meta)
 
 
 def read_tracks_csv(path) -> list[Track3D]:

@@ -249,15 +249,15 @@ def degrade(detections: dict[str, DetectionTable], model: DegradeModel,
 
     One generator drives everything, drawing in (view, frame, detection)
     order, so a given seed and model yield identical corruption. Each
-    frame of the input draws its ghosts, whether or not a row of it
-    survives, and they follow that frame's kept rows.
+    frame that holds a row of the input draws its ghosts, whether or not
+    a row of it survives, and they follow that frame's kept rows.
     """
     rng = np.random.default_rng([seed, 31337])
     out = {}
     for view in VIEWS:
         table = detections.get(view, DetectionTable.of(()))
-        rows, frames, ghosts, shifts = [], [], [], []  # a ghost's row is -1
-        for f, a, b in table.runs():
+        rows, ghosts, shifts = [], [], []  # ghost: ~(its frame's first row)
+        for _, a, b in table.runs():
             for i in range(a, b):
                 if rng.random() < model.drop_rate:
                     continue
@@ -265,14 +265,12 @@ def degrade(detections: dict[str, DetectionTable], model: DegradeModel,
                 if model.jitter_px > 0:
                     shifts.append(rng.normal(0.0, model.jitter_px, 2))
             for _ in range(rng.poisson(model.ghost_rate)):
-                rows.append(-1)
+                rows.append(~a)
                 ghosts.append((float(rng.random() * image_size[0]),
                                float(rng.random() * image_size[1])))
-            frames += [f] * (len(rows) - len(frames))
         rows = np.array(rows, dtype=np.intp)
         ghost = rows < 0
-        out[view] = new = table[rows]  # a copy, whose ghost rows are reset
-        new.frame = np.array(frames, dtype=np.int64)
+        out[view] = new = table[np.where(ghost, ~rows, rows)]  # a copy
         new.head[ghost] = np.reshape(ghosts, (-1, 2))
         if shifts:
             new.head[~ghost] += shifts

@@ -117,7 +117,7 @@ def _box_cov(table: DetectionTable) -> DetectionTable:
     """The table with the uniform-box surrogate covariance diag(w^2/12,
     h^2/12) on every row that has a box but no blob statistics."""
     w, h = table.bbox[:, 2], table.bbox[:, 3]
-    zero = 0.0 * w  # blank where there is no box
+    zero = np.where(np.isnan(w), np.nan, 0.0)  # blank where there is no box
     box = np.stack([w * w / 12.0, zero, zero, h * h / 12.0], axis=1)
     table = table[:]
     table.cov = np.where(np.isnan(table.cov), box.reshape(-1, 2, 2), table.cov)

@@ -4,13 +4,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import reference
 from reference import same_table, tracklet
 from stereomot import DetectionTable, GroundTruth, Track3D, Tracklet3D, __version__
 from stereomot.formats import (
+    _DETECTIONS,
+    _TRACKLETS,
     FormatError,
     _cells,
     _write_columns,
@@ -281,6 +283,98 @@ def test_a_cell_csv_writer_would_quote_is_refused(tmp_path, a, special, b):
     assert not (tmp_path / "t.csv").exists()
 
 
+# Rows of detections.csv and tracklets.csv with every blank a reader
+# rules on: 0-3 candidate pairs, a pair with one blank coordinate (dropped)
+# or a blank c1 before a present c2 (which moves up), a partial box or
+# covariance (blank throughout) and a blank confidence.
+VALUE = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
+CELL = st.one_of(st.none(), VALUE)  # None is a blank cell
+SIZE = st.one_of(st.none(), st.floats(0.0, 1e4, allow_nan=False))
+CANDIDATE_CELLS = st.lists(CELL, min_size=6, max_size=6)
+DETECTION_ROWS = st.lists(st.tuples(
+    st.integers(0, 4), st.sampled_from(["top", "front"]), VALUE, VALUE,
+    st.tuples(CELL, CELL, SIZE, SIZE), CELL, CANDIDATE_CELLS), max_size=12)
+TRACKLET_ROWS = st.lists(st.tuples(
+    st.integers(0, 2), st.sampled_from(["top", "front"]), st.integers(0, 4),
+    VALUE, VALUE, CANDIDATE_CELLS, st.lists(CELL, min_size=3, max_size=3)),
+    max_size=12, unique_by=lambda row: row[:3])
+
+
+def csv_text(header: str, rows) -> str:
+    cells = [["" if c is None else repr(c) if isinstance(c, float)
+              else str(c) for c in row] for row in rows]
+    return header + "\n" + "".join(",".join(r) + "\n" for r in cells)
+
+
+def want_row(t, i, head, cands, groups):
+    """Row i of table t holds the drawn row by the reader's rules: the
+    present candidate pairs first, or the head alone when there is none,
+    then NaN pairs; and each (column, cells) group blank throughout when a
+    cell of it is blank."""
+    pairs = [p for p in zip(cands[::2], cands[1::2]) if None not in p]
+    pairs = pairs or [head]
+    assert t.head[i].tolist() == list(head)
+    assert np.array_equal(t.cands[i], pairs + [(math.nan,) * 2] * (
+        3 - len(pairs)), equal_nan=True)
+    for column, cells in groups:
+        want = (np.full(column[i].shape, np.nan) if None in cells
+                else np.reshape(cells, column[i].shape))
+        assert np.array_equal(column[i], want, equal_nan=True)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(DETECTION_ROWS)
+@example([(1, "top", 1.0, 2.0, (1.0, None, 3.0, 4.0), None,
+           [None, None, 5.0, 6.0, 7.0, None]),
+          (0, "top", 3.0, 4.0, (1.0, 2.0, 3.0, 4.0), 97.5,
+           [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
+          (0, "front", 5.0, 6.0, (None,) * 4, 90.0, [None] * 6)])
+def test_detection_rows_read_by_the_blank_rules(tmp_path, rows):
+    raw, once, twice = (tmp_path / n for n in ("raw.csv", "a.csv", "b.csv"))
+    raw.write_text(csv_text(",".join(_DETECTIONS), [
+        (f, v, x, y, *box, conf, *cands)
+        for f, v, x, y, box, conf, cands in rows]))
+    got = read_detections_csv(raw)
+    for view in ("top", "front"):
+        mine = sorted((r for r in rows if r[1] == view), key=lambda r: r[0])
+        assert got[view].frame.tolist() == [r[0] for r in mine]
+        for i, (f, v, x, y, box, conf, cands) in enumerate(mine):
+            want_row(got[view], i, (x, y), cands,
+                     [(got[view].bbox, box), (got[view].confidence, (conf,))])
+    # write . read is idempotent: a second pass writes the first's bytes.
+    write_detections_csv(once, got)
+    write_detections_csv(twice, read_detections_csv(once))
+    assert once.read_bytes() == twice.read_bytes()
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(TRACKLET_ROWS)
+@example([(0, "front", 1, 1.0, 2.0, [None, 1.0, 2.0, 3.0, None, None],
+           [1.0, None, 2.0]),
+          (0, "front", 0, 3.0, 4.0, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+           [1.0, 0.5, 2.0]),
+          (1, "top", 0, 5.0, 6.0, [None] * 6, [None] * 3)])
+def test_tracklet_rows_read_by_the_blank_rules(tmp_path, rows):
+    raw, once, twice = (tmp_path / n for n in ("raw.csv", "a.csv", "b.csv"))
+    raw.write_text(csv_text(",".join(_TRACKLETS), [
+        (tid, v, f, x, y, *cands, *cov)
+        for tid, v, f, x, y, cands, cov in rows]))
+    got = read_tracklets_csv(raw)
+    assert [(t.view, t.id) for t in got] == sorted({r[1::-1] for r in rows})
+    for t in got:
+        mine = sorted((r for r in rows if r[1::-1] == (t.view, t.id)),
+                      key=lambda r: r[2])
+        assert t.frames.tolist() == [r[2] for r in mine]
+        for i, (tid, v, f, x, y, cands, (xx, xy, yy)) in enumerate(mine):
+            want_row(t.detections, i, (x, y), cands,
+                     [(t.detections.cov, (xx, xy, xy, yy))])
+    write_tracklets_csv(once, got)
+    write_tracklets_csv(twice, read_tracklets_csv(once))
+    assert once.read_bytes() == twice.read_bytes()
+
+
 # Malformed files with two faults: the reader reports the earlier line, and
 # on one line its fields in header order, then the line's duplicate key.
 TRACKS_HEADER = "frame,fish_id,x,y,z\n"
@@ -356,6 +450,30 @@ def test_an_unallocatable_n_frames_is_refused_before_any_row(tmp_path):
     assert read_annotations_csv(path).n_frames == 12000
 
 
+@pytest.mark.parametrize("frames, line", [
+    ([30_000_000], 3), ([10**12], 3), ([0, 10**12, -1, 30_000_000], 4)])
+def test_an_unallocatable_row_frame_is_refused_at_its_line(tmp_path, frames,
+                                                           line):
+    # Without a '# n_frames:' line the largest row frame sets the count, so
+    # each row's frame is held to the same limit as that line, and the
+    # earliest row past it is reported before anything of its size is
+    # allocated.
+    path = tmp_path / "annotations.csv"
+    path.write_text("\n".join(["# fps: 60.0", ANNOTATIONS_HEADER] + [
+        ANNOTATION.format(f=f, head="1.0").replace(",1,", f",{k},", 1)
+        for k, f in enumerate(frames)]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as e:
+            read_annotations_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(e.value).startswith(
+        f"{path}:{line}: frame {frames[line - 3]} outside [0, ")
+    assert peak < 1 << 20
+
+
 def test_a_line_names_its_first_bad_field_in_header_order(tmp_path):
     path = tmp_path / "detections.csv"
     path.write_text("frame,view,x,y,bbox_x,bbox_y,bbox_w,bbox_h,confidence,"
@@ -400,3 +518,33 @@ def test_readers_hold_one_block_of_text(tmp_path):
             out = [d for t in out.values() for d in t.frame]
         assert len(out) in (20_000, 40), name  # rows, or tracklets
         assert peak - kept <= 4 * path.stat().st_size, name
+
+
+def test_writers_format_one_block_at_a_time(tmp_path):
+    # The writers' twin of the test above: what a writer allocates beyond
+    # its input stays below the size of the file it writes, because it
+    # never holds a whole file of cell strings.
+    frames = np.arange(30_000) // 2
+    heads = np.stack([frames + UGLY, 2.0 * frames], axis=1)
+    table = DetectionTable.of(heads, frame=frames,
+                              bbox=np.c_[heads, heads + 3.0],
+                              confidence=97.5)
+    files = {
+        "detections.csv": (write_detections_csv,
+                           {"top": table[::2], "front": table[1::2]}),
+        "tracklets.csv": (write_tracklets_csv, [
+            tracklet(k, view, rows.frame, rows.head,
+                     cov=np.diag([1.0, 2.0]) if view == "front" else None)
+            for k in range(30) for view, rows in (
+                ("top", table[1000 * k:1000 * (k + 1):2]),
+                ("front", table[1000 * k + 1:1000 * (k + 1):2]))])}
+    for name, (write, data) in files.items():
+        path = tmp_path / name
+        gc.collect()
+        tracemalloc.start()
+        try:
+            write(path, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= path.stat().st_size, name

@@ -76,7 +76,8 @@ def assert_outputs_agree(out: Path) -> None:
         for f, p in track.points.items():
             assert (f, p.tobytes()) in points, (track.fish_id, f)
             tracked[f, p.tobytes()] += 1
-    assert max(tracked.values(), default=1) == 1
+    shared = sorted(f for (f, _), n in tracked.items() if n > 1)
+    assert not shared, f"points in two tracks at frames {shared}"
 
 
 def test_defaults_text_is_unchanged(capsys):

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stereomot.cli import main
+from test_golden import assert_outputs_agree
 
 SCENE = """\
 n_fish = 5
@@ -201,6 +202,7 @@ def test_pipeline_equals_the_chained_stages(tmp_path_factory, text):
                       "--tracks", f"{d}/tracks.csv"],
                      ["complexity", "--annotations", f"{d}/annotations.csv"]):
             assert main([*args, "--config", str(cfg), "--out-dir", d]) == 0
+    assert_outputs_agree(parts)
     names = sorted(p.name for p in whole.iterdir())
     assert names == sorted(p.name for p in parts.iterdir())
     for name in names:
