@@ -34,8 +34,8 @@ __all__ = [
     "CameraModel", "StereoRig", "TankBounds", "default_rig", "in_tank",
     "load_calibration", "project_batch", "save_calibration",
     "triangulate_batch",
-    "DetectError", "DetectionTable", "DetectParams", "detect_front", "detect_top",
-    "estimate_background", "ingest_external_detections",
+    "DetectError", "DetectionTable", "DetectParams", "detect_front",
+    "detect_top", "estimate_background", "ingest_external_detections",
     "Track2DParams", "Tracklet2D", "build_tracklets", "hungarian",
     "mahalanobis",
     "AssocParams", "AssociationGraph", "NodeCandidate",

@@ -114,7 +114,7 @@ def stage_detect_frames(cfg: PipelineConfig, frames_dir: Path,
         found = [detector(rows[i] if i in rows
                           else _read_frame(paths[i], first.shape)[::d, ::d],
                           bg, params) for i in range(len(numbers))]
-        dets[view] = DetectionTable.concat(found)  # each frame's rows
+        dets[view] = DetectionTable.concat(found)  # each at frame 0
         dets[view].frame = np.repeat(numbers, list(map(len, found)))
     write_detections_csv(out / "detections.csv", dets, _meta(cfg))
 

@@ -80,14 +80,14 @@ class DetectionTable:
         """The rows `rows` (a slice, index array or mask) of every column."""
         return DetectionTable(*(c[rows] for c in vars(self).values()))
 
-    def runs(self, key=None):
-        """(value, start, stop) of each run of rows with one value of
-        `key`, one value per row: by default each frame's rows."""
-        key = self.frame if key is None else key
-        cut = np.flatnonzero(key[1:] != key[:-1]) + 1
-        starts = np.r_[0, cut] if len(key) else cut
-        return zip(key[starts].tolist(), starts.tolist(),
-                   [*cut.tolist(), len(key)])
+
+def runs(key: np.ndarray):
+    """(value, start, stop) of each run of equal values in `key`, such as
+    each frame's rows of a table."""
+    cut = np.flatnonzero(key[1:] != key[:-1]) + 1
+    starts = np.r_[0, cut] if len(key) else cut
+    return zip(key[starts].tolist(), starts.tolist(),
+               [*cut.tolist(), len(key)])
 
 
 @dataclass(frozen=True)

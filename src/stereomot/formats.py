@@ -38,7 +38,7 @@ import numpy as np
 
 from . import __version__
 from .crossview import Tracklet3D
-from .detect import DetectionTable
+from .detect import DetectionTable, runs
 from .geometry import VIEWS
 from .metrics import EvalReport, GroundTruth
 from .track2d import Tracklet2D
@@ -430,7 +430,7 @@ def read_tracklets_csv(path) -> list[Tracklet2D]:
     return [Tracklet2D(id=tid, view=view, detections=rows[a:b])
             for view, rows, key in (("front", table[:n], ids[:n]),
                                     ("top", table[n:], ids[n:]))
-            for tid, a, b in rows.runs(key)]
+            for tid, a, b in runs(key)]
 
 
 # ---------------------------------------------------------------------------

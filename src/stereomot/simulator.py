@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detect import DetectionTable
+from .detect import DetectionTable, runs
 from .geometry import (VIEWS, CameraModel, StereoRig, TankBounds, default_rig,
                        project_batch)
 from .metrics import GroundTruth, pair_overlap
@@ -257,7 +257,7 @@ def degrade(detections: dict[str, DetectionTable], model: DegradeModel,
     for view in VIEWS:
         table = detections.get(view, DetectionTable.of(()))
         rows, ghosts, shifts = [], [], []  # ghost: ~(its frame's first row)
-        for _, a, b in table.runs():
+        for _, a, b in runs(table.frame):
             for i in range(a, b):
                 if rng.random() < model.drop_rate:
                     continue

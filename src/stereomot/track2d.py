@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .detect import DetectionTable
+from .detect import DetectionTable, runs
 
 # Forbidden pairs get this cost; the optimum is validated post-hoc so the
 # solver can never silently commit a gated pair.
@@ -141,7 +141,7 @@ def build_tracklets(table: DetectionTable, params: Track2DParams,
     frames = table.frame.tolist()
     rows: list[list[int]] = []  # each tracklet's rows, by id
     active: list[int] = []  # ids of the live tracklets
-    for f, a, b in table.runs():
+    for f, a, b in runs(table.frame):
         active = [k for k in active
                   if f - frames[rows[k][-1]] <= params.tau_k]
         assigned = [False] * (b - a)
