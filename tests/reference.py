@@ -291,7 +291,8 @@ def skeleton_keypoints(skel: np.ndarray, blob: np.ndarray,
             if k.weight >= params.min_keypoint_weight]
 
 
-def detect_top(grid, bg, params: DetectParams = DetectParams()) -> list:
+def detect_top(grid, bg, params: DetectParams = DetectParams()
+               ) -> DetectionTable:
     """The top-view detector with every step on the whole grid. It calls
     `detect.preprocess` through the module, so a test that patches
     `detect._median_diff` patches it and the library alike."""
@@ -314,7 +315,8 @@ def detect_top(grid, bg, params: DetectParams = DetectParams()) -> list:
     return DetectionTable.of(heads)
 
 
-def detect_front(grid, bg, params: DetectParams = DetectParams()) -> list:
+def detect_front(grid, bg, params: DetectParams = DetectParams()
+                 ) -> DetectionTable:
     """The front-view detector, taking each blob's pixels from its
     `find_objects` box. It calls `detect.preprocess` through the module."""
     f = params.downsample
