@@ -9,7 +9,6 @@ resulting DAG are extracted greedily and merged into 3D tracklets.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -31,27 +30,47 @@ class AssocParams:
             raise ValueError("AssocParams values must be positive")
 
 
-@dataclass
-class NodeCandidate:
+@dataclass(kw_only=True, eq=False)
+class Extent3D:
+    """3D points in one layout, of a node, a 3D tracklet and a stitched
+    track alike: a row per frame that has a point, `frame` (n,) int64
+    strictly ascending and `point` (n, 3) float64. Equal only to itself."""
+
+    frame: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    point: np.ndarray = field(default_factory=lambda: np.empty((0, 3)))
+
+    @property
+    def first_frame(self) -> int:
+        return int(self.frame[0])
+
+    @property
+    def last_frame(self) -> int:
+        return int(self.frame[-1])
+
+    @property
+    def duration(self) -> int:
+        return self.last_frame - self.first_frame + 1
+
+
+def overlap_frames(a, b) -> int:
+    """Frames two extents share, 1 - the gap between them when they share
+    none: of 2D and 3D tracklets and tracks alike, by `first_frame` and
+    `last_frame`. Sharing even a single frame counts as overlap."""
+    return (min(a.last_frame, b.last_frame)
+            - max(a.first_frame, b.first_frame) + 1)
+
+
+@dataclass(eq=False)
+class NodeCandidate(Extent3D):
     """Stereo evidence for one (top, front) tracklet pairing."""
 
     top: Tracklet2D
     front: Tracklet2D
-    points: dict[int, np.ndarray]  # in-tank frame -> midpoint 3D estimate
-    weight: float                  # W
+    weight: float  # W
 
     @property
     def node_id(self) -> tuple[int, int]:
         return (self.top.id, self.front.id)
-
-    # Read for every pair of nodes; `points` is fixed once the node is built.
-    @functools.cached_property
-    def first_valid(self) -> int:
-        return min(self.points)
-
-    @functools.cached_property
-    def last_valid(self) -> int:
-        return max(self.points)
 
 
 def node_weight(top: Tracklet2D, front: Tracklet2D, rig: StereoRig,
@@ -83,20 +102,19 @@ def node_weight(top: Tracklet2D, front: Tracklet2D, rig: StereoRig,
     if not inside.any():
         return None
     best = best[inside]
-    points = dict(zip(common[inside].tolist(), pts[best]))
     weights = [math.exp(-params.lambda_err * e) for e in errs[best].tolist()]
     union = len(top.frames) + len(front.frames) - len(common)
     w = float(np.median(weights)) * len(weights) / union
-    return NodeCandidate(top=top, front=front, points=points, weight=w)
+    return NodeCandidate(top=top, front=front, frame=common[inside],
+                         point=pts[best], weight=w)
 
 
 def edge_weight(src: NodeCandidate, dst: NodeCandidate,
                 params: AssocParams = AssocParams(),
                 fps: float = 60.0) -> float:
     """exp(-lambda_s * speed) * exp(-gap / tau_p) * (W_src + W_dst)."""
-    t_d = max(1, dst.first_valid - src.last_valid)
-    dist = float(np.linalg.norm(dst.points[dst.first_valid]
-                                - src.points[src.last_valid]))
+    t_d = max(1, dst.first_frame - src.last_frame)
+    dist = float(np.linalg.norm(dst.point[0] - src.point[-1]))
     speed = dist / (t_d / fps)
     return (math.exp(-params.lambda_s * speed)
             * math.exp(-t_d / params.tau_p)
@@ -131,17 +149,12 @@ def build_graph(top_tracklets: list[Tracklet2D],
     edges = {}
     for src in cands:
         for dst in cands:
-            if src is dst:
-                continue
+            # Exactly one shared view, whose other tracklets do not overlap.
             share_top = src.top.id == dst.top.id
-            share_front = src.front.id == dst.front.id
-            if share_top == share_front:  # need exactly one shared view
+            if share_top == (src.front.id == dst.front.id):
                 continue
-            if share_top and overlap_frames(src.front, dst.front) >= 1:
-                continue
-            if share_front and overlap_frames(src.top, dst.top) >= 1:
-                continue
-            if src.last_valid < dst.first_valid:
+            other = (src.front, dst.front) if share_top else (src.top, dst.top)
+            if overlap_frames(*other) < 1 and src.last_frame < dst.first_frame:
                 edges[(src.node_id, dst.node_id)] = edge_weight(
                     src, dst, params, fps)
     return AssociationGraph(nodes={c.node_id: c for c in cands},
@@ -197,60 +210,42 @@ def extract_paths(graph: AssociationGraph) -> list[list]:
     return paths
 
 
-class Extent3D:
-    """The frame extent of the 3D points in `points`, a frame -> point
-    dict: of a 3D tracklet and of a stitched track alike."""
-
-    @property
-    def first_frame(self) -> int:
-        return min(self.points)
-
-    @property
-    def last_frame(self) -> int:
-        return max(self.points)
-
-    @property
-    def duration(self) -> int:
-        return self.last_frame - self.first_frame + 1
-
-
-def overlap_frames(a, b) -> int:
-    """Frames two extents share, 1 - the gap between them when they share
-    none: of 2D and 3D tracklets and tracks alike, by `first_frame` and
-    `last_frame`. Sharing even a single frame counts as overlap."""
-    return (min(a.last_frame, b.last_frame)
-            - max(a.first_frame, b.first_frame) + 1)
-
-
-@dataclass
+@dataclass(eq=False)
 class Tracklet3D(Extent3D):
-    """3D tracklet: per-frame in-tank points plus the 2D tracklet ids behind
-    every frame, including frames only one view covers."""
+    """3D tracklet: its in-tank points, and a `sources` row (frame, top id,
+    front id) for every frame either view covers, an id masked where its
+    view has no tracklet at that frame."""
 
     id: int
-    points: dict[int, np.ndarray] = field(default_factory=dict)
-    sources: dict[int, tuple] = field(default_factory=dict)  # frame -> (top, front) ids
+    sources: np.ma.MaskedArray = field(
+        default_factory=lambda: np.ma.empty((0, 3), np.int64))
 
-    @property
-    def frames(self) -> list[int]:
-        return sorted(set(self.sources) | set(self.points))
+
+def _sources(node: NodeCandidate, frames: np.ndarray) -> np.ma.MaskedArray:
+    """The node's (frame, top id, front id) rows at `frames`, an id masked
+    at a frame its 2D tracklet has no row at."""
+    covered = [np.isin(frames, t.frames) for t in (node.top, node.front)]
+    return np.ma.column_stack([frames, np.ma.array(
+        np.broadcast_to(node.node_id, (len(frames), 2)),
+        mask=~np.column_stack(covered))])
 
 
 def extract_3d_tracklets(graph: AssociationGraph) -> list[Tracklet3D]:
+    """A 3D tracklet per path. A frame's point and sources come from the
+    first node on the path with a point there; a frame without a point
+    takes its sources from the first node that covers it: np.unique keeps
+    each frame's first row, and the point rows go first."""
     out = []
     for tid, path in enumerate(extract_paths(graph)):
-        tracklet = Tracklet3D(id=tid)
-        for nid in path:
-            node = graph.nodes[nid]
-            tops, fronts = (set(t.frames.tolist())
-                            for t in (node.top, node.front))
-            for f in sorted(tops | fronts):
-                if f in node.points and f not in tracklet.points:
-                    tracklet.points[f] = node.points[f]
-                    tracklet.sources[f] = node.node_id
-                elif f not in tracklet.sources:
-                    tracklet.sources[f] = (
-                        node.top.id if f in tops else None,
-                        node.front.id if f in fronts else None)
-        out.append(tracklet)
+        nodes = [graph.nodes[nid] for nid in path]
+        frame, first = np.unique(np.concatenate([n.frame for n in nodes]),
+                                 return_index=True)
+        rows = np.ma.concatenate(
+            [_sources(n, n.frame) for n in nodes]
+            + [_sources(n, np.union1d(n.top.frames, n.front.frames))
+               for n in nodes])
+        out.append(Tracklet3D(
+            id=tid, frame=frame,
+            point=np.concatenate([n.point for n in nodes])[first],
+            sources=rows[np.unique(rows[:, 0].data, return_index=True)[1]]))
     return out

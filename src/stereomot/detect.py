@@ -613,9 +613,9 @@ def ingest_external_detections(path, min_confidence: float = 95.0,
     bad line of the file being the one reported. Returns view -> table, in
     file order within a frame: the shape every detection producer
     returns."""
-    from .formats import _EXTERNAL_DETECTIONS, _read_detections
+    from .formats import _EXTERNAL_DETECTIONS, read_detections_csv
 
-    out = _read_detections(path, _EXTERNAL_DETECTIONS)
+    out = read_detections_csv(path, _EXTERNAL_DETECTIONS)
     for view, table in out.items():
         table = out[view] = table[table.confidence >= min_confidence]
         table.head = table.bbox[:, :2] + table.bbox[:, 2:] / 2.0

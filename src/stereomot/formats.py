@@ -30,7 +30,7 @@ import math
 import re
 from contextlib import suppress
 from functools import partial
-from itertools import islice, repeat
+from itertools import islice
 from operator import is_not
 from typing import Callable, NamedTuple
 
@@ -45,8 +45,9 @@ from .track2d import Tracklet2D
 from .track3d import Track3D
 
 REPORT_SCHEMA_VERSION = 1
-# The most bytes a '# n_frames:' line may ask of a one-fish GroundTruth: a
-# larger count is refused at line 1, before any row is read.
+# The most bytes a GroundTruth may take: a larger '# n_frames:' count is
+# refused at line 1, before any row is read, and a row frame or a new fish
+# that would pass it at its own line.
 _MAX_GT_BYTES = 1 << 30
 
 _QUOTED = frozenset(',"\r\n')  # csv.writer quotes a cell holding one
@@ -76,10 +77,13 @@ def _cell_text(kind):
 
 def _cells(values) -> list[str]:
     """One column's cells. A numeric array's floats are repr of the Python
-    float, blank where NaN. In a list each type picks its formatter once,
-    so a column of one type is formatted by one map(). Only str can write
-    a character csv.writer quotes, and such a cell is refused."""
-    if isinstance(values, np.ndarray):
+    float, blank where NaN; a masked array's cells are its list's. In a
+    list each type picks its formatter once, so a column of one type is
+    formatted by one map(). Only str can write a character csv.writer
+    quotes, and such a cell is refused."""
+    if isinstance(values, np.ma.MaskedArray):
+        values = values.tolist()  # None where masked
+    elif isinstance(values, np.ndarray):
         cells = list(map(float.__repr__ if values.dtype.kind == "f"
                          else int.__repr__, values.tolist()))
         for i in np.flatnonzero(np.isnan(values)).tolist():
@@ -312,14 +316,14 @@ class _Table:
             self.fail(i, message(i))
 
     def add(self, groups: dict, rows, message) -> None:
-        """Set groups[group][key] = value for each (group, key, value) row
-        in play; a row whose key its group has already fails, and
-        message(group, key) says why."""
-        for i, (group, key, value) in enumerate(islice(rows, self.n)):
-            into = groups.setdefault(group, {})
+        """Add key to groups[group] for each (group, key) row in play; a
+        row whose key its group has already fails, and message(group, key)
+        says why."""
+        for i, (group, key) in enumerate(islice(rows, self.n)):
+            into = groups.setdefault(group, set())
             if key in into:
                 return self.fail(i, message(group, key))
-            into[key] = value
+            into.add(key)
 
 
 def _array(block: dict, keys) -> np.ndarray:
@@ -358,38 +362,32 @@ def write_detections_csv(path, detections: dict[str, DetectionTable],
     ], meta)
 
 
-def _join(blocks: list, *keys: list) -> tuple:
-    """The blocks as one table, with their key columns, sorted stably by
-    each key in turn and then by frame. The blocks give up their columns
-    one at a time, each once it is joined and sorted. A file has at least
-    one block."""
-    keys = [np.concatenate(k) for k in keys]
-    order = np.lexsort([np.concatenate([b.frame for b in blocks]),
-                        *keys[::-1]])
-    columns = [np.concatenate([vars(b).pop(name) for b in blocks])[order]
-               for name in [*vars(blocks[0])]]
-    return DetectionTable(*columns), *(k[order] for k in keys)
+def _join(blocks: list[dict], *keys: str) -> dict:
+    """The blocks' columns, each joined and sorted stably by each key in
+    turn, then by frame; the blocks give up a column once it is joined.
+    There is at least one block."""
+    order = np.lexsort([np.concatenate([b[k] for b in blocks])
+                        for k in ("frame", *keys[::-1])])
+    return {name: np.concatenate([b.pop(name) for b in blocks])[order]
+            for name in [*blocks[0]]}
 
 
-def _read_detections(path, columns: dict[str, _Kind]
-                     ) -> dict[str, DetectionTable]:
+def read_detections_csv(path, columns: dict[str, _Kind] = _DETECTIONS
+                        ) -> dict[str, DetectionTable]:
     """view -> table, sorted by frame and in file order within a frame,
     read against `columns`."""
-    blocks, front = [], []
+    blocks = []
     for c in _Table(path, columns):
         head = _array(c, "xy")
-        blocks.append(DetectionTable.of(
-            head, frame=c["frame"], cands=_candidates(c, head),
-            bbox=_array(c, _BOX),
-            confidence=_array(c, ("confidence",))[:, 0]))
-        front.append(np.array(c["view"], dtype=str) == "front")
-    table, front = _join(blocks, front)  # the top view's rows first
-    n = len(front) - np.count_nonzero(front)
+        blocks.append({"front": np.array(c["view"], dtype=str) == "front",
+                       **vars(DetectionTable.of(
+                           head, frame=c["frame"], cands=_candidates(c, head),
+                           bbox=_array(c, _BOX),
+                           confidence=_array(c, ("confidence",))[:, 0]))})
+    table = _join(blocks, "front")  # the top view's rows first
+    n = np.count_nonzero(~table.pop("front"))
+    table = DetectionTable(**table)
     return {"top": table[:n], "front": table[n:]}
-
-
-def read_detections_csv(path) -> dict[str, DetectionTable]:
-    return _read_detections(path, _DETECTIONS)
 
 
 # ---------------------------------------------------------------------------
@@ -408,25 +406,25 @@ def write_tracklets_csv(path, tracklets: list[Tracklet2D],
 
 def read_tracklets_csv(path) -> list[Tracklet2D]:
     t = _Table(path, _TRACKLETS)
-    seen: dict[tuple, dict] = {}  # (view, id) -> frame -> None
-    blocks, top, ids = [], [], []
+    seen: dict[tuple, set] = {}  # (view, id) -> its frames
+    blocks = []
     for c in t:
-        t.add(seen, zip(zip(c["view"], c["tracklet_id"]), c["frame"],
-                        repeat(None)),
+        t.add(seen, zip(zip(c["view"], c["tracklet_id"]), c["frame"]),
               lambda key, f: f"duplicate row for {key[0]} tracklet {key[1]} "
                              f"at frame {f}")
         head = _array(c, "xy")
         cov = _array(c, ("covxx", "covxy", "covxy", "covyy"))
-        blocks.append(DetectionTable.of(head, frame=c["frame"],
-                                        cands=_candidates(c, head),
-                                        cov=cov.reshape(-1, 2, 2)))
-        top.append(np.array(c["view"], dtype=str) == "top")
-        ids.append(np.array(c["tracklet_id"], dtype=np.int64))
+        blocks.append({"top": np.array(c["view"], dtype=str) == "top",
+                       "id": np.array(c["tracklet_id"], dtype=np.int64),
+                       **vars(DetectionTable.of(
+                           head, frame=c["frame"], cands=_candidates(c, head),
+                           cov=cov.reshape(-1, 2, 2)))})
     del seen
     # Tracklets in (view, id) order, "front" first; each one's rows are
     # contiguous, frames ascending.
-    table, top, ids = _join(blocks, top, ids)
-    n = len(top) - np.count_nonzero(top)
+    table = _join(blocks, "top", "id")
+    n, ids = np.count_nonzero(~table.pop("top")), table.pop("id")
+    table = DetectionTable(**table)
     return [Tracklet2D(id=tid, view=view, detections=rows[a:b])
             for view, rows, key in (("front", table[:n], ids[:n]),
                                     ("top", table[n:], ids[n:]))
@@ -439,33 +437,46 @@ def read_tracklets_csv(path) -> list[Tracklet2D]:
 
 def write_tracklets3d_csv(path, tracklets: list[Tracklet3D],
                           meta: dict | None = None) -> None:
-    rows = [(t, f) for t in sorted(tracklets, key=lambda t: t.id)
-            for f in t.frames]
-    points = [t.points.get(f, (np.nan,) * 3) for t, f in rows]
-    sources = [t.sources.get(f, (None, None)) for t, f in rows]
-    _write_columns(path, _TRACKLETS3D, [[
-        [t.id for t, _ in rows], [f for _, f in rows],
-        *np.reshape(points, (-1, 3)).T,
-        [s[0] for s in sources], [s[1] for s in sources]]], meta)
+    parts = []
+    for t in sorted(tracklets, key=lambda t: t.id):
+        frame = t.sources[:, 0].data  # a row per source row
+        xyz = np.full((len(frame), 3), np.nan)
+        xyz[np.searchsorted(frame, t.frame)] = t.point
+        parts.append([np.full(len(frame), t.id), frame, *xyz.T,
+                      *t.sources[:, 1:].T])
+    _write_columns(path, _TRACKLETS3D, parts, meta)
+
+
+def _by_key(t: _Table, key: str, noun: str, columns) -> dict:
+    """The table's `key` and frame columns and the `columns(block)` ones,
+    joined and sorted by key, then frame. A second row for a (key, frame)
+    fails."""
+    seen: dict = {}  # key -> its frames
+    blocks = []
+    for c in t:
+        t.add(seen, zip(c[key], c["frame"]),
+              lambda k, f: f"duplicate row for {noun} {k} at frame {f}")
+        blocks.append({key: np.array(c[key], np.int64),
+                       "frame": np.array(c["frame"], np.int64), **columns(c)})
+    del seen
+    return _join(blocks, key)
 
 
 def read_tracklets3d_csv(path) -> list[Tracklet3D]:
-    t = _Table(path, _TRACKLETS3D)
-    sources: dict[int, dict] = {}  # id -> frame -> (top id, front id)
-    points: dict[int, dict] = {}  # id -> frame -> point
-    for c in t:
-        ids, frames = c["tracklet_id"], c["frame"]
-        t.add(sources, zip(ids, frames, zip(c["top_tracklet_id"],
-                                            c["front_tracklet_id"])),
-              lambda tid, f: (
-                  f"duplicate row for 3D tracklet {tid} at frame {f}"))
-        xyz = _array(c, "xyz")  # NaN where blank
-        full = (~np.isnan(xyz).any(axis=1)).tolist()
-        for tid, f, p, has_point in zip(ids, frames, xyz, full):
-            if has_point:
-                points.setdefault(tid, {})[f] = p
-    return [Tracklet3D(id=tid, points=points.get(tid, {}), sources=s)
-            for tid, s in sorted(sources.items())]
+    def columns(c):  # the points, NaN where blank; the ids, 0 where blank
+        ids = [c["top_tracklet_id"], c["front_tracklet_id"]]
+        blank = np.equal(ids, None)
+        return {"xyz": _array(c, "xyz"), "blank": blank.T,
+                "ids": np.where(blank, 0, ids).T.astype(np.int64)}
+
+    rows = _by_key(_Table(path, _TRACKLETS3D), "tracklet_id", "3D tracklet",
+                   columns)
+    sources = np.ma.column_stack([rows["frame"], np.ma.array(
+        rows["ids"], mask=rows["blank"])])
+    has = ~np.isnan(rows["xyz"]).any(axis=1)
+    return [Tracklet3D(id=tid, frame=rows["frame"][a:b][has[a:b]],
+                       point=rows["xyz"][a:b][has[a:b]], sources=sources[a:b])
+            for tid, a, b in runs(rows["tracklet_id"])]
 
 
 # ---------------------------------------------------------------------------
@@ -475,20 +486,20 @@ def read_tracklets3d_csv(path) -> list[Tracklet3D]:
 def write_tracks_csv(path, tracks: list[Track3D],
                      meta: dict | None = None) -> None:
     # Rows by frame, then by fish id (stable for equal ids).
-    order = sorted(tracks, key=lambda t: t.fish_id)
-    keys = sorted((f, k) for k, t in enumerate(order) for f in t.points)
-    _write_columns(path, _TRACKS, [[
-        [f for f, _ in keys], [order[k].fish_id for _, k in keys],
-        *np.reshape([order[k].points[f] for f, k in keys], (-1, 3)).T]], meta)
+    rows = _join([{"frame": t.frame, "fish": np.full(len(t.frame), t.fish_id),
+                   "xyz": t.point}
+                  for t in sorted(tracks, key=lambda t: t.fish_id)
+                  or [Track3D(fish_id=0)]])  # no track: no row
+    _write_columns(path, _TRACKS, [[rows["frame"], rows["fish"],
+                                    *rows["xyz"].T]], meta)
 
 
 def read_tracks_csv(path) -> list[Track3D]:
-    t = _Table(path, _TRACKS)
-    tracks: dict[int, dict] = {}  # fish id -> frame -> point
-    for c in t:
-        t.add(tracks, zip(c["fish_id"], c["frame"], _array(c, "xyz")),
-              lambda fid, f: f"duplicate row for fish {fid} at frame {f}")
-    return [Track3D(fish_id=fid, points=tracks[fid]) for fid in sorted(tracks)]
+    rows = _by_key(_Table(path, _TRACKS), "fish_id", "fish",
+                   lambda c: {"xyz": _array(c, "xyz")})
+    return [Track3D(fish_id=fid, frame=rows["frame"][a:b],
+                    point=rows["xyz"][a:b])
+            for fid, a, b in runs(rows["fish_id"])]
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +534,7 @@ def read_annotations_csv(path) -> GroundTruth:
     one = GroundTruth(fps, 1, [0])  # one frame of one fish
     limit = _MAX_GT_BYTES // sum(a.nbytes for a in (
         one.points3d, *one.heads.values(), *one.boxes.values(),
-        *one.occluded.values()))  # the frames a one-fish GroundTruth may have
+        *one.occluded.values()))  # the most frames times fish it may have
     n_frames = None
     if "n_frames" in meta:
         n_frames = _meta_number(path, meta, "n_frames", int)
@@ -538,14 +549,27 @@ def read_annotations_csv(path) -> GroundTruth:
     bound = (f"[0, n_frames = {n_frames})" if n_frames is not None else
              f"[0, {limit}): too many frames to allocate")
     t = _Table(path, _ANNOTATIONS)
-    parts, seen = [], {}  # seen: (view, fish id) -> frame -> None
+    parts, seen = [], {}  # seen: (view, fish id) -> its frames
+    ids, span = {}, n_frames or 0  # the fish ids and the frames so far
     for c in t:
         frames = c["frame"]
         t.expect(frames, in_range,
                  lambda i: f"frame {frames[i]} outside {bound}")
-        t.add(seen, zip(zip(c["view"], c["fish_id"]), frames, repeat(None)),
+        t.add(seen, zip(zip(c["view"], c["fish_id"]), frames),
               lambda key, f: f"duplicate row for fish {key[1]} in view "
                              f"{key[0]} at frame {f}")
+        # Frames times fish only grow: a row passes the limit if the last does.
+        fish_ids = c["fish_id"][:t.n]
+        top = max(span, 1 + max(frames[:t.n], default=-1))
+        if top * len(ids.keys() | set(fish_ids)) > limit:
+            for i, (f, k) in enumerate(zip(frames, fish_ids)):
+                ids[k], span = None, max(span, f + 1)
+                if span * len(ids) > limit:
+                    t.fail(i, f"{len(ids)} fish over {span} frames are too "
+                              f"many to allocate")
+                    break
+        ids.update(dict.fromkeys(fish_ids))
+        span = top
         parts.append((np.array(frames, dtype=np.intp),
                       np.array(c["fish_id"], dtype=np.int64),
                       np.array(c["view"], dtype=str), _array(c, _BOX),
@@ -554,14 +578,8 @@ def read_annotations_csv(path) -> GroundTruth:
                       _array(c, ("x3d", "y3d", "z3d"))))  # NaN where blank
     f, fish, views, box, heads, occluded, points = map(np.concatenate,
                                                        zip(*parts))
-    if n_frames is None:
-        n_frames = 1 + int(f.max(initial=-1))
-    try:
-        gt = GroundTruth(fps, n_frames, np.unique(fish))
-    except (MemoryError, ValueError):  # numpy: too large, or too many dims
-        raise FormatError(f"{path}:1: '# n_frames: {n_frames}' is too large "
-                          f"to allocate") from None
-    if n_frames == 0:  # so there is no row either
+    gt = GroundTruth(fps, span, np.unique(fish))
+    if span == 0:  # so there is no row either
         raise FormatError(f"{path}: the annotations cover no frame")
 
     j = np.searchsorted(gt.fish_ids, fish)

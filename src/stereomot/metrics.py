@@ -356,8 +356,7 @@ def oracle_tracks(gt: GroundTruth, view: str | None = None
 
 def tracks_to_pred(tracks) -> dict[int, dict[int, np.ndarray]]:
     """Adapt stitched tracks to the {track_id: {frame: point}} form."""
-    return {t.fish_id: {f: np.asarray(p, dtype=float)
-                        for f, p in t.points.items()} for t in tracks}
+    return {t.fish_id: dict(zip(t.frame.tolist(), t.point)) for t in tracks}
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from .crossview import Extent3D, Tracklet3D, overlap_frames
+from .detect import runs
 
 log = logging.getLogger(__name__)
 
@@ -37,11 +38,10 @@ class StitchParams:
             raise ValueError("overlap_scale must lie in (0, 1]")
 
 
-@dataclass
+@dataclass(eq=False)
 class Track3D(Extent3D):
     fish_id: int
-    points: dict[int, np.ndarray] = field(default_factory=dict)
-    sources: list[int] = field(default_factory=list)
+    sources: list[int] = field(default_factory=list)  # 3D tracklet ids
 
 
 def temporal_gap(a, b) -> int:
@@ -107,8 +107,8 @@ def select_initial(tracklets: list[Tracklet3D], n_fish: int,
     if best is None:
         return None
     ordered = sorted(best, key=lambda t: t.id)
-    mains = [Track3D(fish_id=i + 1, points=dict(t.points), sources=[t.id])
-             for i, t in enumerate(ordered)]
+    mains = [Track3D(fish_id=i + 1, frame=t.frame, point=t.point,
+                     sources=[t.id]) for i, t in enumerate(ordered)]
     return mains, {t.id for t in ordered}
 
 
@@ -116,13 +116,11 @@ def gallery_rank(galleries: list[Tracklet3D],
                  mains: list[Track3D]) -> list[Tracklet3D]:
     """Galleries ordered by smallest temporal gap to any main; galleries
     overlapping every main go last (input order preserved within ties)."""
-    head, tail = [], []
-    for g in galleries:
+    def key(g):
         gaps = [temporal_gap(g, m) for m in mains]
-        overlaps_all = all(overlap_frames(g, m) >= 1 for m in mains)
-        (tail if overlaps_all else head).append((min(gaps), g))
-    head.sort(key=lambda item: item[0])
-    return [g for _, g in head] + [g for _, g in tail]
+        return max(gaps) == 0, min(gaps)  # no gap to any main: last
+
+    return sorted(galleries, key=key)
 
 
 def _switch_path(gallery, main) -> list[float] | None:
@@ -135,14 +133,13 @@ def _switch_path(gallery, main) -> list[float] | None:
     walk can touch both tracklets (single occupied frame, one node)."""
     if overlap_frames(gallery, main) < 1:
         return None
-    layers = []
-    for f in sorted(set(gallery.points) | set(main.points)):
-        layer = []
-        if f in main.points:
-            layer.append(("m", main.points[f]))
-        if f in gallery.points:
-            layer.append(("g", gallery.points[f]))
-        layers.append(layer)
+    # Both tracklets' rows by frame, the main's first within a frame.
+    frame = np.r_[main.frame, gallery.frame]
+    order = np.argsort(frame, kind="stable")
+    side = np.repeat(["m", "g"], [len(main.frame), len(gallery.frame)])
+    rows = list(zip(side[order].tolist(),
+                    np.r_[main.point, gallery.point][order]))
+    layers = [rows[a:b] for _, a, b in runs(frame[order])]
 
     # state: (node index, saw gallery, saw main) -> (cost, lengths of the
     # switch edges on the cheapest walk to it)
@@ -168,11 +165,10 @@ def _switch_path(gallery, main) -> list[float] | None:
 
 
 def _endpoint_distance(gallery, main) -> float:
-    if gallery.first_frame > main.last_frame:
-        a, b = main.points[main.last_frame], gallery.points[gallery.first_frame]
-    else:
-        a, b = gallery.points[gallery.last_frame], main.points[main.first_frame]
-    return float(np.linalg.norm(b - a))
+    """From the last point of the earlier extent to the later one's first."""
+    early, late = ((main, gallery) if gallery.first_frame > main.last_frame
+                   else (gallery, main))
+    return float(np.linalg.norm(late.point[0] - early.point[-1]))
 
 
 def _normalize(values: list[float]) -> list[float]:
@@ -199,19 +195,15 @@ def assignment_cost(gallery: Tracklet3D, mains: list[Track3D],
         gaps = [float(temporal_gap(gallery, mains[i])) for i in idx]
         measures = [_normalize(dists), _normalize(gaps)]
     else:
-        idx, switch, inter, ratio = [], [], [], []
-        for i, m in enumerate(mains):
-            edges = _switch_path(gallery, m)
-            if edges is None:
-                continue
-            idx.append(i)
-            switch.append(sum(edges) / len(edges) if edges else 0.0)
-            ov = float(overlap_frames(gallery, m))
-            inter.append(ov)
-            ratio.append(ov / gallery.duration)
+        walks = [_switch_path(gallery, m) for m in mains]
+        idx = [i for i, edges in enumerate(walks) if edges is not None]
         if not idx:
             return costs
-        measures = [_normalize(switch), _normalize(inter), _normalize(ratio)]
+        switch = [sum(walks[i]) / len(walks[i]) if walks[i] else 0.0
+                  for i in idx]
+        inter = [float(overlap_frames(gallery, mains[i])) for i in idx]
+        measures = [_normalize(switch), _normalize(inter),
+                    _normalize([ov / gallery.duration for ov in inter])]
     for k, i in enumerate(idx):
         costs[i] = float(np.mean([m[k] for m in measures]))
     return costs
@@ -221,14 +213,14 @@ def associate(tracklets: list[Tracklet3D], n_fish: int,
               params: StitchParams = StitchParams()) -> list[Track3D]:
     """Stitch tracklets into n_fish tracks (or pass them through unstitched
     when no concurrent seed set exists)."""
-    usable = sorted((t for t in tracklets if t.points), key=lambda t: t.id)
+    usable = sorted((t for t in tracklets if len(t.frame)), key=lambda t: t.id)
     selected = select_initial(usable, n_fish, params)
     if selected is None:
         # No concurrent seed set: emit the raw tracklets so nothing is lost.
         log.warning("no concurrent seed set for n_fish=%d; passing %d "
                     "tracklets through unstitched", n_fish, len(usable))
-        return [Track3D(fish_id=i + 1, points=dict(t.points), sources=[t.id])
-                for i, t in enumerate(usable)]
+        return [Track3D(fish_id=i + 1, frame=t.frame, point=t.point,
+                        sources=[t.id]) for i, t in enumerate(usable)]
     mains, used = selected
     galleries = [t for t in usable if t.id not in used]
     while galleries:
@@ -240,9 +232,11 @@ def associate(tracklets: list[Tracklet3D], n_fish: int,
             continue
         if len(ranked) > 1 and ranked[1][0] - ranked[0][0] < params.beta:
             continue  # ambiguous: drop rather than risk an ID switch
+        # The main keeps its own point at a frame both have: np.unique
+        # keeps a frame's first row.
         main = mains[ranked[0][1]]
-        for f, p in gallery.points.items():
-            if f not in main.points:
-                main.points[f] = p
+        main.frame, first = np.unique(np.r_[main.frame, gallery.frame],
+                                      return_index=True)
+        main.point = np.concatenate([main.point, gallery.point])[first]
         main.sources.append(gallery.id)
     return mains

@@ -6,7 +6,10 @@ the plain textbook form. The library only has the batched forms
 these. `graph_from_weights` builds an association graph from bare
 weights, for tests of path extraction on hand-made or random DAGs;
 `tracklet` builds a 2D tracklet from its rows, and `same_table` compares
-two detection tables column by column.
+two detection tables column by column. `columns` turns a {frame: point}
+dict into the `frame` and `point` columns of a node, 3D tracklet or
+track, and `frame_points` and `frame_sources` turn those columns and a
+3D tracklet's source rows back into {frame: ...} dicts.
 `skeletonize` and `kernel_response` are the whole-image forms of the
 detector's thinning and keypoint response: every pass of the thinning
 sums the neighbours of every pixel, and the response is a 5x5
@@ -114,6 +117,26 @@ def same_table(a: DetectionTable, b: DetectionTable) -> bool:
                for x, y in zip(vars(a).values(), vars(b).values()))
 
 
+def columns(points: dict) -> dict:
+    """The `frame` and `point` columns of a {frame: point} dict, as the
+    keyword arguments of a node, 3D tracklet or track."""
+    frames = sorted(points)
+    return {"frame": np.array(frames, dtype=np.int64),
+            "point": np.array([points[f] for f in frames],
+                              dtype=float).reshape(-1, 3)}
+
+
+def frame_points(extent) -> dict:
+    """{frame: point} of a node's, 3D tracklet's or track's columns."""
+    return dict(zip(extent.frame.tolist(), extent.point))
+
+
+def frame_sources(tracklet3d) -> dict:
+    """{frame: (top id, front id)} of a 3D tracklet's source rows, None
+    for a blank id."""
+    return {f: (top, front) for f, top, front in tracklet3d.sources.tolist()}
+
+
 def graph_from_weights(node_weights: dict,
                        edge_weights: dict) -> AssociationGraph:
     """A graph whose node `nid` has weight `node_weights[nid]` and 2D
@@ -121,7 +144,7 @@ def graph_from_weights(node_weights: dict,
     `edge_weights` maps (src, dst) to a weight; it must form a DAG."""
     nodes = {nid: NodeCandidate(top=tracklet(nid, "top", []),
                                 front=tracklet(nid, "front", []),
-                                points={}, weight=float(w))
+                                **columns({}), weight=float(w))
              for nid, w in node_weights.items()}
     return AssociationGraph(nodes=nodes, edges=dict(edge_weights))
 
@@ -568,13 +591,14 @@ def switch_path(gallery, main):
     if not (gallery.first_frame <= main.last_frame
             and main.first_frame <= gallery.last_frame):
         return None
+    gallery_points, main_points = frame_points(gallery), frame_points(main)
     layers = []
-    for f in sorted(set(gallery.points) | set(main.points)):
+    for f in sorted(set(gallery_points) | set(main_points)):
         layer = []
-        if f in main.points:
-            layer.append(("m", main.points[f]))
-        if f in gallery.points:
-            layer.append(("g", gallery.points[f]))
+        if f in main_points:
+            layer.append(("m", main_points[f]))
+        if f in gallery_points:
+            layer.append(("g", gallery_points[f]))
         layers.append(layer)
 
     # state: (node index, saw gallery, saw main) -> (cost, parent state)

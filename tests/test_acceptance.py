@@ -293,7 +293,7 @@ def synth_node(tid, fid, f0, f1, rng, weight):
     return NodeCandidate(
         top=tracklet(tid, "top", frames),
         front=tracklet(fid, "front", frames),
-        points={f: pts[k] for k, f in enumerate(frames)},
+        frame=np.array(frames), point=pts,
         weight=weight)
 
 
@@ -320,7 +320,7 @@ def test_criterion_06_weights_match_scratch_evaluation():
             dst = synth_node(2, 3, split + gap, split + gap + 20, rng, w2)
             got = edge_weight(src, dst, params, fps=fps)
             t_d = max(1, (split + gap) - (split - 1))
-            dist = math.dist(src.points[split - 1], dst.points[split + gap])
+            dist = math.dist(src.point[split - 1], dst.point[0])
             expect = (math.exp(-params.lambda_s * dist / (t_d / fps))
                       * math.exp(-t_d / params.tau_p) * (w1 + w2))
             assert abs(got - expect) / expect < 1e-12

@@ -1,13 +1,14 @@
 import contextlib
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stereomot import Track3D
+from stereomot import Track3D, formats
 from stereomot.cli import main
 from stereomot.config import ConfigError, PipelineConfig
 from stereomot.formats import (
@@ -156,9 +157,10 @@ def test_evaluate_annotations_against_themselves(tmp_path, capsys):
     out = tmp_path / "gtrun"
     assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 0
     gt = read_annotations_csv(out / "annotations.csv")
-    tracks = [Track3D(fish_id=i) for i in gt.fish_ids]
-    for f, j in zip(*np.nonzero(~np.isnan(gt.points3d[..., 0]))):
-        tracks[j].points[f] = gt.points3d[f, j]
+    tracks = []
+    for j, i in enumerate(gt.fish_ids):
+        f = np.flatnonzero(~np.isnan(gt.points3d[:, j, 0]))
+        tracks.append(Track3D(fish_id=i, frame=f, point=gt.points3d[f, j]))
     write_tracks_csv(out / "gt_tracks.csv", tracks)
     assert main(["evaluate", "--config", cfg, "--out-dir", str(out),
                  "--annotations", str(out / "annotations.csv"),
@@ -475,6 +477,28 @@ def test_errors_exit_2(tmp_path, capsys):
                      "--out-dir", str(tmp_path / "out")]) == 2, text
         assert capsys.readouterr().err.startswith(
             f"error: {calibration}{where}: "), text
+
+
+def test_too_many_fish_to_allocate_exit_2(tmp_path, capsys, monkeypatch):
+    # Under a 1 MiB limit a GroundTruth may hold 8594 frames of one fish,
+    # so 4000 frames hold two: the row of a third fish is refused at its
+    # line, before anything of the GroundTruth's size is allocated.
+    monkeypatch.setattr(formats, "_MAX_GT_BYTES", 1 << 20)
+    head, row = ANNOTATIONS_ROWS.format(bad="60.0").rsplit("\n", 2)[:2]
+    path = tmp_path / "annotations.csv"
+    path.write_text("# n_frames: 4000\n" + head + "\n" + "".join(
+        row.replace("0,1,", f"0,{k},", 1) + "\n" for k in range(1, 5)))
+    tracemalloc.start()
+    try:
+        code = main(["complexity", "--annotations", str(path),
+                     "--out-dir", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {path}:6: 3 fish over 4000 frames are too many to allocate")
+    assert peak < 1 << 20
 
 
 def test_track2d_subcommand_builds_tracklets(tmp_path):

@@ -4,7 +4,8 @@ import statistics
 import numpy as np
 import pytest
 
-from reference import graph_from_weights, project, tracklet, triangulate
+from reference import (columns, frame_points, frame_sources,
+                       graph_from_weights, project, tracklet, triangulate)
 from stereomot import (
     AssocParams,
     build_graph,
@@ -37,8 +38,8 @@ def test_node_weight_scores_only_shared_frames(rig, tank):
     top = projected_tracklet(rig, 0, "top", range(0, 41, 2))
     front = projected_tracklet(rig, 1, "front", range(0, 61, 3))
     node = node_weight(top, front, rig, tank)
-    assert sorted(node.points) == list(range(0, 37, 6))
-    for f, p in node.points.items():
+    assert node.frame.tolist() == list(range(0, 37, 6))
+    for f, p in frame_points(node).items():
         assert np.linalg.norm(p - wave_path(f)) < 1e-8
     assert node.weight == pytest.approx(7 / (21 + 21 - 7), abs=1e-9)
     far = projected_tracklet(rig, 2, "front", range(41, 100, 2))
@@ -52,9 +53,9 @@ def test_node_weight_partial_overlap(rig, tank):
     assert node is not None
     # perfect projections: every overlap frame triangulates with ~zero error
     assert node.weight == pytest.approx(50.0 / 150.0, abs=1e-9)
-    assert sorted(node.points) == list(range(50, 100))
-    for f in sorted(node.points):
-        assert np.linalg.norm(node.points[f] - wave_path(f)) < 1e-8
+    assert node.frame.tolist() == list(range(50, 100))
+    for f, p in frame_points(node).items():
+        assert np.linalg.norm(p - wave_path(f)) < 1e-8
 
 
 def test_node_weight_rejects_disjoint_and_outside(rig, tank):
@@ -75,9 +76,9 @@ def test_node_weight_picks_best_candidate(rig, tank):
                                decoys=((40.0, 0.0), (-55.0, 10.0)))
     node = node_weight(top, front, rig, tank)
     assert node is not None
-    assert sorted(node.points) == list(range(0, 40))
-    for f in range(0, 40):
-        assert np.linalg.norm(node.points[f] - wave_path(f)) < 1e-8
+    assert node.frame.tolist() == list(range(0, 40))
+    for f, p in frame_points(node).items():
+        assert np.linalg.norm(p - wave_path(f)) < 1e-8
 
 
 def test_node_weight_matches_direct_formula(rig, tank, rng):
@@ -108,7 +109,8 @@ def make_node(top_id, front_id, frames, pts, weight):
     top = tracklet(top_id, "top", frames)
     front = tracklet(front_id, "front", frames)
     points = {f: np.asarray(p, dtype=float) for f, p in zip(frames, pts)}
-    return NodeCandidate(top=top, front=front, points=points, weight=weight)
+    return NodeCandidate(top=top, front=front, **columns(points),
+                         weight=weight)
 
 
 def test_edge_weight_hand_formula():
@@ -195,7 +197,7 @@ def test_edge_weight_that_underflows_is_followed(rig, tank):
         weights[fps] = graph.edges[((0, 1), (0, 2))]
         assert extract_paths(graph) == [[(0, 1), (0, 2)]]
         (tracklet,) = extract_3d_tracklets(graph)
-        assert sorted(tracklet.points) == list(range(0, 20))
+        assert tracklet.frame.tolist() == list(range(0, 20))
     assert 0.0 < weights[60.0] < 1e-200
     assert weights[120.0] == 0.0
 
@@ -209,15 +211,16 @@ def test_extract_3d_tracklets_bridges_front_split(rig, tank):
     assert t.first_frame == 0
     assert t.last_frame == 119
     # frames covered by front gaps keep only their top source
-    assert set(t.points) == set(range(0, 50)) | set(range(60, 120))
+    assert set(t.frame.tolist()) == set(range(0, 50)) | set(range(60, 120))
+    sources = frame_sources(t)
     for f in range(50, 60):
-        assert t.sources[f] == (0, None)
+        assert sources[f] == (0, None)
     # each point names the pair it was triangulated from
     for f in range(60, 120):
-        assert t.sources[f] == (0, front_b.id)
+        assert sources[f] == (0, front_b.id)
     for f in (0, 30, 80, 119):
-        assert np.linalg.norm(t.points[f] - wave_path(f)) < 1e-6
-        assert t.sources[f][0] == 0
+        assert np.linalg.norm(frame_points(t)[f] - wave_path(f)) < 1e-6
+        assert sources[f][0] == 0
 
 
 def test_extraction_removes_sharing_nodes(rig, tank):
@@ -231,4 +234,5 @@ def test_extraction_removes_sharing_nodes(rig, tank):
     assert set(graph.nodes) == {(0, 10), (0, 11)}
     tracklets = extract_3d_tracklets(graph)
     assert len(tracklets) == 1
-    assert all(src == (0, 10) for src in tracklets[0].sources.values())
+    assert all(src == (0, 10)
+               for src in frame_sources(tracklets[0]).values())

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from reference import same_table, tracklet
+from reference import columns, frame_points, same_table, tracklet
 from stereomot import DetectionTable, GroundTruth, Track3D, Tracklet3D, __version__
 from stereomot.formats import (
     _DETECTIONS,
@@ -71,30 +71,31 @@ def test_tracklets_roundtrip(tmp_path):
 
 
 def test_tracklets3d_roundtrip(tmp_path):
+    # Frames 1 and 2 are top-only: no 3D point, and a blank front id. A
+    # blank is not a sentinel id: -1 is as valid a 2D tracklet id as 5.
     path = tmp_path / "t3d.csv"
-    t = Tracklet3D(id=2)
-    t.points[0] = np.array([1.0, 2.0, UGLY])
-    t.sources[0] = (5, 9)
-    t.sources[1] = (5, None)  # top-only frame: no 3D point
+    t = Tracklet3D(id=2, **columns({0: np.array([1.0, 2.0, UGLY])}),
+                   sources=np.ma.array([[0, 5, 9], [1, 5, 0], [2, -1, 0]],
+                                       mask=[[0, 0, 0], [0, 0, 1], [0, 0, 1]]))
     write_tracklets3d_csv(path, [t])
     out = read_tracklets3d_csv(path)
     assert len(out) == 1
     r = out[0]
     assert r.id == 2
-    assert np.array_equal(r.points[0], [1.0, 2.0, UGLY])
-    assert 1 not in r.points
-    assert r.sources == {0: (5, 9), 1: (5, None)}
+    assert r.frame.tolist() == [0]
+    assert np.array_equal(r.point, [[1.0, 2.0, UGLY]])
+    assert r.sources.tolist() == [[0, 5, 9], [1, 5, None], [2, -1, None]]
 
 
 def test_tracks_roundtrip(tmp_path):
     path = tmp_path / "tracks.csv"
-    a = Track3D(fish_id=1, points={0: np.array([1.0, 2.0, 3.0]),
-                                   1: np.array([UGLY, 2.0, 3.0])})
-    b = Track3D(fish_id=2, points={0: np.array([9.0, 9.0, 9.0])})
+    a = Track3D(fish_id=1, **columns({0: np.array([1.0, 2.0, 3.0]),
+                                      1: np.array([UGLY, 2.0, 3.0])}))
+    b = Track3D(fish_id=2, **columns({0: np.array([9.0, 9.0, 9.0])}))
     write_tracks_csv(path, [a, b], meta={"fps": 60.0})
     out = read_tracks_csv(path)
     assert [t.fish_id for t in out] == [1, 2]
-    assert np.array_equal(out[0].points[1], [UGLY, 2.0, 3.0])
+    assert np.array_equal(frame_points(out[0])[1], [UGLY, 2.0, 3.0])
     assert read_meta(path)["fps"] == "60.0"
 
 

@@ -12,12 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reference import frame_points, frame_sources
 from stereomot import cli
 from stereomot.cli import main
 from stereomot.config import PipelineConfig
 from stereomot.crossview import build_graph
-from stereomot.formats import (read_pgm, read_tracklets3d_csv,
-                               read_tracklets_csv, read_tracks_csv)
+from stereomot.formats import (read_detections_csv, read_pgm,
+                               read_tracklets3d_csv, read_tracklets_csv,
+                               read_tracks_csv, write_detections_csv)
 from stereomot.geometry import load_calibration, triangulate_batch
 
 DATA = Path(__file__).parent / "data"
@@ -26,7 +28,7 @@ DETECT_FRAMES = json.loads((DATA / "detect_frames_sha256.json").read_text())
 EVALUATE_2D = json.loads((DATA / "evaluate_2d_sha256.json").read_text())
 
 
-def assert_outputs_agree(out: Path) -> None:
+def assert_outputs_agree(out: Path) -> int:
     """The pipeline's outputs agree across files:
 
     - each 3D tracklet point has both source ids, and each source id names
@@ -36,22 +38,27 @@ def assert_outputs_agree(out: Path) -> None:
       the batch `node_weight` makes for the pair: every frame the two 2D
       tracklets share, each top head against each candidate of its frame;
     - each track point is, bit for bit, a 3D tracklet point of its frame,
-      and no 3D tracklet point is in two tracks."""
+      and no 3D tracklet point is in two tracks.
+
+    Returns how many 3D points come from a front candidate that is not the
+    first of its frame."""
     tracklets = {(t.view, t.id): t
                  for t in read_tracklets_csv(out / "tracklets.csv")}
     rows = {key: set(t.frames.tolist()) for key, t in tracklets.items()}
     tracklets3d = read_tracklets3d_csv(out / "tracklets3d.csv")
     by_pair = {}  # (top id, front id) -> frame -> 3D point
     for t in tracklets3d:
-        for f, p in t.points.items():
-            assert None not in t.sources.get(f, (None,)), (t.id, f)
-            by_pair.setdefault(t.sources[f], {})[f] = p
-        for f, ids in t.sources.items():
+        sources = frame_sources(t)
+        for f, p in frame_points(t).items():
+            assert None not in sources.get(f, (None,)), (t.id, f)
+            by_pair.setdefault(sources[f], {})[f] = p
+        for f, ids in sources.items():
             for view, tid in zip(("top", "front"), ids):
                 assert tid is None or f in rows.get((view, tid), ()), (
                     t.id, f, view, tid)
 
     rig = load_calibration(out / "calibration.json")
+    later = 0
     for (top_id, front_id), points in by_pair.items():
         top, front = tracklets["top", top_id], tracklets["front", front_id]
         heads = dict(zip(top.frames.tolist(), top.detections.head.tolist()))
@@ -63,21 +70,25 @@ def assert_outputs_agree(out: Path) -> None:
                                       np.array([c for _, c in batch]),
                                       rig.top, rig.front)
         best = {}  # frame -> its first row of least error
+        first = {}  # frame -> its first row
         for k, (f, _) in enumerate(batch):
+            first.setdefault(f, k)
             if f not in best or errs[k] < errs[best[f]]:
                 best[f] = k
         for f, p in points.items():
             assert pts[best[f]].tobytes() == p.tobytes(), (top_id, front_id, f)
+            later += best[f] != first[f]
 
     points = {(f, p.tobytes()) for t in tracklets3d
-              for f, p in t.points.items()}
+              for f, p in frame_points(t).items()}
     tracked = Counter()
     for track in read_tracks_csv(out / "tracks.csv"):
-        for f, p in track.points.items():
+        for f, p in frame_points(track).items():
             assert (f, p.tobytes()) in points, (track.fish_id, f)
             tracked[f, p.tobytes()] += 1
     shared = sorted(f for (f, _), n in tracked.items() if n > 1)
     assert not shared, f"points in two tracks at frames {shared}"
+    return later
 
 
 def test_defaults_text_is_unchanged(capsys):
@@ -121,6 +132,31 @@ def test_pipeline_outputs_are_unchanged(name, tmp_path, capsys):
                             cfg.tank(), cfg.assoc_params(),
                             fps=cfg.get("fps"))
         assert len(graph.edges) > 0
+
+
+def test_points_follow_the_least_error_front_candidate(tmp_path):
+    # Each front detection carries its true head and one or two decoys
+    # shifted along u, in a random order. The 3D points must still agree
+    # with the least-error candidate, and some come from a later one, so
+    # a first-candidate rule cannot pass.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_fish = 3\nduration_s = 2.0\nseed = 0\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    detections = read_detections_csv(out / "detections.csv")
+    front = detections["front"]
+    rng = np.random.default_rng(0)
+    for i, n in enumerate(rng.integers(2, 4, len(front)).tolist()):
+        cands = front.head[i] + np.array([(0.0, 0.0), (6.0, 0.0),
+                                          (-9.0, 2.0)])[:n]
+        front.cands[i, :n] = cands[rng.permutation(n)]
+    write_detections_csv(out / "detections.csv", detections)
+    for argv in (["track2d", "--detections", str(out / "detections.csv")],
+                 ["associate", "--tracklets", str(out / "tracklets.csv"),
+                  "--calibration", str(out / "calibration.json")],
+                 ["stitch", "--tracklets3d", str(out / "tracklets3d.csv")]):
+        assert main([*argv, "--config", str(cfg), "--out-dir", str(out)]) == 0
+    assert assert_outputs_agree(out) > 0
 
 
 @pytest.fixture(scope="module")

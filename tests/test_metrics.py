@@ -327,8 +327,8 @@ def test_dropping_matched_frame_lowers_mota():
 
 
 def test_tracks_to_pred_adapter():
-    track = Track3D(fish_id=4, points={0: np.zeros(3), 1: np.ones(3)},
-                    sources=[0])
+    track = Track3D(fish_id=4, frame=np.array([0, 1]),
+                    point=np.array([np.zeros(3), np.ones(3)]), sources=[0])
     pred = tracks_to_pred([track])
     assert set(pred) == {4}
     assert np.array_equal(pred[4][1], np.ones(3))

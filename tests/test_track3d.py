@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from reference import columns, frame_points
 
 from stereomot import (
     StitchParams,
@@ -28,12 +29,12 @@ def t3d(tid, start, end, pos=(0.0, 0.0, 0.0), step=(0.0, 0.0, 0.0)):
     p0 = np.asarray(pos, dtype=float)
     dp = np.asarray(step, dtype=float)
     points = {f: p0 + dp * (f - start) for f in range(start, end + 1)}
-    return Tracklet3D(id=tid, points=points)
+    return Tracklet3D(id=tid, **columns(points))
 
 
 def main3d(fid, start, end, pos=(0.0, 0.0, 0.0)):
     t = t3d(fid, start, end, pos)
-    return Track3D(fish_id=fid, points=t.points, sources=[])
+    return Track3D(fish_id=fid, frame=t.frame, point=t.point, sources=[])
 
 
 def test_params_validation():
@@ -177,19 +178,19 @@ def stitch_scenes(draw):
                 for f in range(start, start + length)}
 
     extent = st.tuples(st.integers(0, 40), st.integers(1, 15))
-    mains = [Track3D(fish_id=i + 1, points=points(*draw(extent)))
+    mains = [Track3D(fish_id=i + 1, **columns(points(*draw(extent))))
              for i in range(draw(st.integers(1, 3)))]
     after = mains[0].last_frame + draw(st.integers(1, 10))
-    galleries = [Tracklet3D(id=10, points=points(after,
-                                                 draw(st.integers(1, 10))))]
-    galleries += [Tracklet3D(id=11 + k, points=points(*draw(extent)))
+    galleries = [Tracklet3D(id=10, **columns(points(
+        after, draw(st.integers(1, 10)))))]
+    galleries += [Tracklet3D(id=11 + k, **columns(points(*draw(extent))))
                   for k in range(draw(st.integers(0, 3)))]
     return mains, galleries
 
 
 def shifted(extent, by):
     """The tracklet or track with every frame moved by `by`."""
-    return replace(extent, points={f + by: p for f, p in extent.points.items()})
+    return replace(extent, frame=extent.frame + by)
 
 
 @settings(max_examples=150, deadline=None)
@@ -241,8 +242,8 @@ def tracklet_pairs(draw):
         frames = draw(st.sets(st.integers(0, 11), min_size=1, max_size=12))
         coords = st.lists(st.integers(-3, 3), min_size=3, max_size=3)
         return {f: np.array(draw(coords), dtype=float) for f in frames}
-    return (Tracklet3D(id=10, points=points()),
-            Track3D(fish_id=1, points=points()))
+    return (Tracklet3D(id=10, **columns(points())),
+            Track3D(fish_id=1, **columns(points())))
 
 
 @settings(max_examples=300, deadline=None)
@@ -295,7 +296,8 @@ def test_associate_chains_single_fish():
              t3d(2, 22, 30, pos=(1.0, 0.0, 0.0))]
     (track,) = associate(parts, 1)
     assert track.fish_id == 1
-    assert set(track.points) == set(range(0, 11)) | set(range(12, 21)) | set(range(22, 31))
+    assert set(track.frame.tolist()) == (set(range(0, 11)) | set(range(12, 21))
+                                         | set(range(22, 31)))
     assert track.sources == [0, 1, 2]
 
 
@@ -307,7 +309,7 @@ def test_associate_discards_ambiguous_gallery():
     assert len(tracks) == 2
     for track in tracks:
         assert 2 not in track.sources
-        assert set(track.points) == set(range(0, 11))
+        assert set(track.frame.tolist()) == set(range(0, 11))
 
 
 def test_associate_keeps_gallery_at_margin_beta(monkeypatch):
@@ -328,7 +330,7 @@ def test_associate_merge_keeps_main_points():
     near = next(t for t in tracks if 0 in t.sources)
     assert 2 in near.sources
     for f in range(5, 16):
-        assert np.array_equal(near.points[f], np.zeros(3))
+        assert np.array_equal(frame_points(near)[f], np.zeros(3))
 
 
 def test_associate_passthrough_without_seeds():
