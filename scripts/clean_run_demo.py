@@ -23,7 +23,6 @@ from stereomot import (
     extract_3d_tracklets,
     perfect_detections,
     simulate,
-    tracks_to_pred,
 )
 from stereomot.config import PipelineConfig
 from stereomot.geometry import VIEWS
@@ -74,7 +73,7 @@ def main():
     tracks = timed("stitch", lambda: associate(
         extract_3d_tracklets(graph), args.n_fish, StitchParams()))
     report = timed("evaluate", lambda: evaluate_tracks(
-        tracks_to_pred(tracks), gt, args.gate))
+        [(t.fish_id, t.frame, t.point) for t in tracks], gt, args.gate))
 
     print(format_report_table(report))
     print()

@@ -28,7 +28,6 @@ from stereomot import (
     extract_3d_tracklets,
     perfect_detections,
     simulate,
-    tracks_to_pred,
 )
 from stereomot.geometry import VIEWS, TankBounds
 
@@ -49,12 +48,13 @@ def parse_args():
 
 def run_pipeline(gt, dets, rig, tank, n_fish, fps, gate):
     params = Track2DParams()
-    per_view = {view: build_tracklets(dets.get(view, {}), params, view=view)
+    per_view = {view: build_tracklets(dets[view], params, view=view)
                 for view in VIEWS}
     graph = build_graph(per_view["top"], per_view["front"], rig, tank,
                         AssocParams(), fps=fps)
     tracks = associate(extract_3d_tracklets(graph), n_fish, StitchParams())
-    return evaluate_tracks(tracks_to_pred(tracks), gt, gate)
+    return evaluate_tracks([(t.fish_id, t.frame, t.point) for t in tracks],
+                           gt, gate)
 
 
 def main():

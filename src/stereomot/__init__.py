@@ -24,7 +24,7 @@ from .track3d import (StitchParams, Track3D, assignment_cost, associate,
 from .metrics import (ComplexityReport, EvalReport, GroundTruth, clear_mot,
                       complexity_psi, complexity_report, complexity_stats,
                       evaluate_tracks, id_metrics, match_frames, mt_ml, mtbf,
-                      occlusion_events, oracle_tracks, tracks_to_pred)
+                      occlusion_events, oracle_tracks)
 from .simulator import (DegradeModel, SimConfig, SyntheticSequence, annotate,
                         degrade, perfect_detections, render, simulate)
 from .config import ConfigError, PipelineConfig
@@ -46,7 +46,7 @@ __all__ = [
     "ComplexityReport", "EvalReport", "GroundTruth", "clear_mot",
     "complexity_psi", "complexity_report", "complexity_stats",
     "evaluate_tracks", "id_metrics", "match_frames", "mt_ml", "mtbf",
-    "occlusion_events", "oracle_tracks", "tracks_to_pred",
+    "occlusion_events", "oracle_tracks",
     "DegradeModel", "SimConfig", "SyntheticSequence", "annotate", "degrade",
     "perfect_detections", "render", "simulate",
     "ConfigError", "PipelineConfig",

@@ -27,7 +27,7 @@ from .formats import (FormatError, format_complexity_table,
                       write_report_json, write_tracklets3d_csv,
                       write_tracklets_csv, write_tracks_csv)
 from .geometry import VIEWS, load_calibration, save_calibration
-from .metrics import complexity_report, evaluate_tracks, tracks_to_pred
+from .metrics import complexity_report, evaluate_tracks
 from .simulator import annotate, degrade, perfect_detections, render, simulate
 from .track2d import build_tracklets
 from .track3d import associate
@@ -164,11 +164,12 @@ def stage_evaluate(cfg: PipelineConfig, annotations_path: Path, out: Path,
     if tracklets_path is not None:
         if view not in VIEWS:
             raise ConfigError("2D evaluation needs --view top|front")
-        pred = {t.id: dict(zip(t.frames.tolist(), t.detections.head))
-                for t in read_tracklets_csv(tracklets_path) if t.view == view}
+        pred = [(t.id, t.frames, t.detections.head)
+                for t in read_tracklets_csv(tracklets_path) if t.view == view]
         gate = cfg.get("eval.dist_2d")
     else:
-        pred = tracks_to_pred(read_tracks_csv(tracks_path))
+        pred = [(t.fish_id, t.frame, t.point)
+                for t in read_tracks_csv(tracks_path)]
         gate, view = cfg.get("eval.dist_3d"), None
     try:
         report = evaluate_tracks(pred, gt, gate, view)

@@ -139,6 +139,9 @@ def complexity_report(gt: GroundTruth) -> ComplexityReport:
 
 # ---------------------------------------------------------------------------
 # tracking evaluation
+# A prediction is one (track id, frame (n,), point (n, d)) triple per track.
+# Ids are unique; a track has one point per frame and may have no rows.
+Prediction = list[tuple[int, np.ndarray, np.ndarray]]
 
 
 @dataclass
@@ -164,22 +167,29 @@ def _gt_positions(gt: GroundTruth,
     return pos, ~np.isnan(pos[..., 0])
 
 
-def _pred_offsets(pred: dict[int, dict[int, np.ndarray]], pids: list,
-                  pos: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Every predicted point by frame, then by track: (its index into
-    `pids`, its frame, each fish's ground truth minus the point (K, N, d)),
-    NaN where the frame holds no ground truth."""
-    tracks = [pred[p] for p in pids]
-    track = np.repeat(np.arange(len(pids)), list(map(len, tracks)))
-    frame = np.array([f for t in tracks for f in t], dtype=np.intp)
-    point = np.array([p for t in tracks for p in t.values()],
-                     dtype=float).reshape(len(frame), pos.shape[-1])
+def _pred_offsets(pred: Prediction,
+                  pos: np.ndarray) -> tuple[list[int], np.ndarray, ...]:
+    """The ascending track ids, then every point by frame, then by track:
+    its index into the ids, its frame, and each fish's ground truth minus
+    the point (K, N, d), NaN where the frame holds no ground truth."""
+    ids, d = [int(i) for i, _, _ in pred], pos.shape[-1]
+    pids = sorted(set(ids))
+    if len(pids) < len(ids):
+        raise ValueError("predicted track ids must be unique")
+    if any(np.shape(p) != (len(f), d) for _, f, p in pred):
+        raise ValueError(f"a predicted track needs one {d}-vector per frame")
+    # The empty heads keep the dtypes and let a prediction have no tracks.
+    track = np.repeat(np.searchsorted(pids, ids), [len(f) for _, f, _ in pred])
+    frame = np.concatenate([np.empty(0, np.intp)] + [f for _, f, _ in pred])
+    point = np.concatenate([np.empty((0, d))] + [p for _, _, p in pred])
     order = np.lexsort((track, frame))
     track, frame = track[order], frame[order]
+    if np.any((np.diff(frame) == 0) & (np.diff(track) == 0)):
+        raise ValueError("a predicted track repeats a frame")
     gt = np.full((len(frame),) + pos.shape[1:], np.nan)
     inside = (frame >= 0) & (frame < len(pos))
     gt[inside] = pos[frame[inside]]
-    return track, frame, gt - point[order, None]
+    return pids, track, frame, gt - point[order, None]
 
 
 def _norms(d: np.ndarray) -> np.ndarray:
@@ -191,7 +201,7 @@ def _norms(d: np.ndarray) -> np.ndarray:
         return np.sqrt(d[..., None, :] @ d[..., :, None])[..., 0, 0]
 
 
-def match_frames(pred: dict[int, dict[int, np.ndarray]], gt: GroundTruth,
+def match_frames(pred: Prediction, gt: GroundTruth,
                  dist_thresh: float, view: str | None = None) -> MatchSequence:
     """Greedy-persistent gated matching, Hungarian on squared distances.
 
@@ -200,8 +210,7 @@ def match_frames(pred: dict[int, dict[int, np.ndarray]], gt: GroundTruth,
     beyond the gate are rejected even if the solver picked them.
     """
     pos, has_gt = _gt_positions(gt, view)
-    pids = sorted(pred)
-    track, frame, diff = _pred_offsets(pred, pids, pos)
+    pids, track, frame, diff = _pred_offsets(pred, pos)
     with np.errstate(over="ignore"):
         dist, sq = _norms(diff), (diff ** 2).sum(-1)  # (point, fish)
     frames = np.union1d(np.flatnonzero(has_gt.any(axis=1)), frame)
@@ -288,13 +297,11 @@ def clear_mot(seq: MatchSequence) -> ClearMot:
                     n_matches=n_match)
 
 
-def id_metrics(pred: dict[int, dict[int, np.ndarray]], gt: GroundTruth,
-               dist_thresh: float, view: str | None = None
-               ) -> tuple[float, float, float]:
+def id_metrics(pred: Prediction, gt: GroundTruth, dist_thresh: float,
+               view: str | None = None) -> tuple[float, float, float]:
     """(IDP, IDR, IDF1) from the optimal whole-track identity mapping."""
     pos, present = _gt_positions(gt, view)
-    pids = sorted(pred)
-    track, _, diff = _pred_offsets(pred, pids, pos)
+    pids, track, _, diff = _pred_offsets(pred, pos)
     # Each track's frames within the gate of each fish, counted at once.
     k, j = np.nonzero(_norms(diff) <= dist_thresh)
     binned = np.bincount(j * len(pids) + track[k],
@@ -304,7 +311,7 @@ def id_metrics(pred: dict[int, dict[int, np.ndarray]], gt: GroundTruth,
     rows, cols = linear_sum_assignment(binned, maximize=True)
     idtp = int(binned[rows, cols].sum())
     idfn = int(present.sum()) - idtp
-    idfp = sum(len(v) for v in pred.values()) - idtp
+    idfp = len(track) - idtp
     idp = 100.0 * idtp / (idtp + idfp) if idtp + idfp else 0.0
     idr = 100.0 * idtp / (idtp + idfn) if idtp + idfn else 0.0
     idf1 = (100.0 * 2 * idtp / (2 * idtp + idfp + idfn)
@@ -340,8 +347,7 @@ def mtbf(seq: MatchSequence) -> tuple[float, float]:
     return (total / max(1, failures), total / max(1, failures + gaps))
 
 
-def oracle_tracks(gt: GroundTruth, view: str | None = None
-                  ) -> dict[int, dict[int, np.ndarray]]:
+def oracle_tracks(gt: GroundTruth, view: str | None = None) -> Prediction:
     """Perfect tracks from the ground truth with occluded frames dropped.
 
     In 3D a frame is dropped when the fish is occluded in either view.
@@ -349,14 +355,9 @@ def oracle_tracks(gt: GroundTruth, view: str | None = None
     pos, present = _gt_positions(gt, view)
     occluded = (np.logical_or.reduce([gt.occluded[v] for v in VIEWS])
                 if view is None else gt.occluded[view])
-    visible = present & ~occluded
-    return {i: {f: pos[f, j] for f in np.flatnonzero(visible[:, j]).tolist()}
-            for j, i in enumerate(gt.fish_ids)}
-
-
-def tracks_to_pred(tracks) -> dict[int, dict[int, np.ndarray]]:
-    """Adapt stitched tracks to the {track_id: {frame: point}} form."""
-    return {t.fish_id: dict(zip(t.frame.tolist(), t.point)) for t in tracks}
+    visible = (present & ~occluded).T
+    return [(i, np.flatnonzero(v), pos[v, j])
+            for j, (i, v) in enumerate(zip(gt.fish_ids, visible))]
 
 
 @dataclass(frozen=True)
@@ -385,7 +386,7 @@ class EvalReport:
         return asdict(self)
 
 
-def evaluate_tracks(pred: dict[int, dict[int, np.ndarray]], gt: GroundTruth,
+def evaluate_tracks(pred: Prediction, gt: GroundTruth,
                     dist_thresh: float, view: str | None = None) -> EvalReport:
     """Score 3D tracks without a view, or one view's 2D head tracks."""
     seq = match_frames(pred, gt, dist_thresh, view)
@@ -394,9 +395,6 @@ def evaluate_tracks(pred: dict[int, dict[int, np.ndarray]], gt: GroundTruth,
     mt, ml = mt_ml(seq)
     mtbf_s, mtbf_m = mtbf(seq)
     return EvalReport(
-        mota=clear.mota, motp=clear.motp, precision=clear.precision,
-        recall=clear.recall, id_precision=idp, id_recall=idr, id_f1=idf1,
-        fp=clear.fp, fn=clear.fn, idsw=clear.idsw, frag=clear.frag,
+        **asdict(clear), id_precision=idp, id_recall=idr, id_f1=idf1,
         mt=mt, ml=ml, mtbf_strict=mtbf_s, mtbf_monotone=mtbf_m,
-        gt_total=clear.gt_total, n_matches=clear.n_matches,
         n_gt_tracks=len(_timelines(seq)), n_pred_tracks=len(pred))

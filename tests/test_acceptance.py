@@ -44,7 +44,6 @@ from stereomot import (
     oracle_tracks,
     perfect_detections,
     simulate,
-    tracks_to_pred,
 )
 from stereomot.cli import (
     stage_associate,
@@ -434,7 +433,8 @@ def library_pipeline_mota(gt, dets, rig, tank, n_fish, fps):
     graph = build_graph(per_view["top"], per_view["front"], rig, tank,
                         AssocParams(), fps=fps)
     tracks = associate(extract_3d_tracklets(graph), n_fish, StitchParams())
-    return evaluate_tracks(tracks_to_pred(tracks), gt, 0.5).mota
+    return evaluate_tracks([(t.fish_id, t.frame, t.point) for t in tracks],
+                           gt, 0.5).mota
 
 
 def test_criterion_09_degradation_is_monotone():
@@ -485,7 +485,7 @@ def test_criterion_09_degradation_is_monotone():
 def test_criterion_10_metric_self_consistency():
     with budget(10.0):
         gt = scripted_gt(900, 1)  # 15 s at 60 fps, one fish
-        pred = {1: {f: gt.points3d[f, 0] for f in range(900)}}
+        pred = [(1, np.arange(900), gt.points3d[:, 0])]
         r = evaluate_tracks(pred, gt, 0.5)
         assert r.mota == 100.0
         assert r.motp == 0.0
@@ -495,22 +495,24 @@ def test_criterion_10_metric_self_consistency():
         assert r.mtbf_monotone == 900.0
 
         gt3 = scripted_gt(120, 3)
-        pred3 = {i: {f: gt3.points3d[f, i - 1] for f in range(120)}
-                 for i in (1, 2, 3)}
+        pred3 = [(i, np.arange(120), gt3.points3d[:, i - 1])
+                 for i in (1, 2, 3)]
         assert evaluate_tracks(pred3, gt3, 0.5).mt == 3
 
         gt2 = scripted_gt(120, 2)
         rng = np.random.default_rng(2026)
         for _ in range(100):
-            pred = {}
+            pred = []
             for fish in (1, 2):
                 drop_p = float(rng.uniform(0.0, 0.35))
                 split = (int(rng.integers(1, 119))
                          if rng.random() < 0.7 else None)
-                for f in range(120):
-                    if rng.random() < drop_p:
-                        continue
-                    pid = fish if split is None or f < split else 100 + fish
-                    pred.setdefault(pid, {})[f] = gt2.points3d[f, fish - 1]
+                kept = np.flatnonzero(rng.random(120) >= drop_p)
+                end = 120 if split is None else split
+                for pid, frames in ((fish, kept[kept < end]),
+                                    (100 + fish, kept[kept >= end])):
+                    if len(frames):  # an id with no frame left is no track
+                        pred.append(
+                            (pid, frames, gt2.points3d[frames, fish - 1]))
             r = evaluate_tracks(pred, gt2, 0.5)
             assert r.mtbf_monotone <= r.mtbf_strict + 1e-12

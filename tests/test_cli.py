@@ -16,6 +16,7 @@ from stereomot.formats import (
     read_detections_csv,
     read_tracklets_csv,
     write_detections_csv,
+    write_tracklets_csv,
     write_tracks_csv,
 )
 from stereomot.geometry import default_rig, save_calibration
@@ -206,6 +207,32 @@ def test_evaluate_refuses_view_with_tracks(tmp_path, capsys):
     assert captured.err == ("error: --view selects the view of 2D tracklets "
                             "and does not apply to --tracks\n")
     assert not (out / "report.json").exists()
+
+
+def test_evaluate_scores_a_prediction_with_no_track(tmp_path, capsys):
+    # A tracks.csv with its header only, and a tracklets.csv with no row in
+    # the view, predict nothing: every annotated point is a miss.
+    cfg = write_cfg(tmp_path, "n_fish = 3\nduration_s = 2.0\nseed = 0\n")
+    out = tmp_path / "empty"
+    assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 0
+    assert main(["track2d", "--config", cfg, "--out-dir", str(out),
+                 "--detections", str(out / "detections.csv")]) == 0
+    write_tracks_csv(out / "tracks.csv", [])
+    write_tracklets_csv(out / "tracklets.csv", [
+        t for t in read_tracklets_csv(out / "tracklets.csv")
+        if t.view == "top"])
+    for extra in (["--tracks", str(out / "tracks.csv")],
+                  ["--tracklets", str(out / "tracklets.csv"),
+                   "--view", "front"]):
+        assert main(["evaluate", "--config", cfg, "--out-dir", str(out),
+                     "--annotations", str(out / "annotations.csv"),
+                     *extra]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert (report["n_pred_tracks"], report["fp"],
+                report["n_matches"]) == (0, 0, 0)
+        assert report["fn"] == report["gt_total"] == 360
+        assert report["mota"] == 0.0
+    capsys.readouterr()
 
 
 def test_detect_external_roundtrip(tmp_path):

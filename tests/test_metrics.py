@@ -11,7 +11,6 @@ import reference
 
 from stereomot import (
     GroundTruth,
-    Track3D,
     clear_mot,
     complexity_psi,
     complexity_report,
@@ -23,7 +22,6 @@ from stereomot import (
     mtbf,
     occlusion_events,
     oracle_tracks,
-    tracks_to_pred,
 )
 from stereomot.metrics import ViewComplexity
 
@@ -47,10 +45,23 @@ def flag_range(fish, frames, view="top"):
     return {(f, fish, view) for f in frames}
 
 
-def pred_from_gt(gt, fish_ids=None):
-    fish_ids = fish_ids or gt.fish_ids
-    return {i: {f: gt.points3d[f, i - 1] for f in range(gt.n_frames)}
-            for i in fish_ids}
+def pred_from_gt(gt):
+    return [(i, np.arange(gt.n_frames), gt.points3d[:, i - 1])
+            for i in gt.fish_ids]
+
+
+def resting(track_id, frames, point):
+    """Track `track_id` holding `point` at each of `frames`."""
+    frames = np.asarray(frames)
+    return (track_id, frames, np.tile(point, (len(frames), 1)))
+
+
+def triples(pred, d):
+    """The reference's {track_id: {frame: (d,) point}} prediction as the
+    library's (track_id, frame (n,), point (n, d)) triples."""
+    return [(i, np.array(list(track), dtype=np.intp),
+             np.array(list(track.values()), dtype=float).reshape(-1, d))
+            for i, track in pred.items()]
 
 
 def test_occlusion_events_runs():
@@ -121,10 +132,10 @@ def test_complexity_report_roundtrip():
 def test_match_frames_gate_boundary():
     gt = make_gt(1, 1)
     base = gt.points3d[0, 0]
-    at_gate = {1: {0: base + np.array([0.5, 0.0, 0.0])}}
+    at_gate = [resting(1, [0], base + np.array([0.5, 0.0, 0.0]))]
     seq = match_frames(at_gate, gt, dist_thresh=0.5)
     assert (seq.track[0, 0], seq.dist[0, 0]) == (0, 0.5)
-    beyond = {1: {0: base + np.array([0.5 + 1e-9, 0.0, 0.0])}}
+    beyond = [resting(1, [0], base + np.array([0.5 + 1e-9, 0.0, 0.0]))]
     seq = match_frames(beyond, gt, dist_thresh=0.5)
     assert seq.track[0, 0] == -1
     assert np.isnan(seq.dist[0, 0])
@@ -137,8 +148,8 @@ def test_match_persistence_through_crossing():
     for f in range(n):
         x = f * 1.0
         gt.points3d[f] = [[x, 0.0, 0.0], [20.0 - x, 0.0, 0.0]]
-    pred = {10: {f: gt.points3d[f, 0] for f in range(n)},
-            20: {f: gt.points3d[f, 1] for f in range(n)}}
+    pred = [(10, np.arange(n), gt.points3d[:, 0]),
+            (20, np.arange(n), gt.points3d[:, 1])]
     seq = match_frames(pred, gt, dist_thresh=5.0)
     assert seq.pids == [10, 20]
     assert (seq.track == [0, 1]).all()
@@ -150,12 +161,12 @@ def test_match_persistence_through_crossing():
 def test_clear_mot_hand_counts():
     gt = make_gt(100, 1)
     origin = gt.points3d[0, 0]
-    pred = {
-        1: {f: origin for f in range(0, 50)},
-        2: {f: origin for f in range(50, 70)},
-        3: {f: origin for f in range(70, 90)},
-        9: {f: origin + np.array([10.0, 10.0, 10.0]) for f in range(0, 5)},
-    }
+    pred = [
+        resting(1, range(0, 50), origin),
+        resting(2, range(50, 70), origin),
+        resting(3, range(70, 90), origin),
+        resting(9, range(0, 5), origin + np.array([10.0, 10.0, 10.0])),
+    ]
     res = clear_mot(match_frames(pred, gt, dist_thresh=0.5))
     assert (res.fn, res.fp, res.idsw, res.frag) == (10, 5, 2, 0)
     assert res.mota == pytest.approx(83.0)
@@ -167,30 +178,30 @@ def test_clear_mot_hand_counts():
 def test_clear_mot_requires_gt():
     gt = GroundTruth(fps=60.0, n_frames=0, ids=())
     with pytest.raises(ValueError):
-        clear_mot(match_frames({}, gt, dist_thresh=0.5))
+        clear_mot(match_frames([], gt, dist_thresh=0.5))
 
 
 def test_frag_and_idsw_after_gap():
     gt = make_gt(30, 1)
     origin = gt.points3d[0, 0]
-    same_id = {1: {f: origin for f in list(range(0, 10)) + list(range(20, 30))}}
+    same_id = [resting(1, np.r_[0:10, 20:30], origin)]
     res = clear_mot(match_frames(same_id, gt, dist_thresh=0.5))
     assert (res.fn, res.idsw, res.frag) == (10, 0, 1)
     assert res.mota == pytest.approx(100.0 * (1 - 10 / 30))
 
-    new_id = {1: {f: origin for f in range(0, 10)},
-              2: {f: origin for f in range(20, 30)}}
+    new_id = [resting(1, range(0, 10), origin),
+              resting(2, range(20, 30), origin)]
     res = clear_mot(match_frames(new_id, gt, dist_thresh=0.5))
     assert (res.fn, res.idsw, res.frag) == (10, 1, 1)
 
 
 def test_mt_ml_inclusive_thresholds():
     gt = make_gt(10, 3, spacing=5.0)
-    pred = {
-        1: {f: gt.points3d[f, 0] for f in range(8)},   # 0.8 -> MT
-        2: {f: gt.points3d[f, 1] for f in range(2)},   # 0.2 -> ML
-        3: {f: gt.points3d[f, 2] for f in range(5)},   # neither
-    }
+    pred = [
+        (1, np.arange(8), gt.points3d[:8, 0]),   # 0.8 -> MT
+        (2, np.arange(2), gt.points3d[:2, 1]),   # 0.2 -> ML
+        (3, np.arange(5), gt.points3d[:5, 2]),   # neither
+    ]
     seq = match_frames(pred, gt, dist_thresh=0.5)
     assert mt_ml(seq) == (1, 1)
 
@@ -199,7 +210,7 @@ def test_id_metrics_perfect_and_half():
     gt = make_gt(100, 1)
     perfect = pred_from_gt(gt)
     assert id_metrics(perfect, gt, 0.5) == pytest.approx((100.0, 100.0, 100.0))
-    half = {1: {f: gt.points3d[f, 0] for f in range(50)}}
+    half = [(1, np.arange(50), gt.points3d[:50, 0])]
     idp, idr, idf1 = id_metrics(half, gt, 0.5)
     assert idp == pytest.approx(100.0)
     assert idr == pytest.approx(50.0)
@@ -209,7 +220,8 @@ def test_id_metrics_perfect_and_half():
 def test_id_metrics_label_invariance():
     gt = make_gt(40, 2)
     pred = pred_from_gt(gt)
-    relabeled = {99: pred[1], 7: pred[2]}
+    (_, f1, p1), (_, f2, p2) = pred
+    relabeled = [(99, f1, p1), (7, f2, p2)]
     assert id_metrics(pred, gt, 0.5) == pytest.approx(
         id_metrics(relabeled, gt, 0.5))
 
@@ -217,7 +229,7 @@ def test_id_metrics_label_invariance():
 def test_mtbf_interior_gap():
     gt = make_gt(100, 1)
     origin = gt.points3d[0, 0]
-    pred = {1: {f: origin for f in list(range(0, 50)) + list(range(60, 100))}}
+    pred = [resting(1, np.r_[0:50, 60:100], origin)]
     seq = match_frames(pred, gt, dist_thresh=0.5)
     strict, monotone = mtbf(seq)
     assert strict == pytest.approx(90.0)   # one failure: segment ends early
@@ -227,8 +239,8 @@ def test_mtbf_interior_gap():
 def test_mtbf_pure_id_switch():
     gt = make_gt(100, 1)
     origin = gt.points3d[0, 0]
-    pred = {1: {f: origin for f in range(0, 50)},
-            2: {f: origin for f in range(50, 100)}}
+    pred = [resting(1, range(0, 50), origin),
+            resting(2, range(50, 100), origin)]
     seq = match_frames(pred, gt, dist_thresh=0.5)
     assert mtbf(seq) == (pytest.approx(100.0), pytest.approx(100.0))
 
@@ -241,14 +253,17 @@ def test_mtbf_perfect_equals_length():
 
 def test_mtbf_no_matches():
     gt = make_gt(10, 1)
-    seq = match_frames({}, gt, dist_thresh=0.5)
+    seq = match_frames([], gt, dist_thresh=0.5)
     assert mtbf(seq) == (0.0, 0.0)
 
 
 def test_oracle_drops_occluded_frames():
     gt = make_gt(30, 1, flags=flag_range(1, range(10, 13)))
     pred = oracle_tracks(gt)
-    assert set(pred[1]) == set(range(30)) - {10, 11, 12}
+    [(i, frame, point)] = pred
+    assert i == 1
+    assert set(frame.tolist()) == set(range(30)) - {10, 11, 12}
+    assert np.array_equal(point, gt.points3d[frame, 0])
     res = clear_mot(match_frames(pred, gt, dist_thresh=0.5))
     assert (res.fn, res.idsw, res.frag) == (3, 0, 1)
     assert res.mota == pytest.approx(100.0 * (1 - 3 / 30))
@@ -256,19 +271,20 @@ def test_oracle_drops_occluded_frames():
 
 def test_oracle_either_view_blocks_3d():
     gt = make_gt(20, 1, flags=flag_range(1, range(5, 8), view="front"))
-    pred = oracle_tracks(gt)
-    assert set(pred[1]) == set(range(20)) - {5, 6, 7}
+    [(_, frame, _)] = oracle_tracks(gt)
+    assert set(frame.tolist()) == set(range(20)) - {5, 6, 7}
     # the top view alone is unaffected by front-view flags
-    pred_top = oracle_tracks(gt, view="top")
-    assert set(pred_top[1]) == set(range(20))
+    [(_, frame, point)] = oracle_tracks(gt, view="top")
+    assert set(frame.tolist()) == set(range(20))
+    assert point.shape == (20, 2)
 
 
 def test_oracle_fragmented_ids():
     # The oracle's track split at the occlusion, each visible run under
     # its own id: resuming under the second id is one switch.
     gt = make_gt(30, 1, flags=flag_range(1, range(10, 13)))
-    pred = {1: {f: gt.points3d[f, 0] for f in range(10)},
-            2: {f: gt.points3d[f, 0] for f in range(13, 30)}}
+    pred = [(1, np.arange(10), gt.points3d[:10, 0]),
+            (2, np.arange(13, 30), gt.points3d[13:30, 0])]
     res = clear_mot(match_frames(pred, gt, dist_thresh=0.5))
     assert res.idsw == 1
 
@@ -296,11 +312,12 @@ def test_huge_coordinate_scores_without_overflow_warnings(view):
     # report is the one a merely distant point gives, with no warning.
     gt = make_gt(20, 2)
     d = 3 if view is None else 2
-    pred = {i: {f: np.full(d, 5.0) if view else gt.points3d[f, i - 1]
-                for f in range(20)} for i in (1, 2)}
+    points = [np.full((20, d), 5.0) if view else gt.points3d[:, j].copy()
+              for j in range(2)]
+    pred = [(i, np.arange(20), points[i - 1]) for i in (1, 2)]
     reports = []
     for far in (1e308, -1.7e308, 1e6):
-        pred[1][7] = np.full(d, far)
+        points[0][7] = far
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             reports.append(evaluate_tracks(pred, gt, dist_thresh=20.0,
@@ -311,7 +328,7 @@ def test_huge_coordinate_scores_without_overflow_warnings(view):
 
 def test_evaluate_tracks_2d_space():
     gt = make_gt(30, 2)
-    pred = {i: {f: np.array([5.0, 5.0]) for f in range(30)} for i in (1, 2)}
+    pred = [resting(i, range(30), [5.0, 5.0]) for i in (1, 2)]
     report = evaluate_tracks(pred, gt, dist_thresh=20.0, view="top")
     assert report.mota == 100.0
     with pytest.raises(ValueError, match="view must be"):
@@ -320,18 +337,36 @@ def test_evaluate_tracks_2d_space():
 
 def test_dropping_matched_frame_lowers_mota():
     gt = make_gt(20, 1)
-    pred = pred_from_gt(gt)
-    full = evaluate_tracks(pred, gt, dist_thresh=0.5).mota
-    del pred[1][7]
-    assert evaluate_tracks(pred, gt, dist_thresh=0.5).mota < full
+    [(i, frame, point)] = pred_from_gt(gt)
+    full = evaluate_tracks([(i, frame, point)], gt, dist_thresh=0.5).mota
+    keep = frame != 7
+    assert evaluate_tracks([(i, frame[keep], point[keep])], gt,
+                           dist_thresh=0.5).mota < full
 
 
-def test_tracks_to_pred_adapter():
-    track = Track3D(fish_id=4, frame=np.array([0, 1]),
-                    point=np.array([np.zeros(3), np.ones(3)]), sources=[0])
-    pred = tracks_to_pred([track])
-    assert set(pred) == {4}
-    assert np.array_equal(pred[4][1], np.ones(3))
+def test_a_track_with_no_points_still_counts():
+    # The oracle keeps a fish that is occluded in every frame as a track
+    # with no rows; it is a predicted track all the same.
+    gt = make_gt(20, 2, flags=flag_range(2, range(20), view="front"))
+    pred = oracle_tracks(gt)
+    assert [i for i, _, _ in pred] == [1, 2]
+    assert len(pred[1][1]) == 0 and pred[1][2].shape == (0, 3)
+    assert match_frames(pred, gt, dist_thresh=0.5).pids == [1, 2]
+    report = evaluate_tracks(pred, gt, dist_thresh=0.5)
+    assert report.n_pred_tracks == 2
+    assert (report.fp, report.fn, report.n_matches) == (0, 20, 20)
+
+
+@pytest.mark.parametrize("pred, message", [
+    ([(1, np.arange(3), np.zeros((3, 3))),
+      (1, np.arange(3, 6), np.zeros((3, 3)))], "unique"),
+    ([(1, np.array([2, 0, 2]), np.zeros((3, 3)))], "repeats a frame"),
+    ([(1, np.arange(3), np.zeros((2, 3)))], "per frame"),
+], ids=["repeated-id", "repeated-frame", "length-mismatch"])
+def test_malformed_prediction_is_refused(pred, message):
+    gt = make_gt(10, 1)
+    with pytest.raises(ValueError, match=message):
+        evaluate_tracks(pred, gt, dist_thresh=0.5)
 
 
 @st.composite
@@ -384,7 +419,7 @@ def outcome(fn, *args):
 def test_match_frames_equals_the_pairwise_reference(case):
     pred, gt, gates, view = case
     for gate in gates:
-        seq = match_frames(pred, gt, gate, view)
+        seq = match_frames(triples(pred, 2 if view else 3), gt, gate, view)
         rec = reference.match_frames(pred, gt, gate, view)
         assert reference.record(seq, gt.fish_ids) == rec
         assert outcome(clear_mot, seq) == outcome(reference.clear_mot, rec)
@@ -397,7 +432,7 @@ def test_match_frames_equals_the_pairwise_reference(case):
 def test_id_metrics_equals_the_pairwise_reference(case):
     pred, gt, gates, view = case
     for gate in gates:
-        assert (id_metrics(pred, gt, gate, view)
+        assert (id_metrics(triples(pred, 2 if view else 3), gt, gate, view)
                 == reference.id_metrics(pred, gt, gate, view))
 
 
