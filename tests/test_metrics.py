@@ -371,8 +371,9 @@ def test_malformed_prediction_is_refused(pred, message):
 
 @st.composite
 def scored_tracks(draw):
-    """(pred, gt, gates, view): ground truth with absent fish,
-    tracks with frames before and past it that mostly follow one fish, and
+    """(pred, gt, gates, view): ground truth with absent fish, tracks in
+    the reference's dict form with frames before and past the ground truth
+    that mostly follow one fish (a track may keep no frame at all), and
     gates that are the distances themselves. Points on an integer grid give
     exact distances; normal ones differ in the last bit between ways of
     summing."""
