@@ -90,32 +90,37 @@ def _read_frame(path, shape: tuple[int, ...]) -> np.ndarray:
     return img
 
 
+def _detect_view(frames_dir: Path, view: str, params) -> DetectionTable:
+    """One view's detections from its frame files. Its frame stack is let
+    go when this returns, before the next view's is read."""
+    d = params.downsample
+    numbers, paths = _frame_paths(frames_dir, view)
+    n_bg = min(params.n_bg, len(paths))
+    sample = np.unique(np.linspace(0, len(paths) - 1, n_bg).astype(int))
+    # Each file is read once. The sampled frames, on the detection grid,
+    # are the only ones held at once: they make the background and are
+    # detected from its stack; the others are read one at a time.
+    first = read_pgm(paths[sample[0]])
+    grid = first[::d, ::d]
+    stack = np.empty((len(sample),) + grid.shape, dtype=np.uint8)
+    stack[0] = grid
+    for row, i in zip(stack[1:], sample[1:]):
+        row[...] = _read_frame(paths[i], first.shape)[::d, ::d]
+    bg = estimate_background(stack)
+    rows = dict(zip(sample.tolist(), stack))
+    detector = detect_top if view == "top" else detect_front
+    found = [detector(rows[i] if i in rows
+                      else _read_frame(paths[i], first.shape)[::d, ::d],
+                      bg, params) for i in range(len(numbers))]
+    table = DetectionTable.concat(found)  # each at frame 0
+    table.frame = np.repeat(numbers, list(map(len, found)))
+    return table
+
+
 def stage_detect_frames(cfg: PipelineConfig, frames_dir: Path,
                         out: Path) -> None:
     params = cfg.detect_params()
-    d = params.downsample
-    dets = {}
-    for view in VIEWS:
-        numbers, paths = _frame_paths(frames_dir, view)
-        n_bg = min(params.n_bg, len(paths))
-        sample = np.unique(np.linspace(0, len(paths) - 1, n_bg).astype(int))
-        # Each file is read once. The sampled frames, on the detection grid,
-        # are the only ones held at once: they make the background and are
-        # detected from its stack; the others are read one at a time.
-        first = read_pgm(paths[sample[0]])
-        grid = first[::d, ::d]
-        stack = np.empty((len(sample),) + grid.shape, dtype=np.uint8)
-        stack[0] = grid
-        for row, i in zip(stack[1:], sample[1:]):
-            row[...] = _read_frame(paths[i], first.shape)[::d, ::d]
-        bg = estimate_background(stack)
-        rows = dict(zip(sample.tolist(), stack))
-        detector = detect_top if view == "top" else detect_front
-        found = [detector(rows[i] if i in rows
-                          else _read_frame(paths[i], first.shape)[::d, ::d],
-                          bg, params) for i in range(len(numbers))]
-        dets[view] = DetectionTable.concat(found)  # each at frame 0
-        dets[view].frame = np.repeat(numbers, list(map(len, found)))
+    dets = {view: _detect_view(frames_dir, view, params) for view in VIEWS}
     write_detections_csv(out / "detections.csv", dets, _meta(cfg))
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy import ndimage
 
 ENDPOINT_VALUES = frozenset({116, 117, 118, 131})
 JUNCTION_VALUES = frozenset({148, 149, 150, 151})
@@ -503,14 +502,20 @@ def skeleton_keypoints(skel: np.ndarray, blob: np.ndarray,
             if k.weight >= params.min_keypoint_weight]
 
 
+def _label(mask: np.ndarray, structure: np.ndarray):
+    """`ndimage.label`; scipy.ndimage is loaded at the first call."""
+    from scipy import ndimage
+    return ndimage.label(mask, structure=structure)
+
+
 def fill_holes(mask: np.ndarray) -> np.ndarray:
     """Fill interior holes of 8-connected foreground components.
 
     A one-pixel background frame joins every 4-connected background
     region that reaches the edge into one component; all else is kept.
     """
-    labels, _ = ndimage.label(np.pad(np.asarray(mask) <= 0, 1,
-                                     constant_values=True), structure=_CROSS)
+    labels, _ = _label(np.pad(np.asarray(mask) <= 0, 1, constant_values=True),
+                       _CROSS)
     return labels[1:-1, 1:-1] != labels[0, 0]
 
 
@@ -548,7 +553,7 @@ def detect_top(grid: np.ndarray, bg: np.ndarray,
     skel = np.zeros(fg.shape, dtype=np.uint8)
     skel[box] = skeletonize(mask[box])
     keypoints = skeleton_keypoints(skel, mask, params)
-    labels, _ = ndimage.label(skel[box] > 0, structure=_BOX8)
+    labels, _ = _label(skel[box] > 0, _BOX8)
     by_comp: dict[int, list[Keypoint]] = {}
     for kp in keypoints:
         comp = int(labels[kp.point[1] - box[0].start, kp.point[0] - box[1].start])
@@ -571,7 +576,7 @@ def detect_front(grid: np.ndarray, bg: np.ndarray,
     mask = _foreground(grid, bg, entropy_threshold)
     if mask is None:
         return DetectionTable.of(())
-    labels, n = ndimage.label(mask, structure=_BOX8)
+    labels, n = _label(mask, _BOX8)
     pixels = np.flatnonzero(mask)
     label_of = labels.ravel()[pixels]
     counts = np.bincount(label_of)  # areas; counts[0] is 0

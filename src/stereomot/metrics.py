@@ -13,7 +13,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .geometry import VIEWS
 from .track2d import hungarian
@@ -300,6 +299,7 @@ def clear_mot(seq: MatchSequence) -> ClearMot:
 def id_metrics(pred: Prediction, gt: GroundTruth, dist_thresh: float,
                view: str | None = None) -> tuple[float, float, float]:
     """(IDP, IDR, IDF1) from the optimal whole-track identity mapping."""
+    from scipy.optimize import linear_sum_assignment  # loaded at first use
     pos, present = _gt_positions(gt, view)
     pids, track, _, diff = _pred_offsets(pred, pos)
     # Each track's frames within the gate of each fish, counted at once.

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .detect import DetectionTable, runs
 
@@ -32,6 +31,7 @@ def hungarian(cost) -> list[tuple[int, int]]:
     Costs must be finite; encode forbidden pairs with a large sentinel and
     reject them afterwards.
     """
+    from scipy.optimize import linear_sum_assignment  # loaded at first use
     cost = np.atleast_2d(np.asarray(cost, dtype=float))
     rows, cols = linear_sum_assignment(cost)
     return sorted(zip(rows.tolist(), cols.tolist()))
